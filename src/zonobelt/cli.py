@@ -342,13 +342,13 @@ def cmd_search(args):
     print("status: %s" % res.status)
     print("nodes: %d" % res.nodes)
     print("elapsed: %.1fs" % res.elapsed)
-    if res.status == "found":
+    if res.status in ("found", "violation"):
         g, f1, f2 = res.witness
         print("distance: %d" % res.distance)
         print("from: %s" % facet_str(f1))
         print("to: %s" % facet_str(f2))
         print(json.dumps(emit_graph_file(g)))
-        return EXIT_OK
+        return EXIT_OK if res.status == "found" else EXIT_VIOLATION
     return EXIT_INCONCLUSIVE
 
 

@@ -7,31 +7,22 @@ slot decides the orientation condition: A∩D = 0 or B∩C = 0 means one facet
 refines the other on a side (always consistent), while A∩C = 0 or B∩D = 0
 puts the two disjoint parts on opposite sides of both facets, which is
 consistent only when no edge joins them.
+
+That definition is not evaluated pair by pair.  Every codimension-2 face
+lies in exactly two facets, both in the belt of its core {x, y, z}, so the
+belt's 4 or 6 facets form a cycle and the edges come from one pass over
+the cores (faces.belt_adjacency).  For an ordering (x, y, z) of a core in
+which x-y and y-z carry crossing edges, the face x < y < z lies in
+(x | y∪z) and (x∪y | z).  When x and y share no edge (so both cross z),
+the faces with x, y incomparable link (x | y∪z) with (y | x∪z), and
+(y∪z | x) with (x∪z | y).
 """
 
 from __future__ import annotations
 
-from .faces import enumerate_facets, has_cross, FacetId
-from .venkov import build_venkov, diameter_witness, eccentricity
+from .faces import belt_adjacency, enumerate_facets, FacetId
+from .venkov import VenkovGraph, diameter_witness
 from .zgraph import ZGraph, dimension
-
-
-def facet_adjacent(g: ZGraph, f1: FacetId, f2: FacetId) -> bool:
-    a, b = f1
-    c, d = f2
-    if f1 == f2:
-        raise ValueError("identical facets")
-    ac, ad, bc, bd = a & c, a & d, b & c, b & d
-    live = [p for p in (ac, ad, bc, bd) if p]
-    if len(live) != 3:
-        return False
-    if not all(g.connected_in(p) for p in live):
-        return False
-    if ac == 0:
-        return not has_cross(g, a, c)
-    if bd == 0:
-        return not has_cross(g, b, d)
-    return True
 
 
 class DualGraph:
@@ -42,30 +33,32 @@ class DualGraph:
 
 def build_dual(g: ZGraph) -> DualGraph:
     nodes = enumerate_facets(g)
-    adj = [0] * len(nodes)
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            if facet_adjacent(g, nodes[i], nodes[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    _, adj = belt_adjacency(g, nodes, venkov=False)
     return DualGraph(nodes, adj)
+
+
+def build_graphs(g: ZGraph) -> tuple[VenkovGraph, DualGraph]:
+    """Venkov and dual graph from one facet enumeration and one core pass."""
+    if g.n < 3:
+        raise ValueError("need at least 3 vertices")
+    nodes = enumerate_facets(g)
+    vadj, dadj = belt_adjacency(g, nodes)
+    return VenkovGraph([f for f in nodes if f[0] & 1], vadj), DualGraph(nodes, dadj)
 
 
 def dual_diameter(g: ZGraph) -> int:
     if g.n < 3 or dimension(g) < 2:
         raise ValueError("need a connected graph of dimension >= 2")
-    dg = build_dual(g)
     try:
-        return max(eccentricity(dg.adj, i) for i in range(len(dg.nodes)))
+        return diameter_witness(build_dual(g).adj)[0]
     except RuntimeError:
         raise RuntimeError("dual graph disconnected: adjacency model violated")
 
 
 def check_diameter_bound(g: ZGraph) -> dict:
     """Compute both diameters and test dual <= belt + 1, with witnesses."""
-    vg = build_venkov(g)
+    vg, dg = build_graphs(g)
     belt, (bi, bj) = diameter_witness(vg.adj)
-    dg = build_dual(g)
     dual, (di, dj) = diameter_witness(dg.adj)
     return {
         "belt_diameter": belt,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .zgraph import ZGraph, bits, components
+from .zgraph import ZGraph, components
 
 # A facet is an ordered pair of vertex bitmasks (a, b); (b, a) is the
 # opposite facet.  Ordered partitions in general are tuples of bitmasks.
@@ -68,33 +68,45 @@ def enumerate_facets(g: ZGraph) -> list[FacetId]:
     return out
 
 
-def has_cross(g: ZGraph, a: int, b: int) -> bool:
-    """Is there an edge with one endpoint in a and the other in b?"""
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
-    return any(g.adj[v] & b for v in bits(a))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Belt:
     core: tuple[int, int, int]      # unordered 3-partition, masks ascending
     members: tuple[FacetId, ...]    # the 4 or 6 facets parallel to the core
     directions: int                 # nonempty crossing-edge classes, 2 or 3
 
 
-def belt_of(g: ZGraph, core) -> Belt:
-    """The belt of a codimension-2 core: every facet it refines."""
-    p, q, r = sorted(core)
-    validate_partition(g, (p, q, r))
-    members = []
-    for merged, rest in ((p | q, r), (p | r, q), (q | r, p)):
-        if g.connected_in(merged):
-            members.append((merged, rest))
-            members.append((rest, merged))
-    directions = sum(
-        1 for x, y in ((p, q), (p, r), (q, r)) if has_cross(g, x, y)
-    )
-    return Belt((p, q, r), tuple(members), directions)
+def _core_merges(g: ZGraph):
+    """Yield (p, q, r, pq, pr, qr) once per codimension-2 core.
+
+    p, q, r are the parts of an unordered 3-partition with connected parts:
+    p holds vertex 0 and q the least vertex outside p.  pq, pr and qr are
+    the merge bits connected_in(p|q), connected_in(p|r), connected_in(q|r);
+    for connected parts x and y, x|y is connected exactly when an edge
+    crosses between them, so the bits name the belt's members and its
+    crossing directions.
+    """
+    full = g.full_mask
+    conn = g.connected_in
+    rest0 = full ^ 1
+    sub = rest0
+    while True:
+        p = sub | 1
+        rest = full ^ p
+        if rest and conn(p):
+            low = rest & -rest
+            rest2 = rest ^ low
+            sub2 = rest2
+            while True:
+                q = sub2 | low
+                r = rest ^ q
+                if r and conn(q) and conn(r):
+                    yield p, q, r, conn(p | q), conn(p | r), conn(q | r)
+                if sub2 == 0:
+                    break
+                sub2 = (sub2 - 1) & rest2
+        if sub == 0:
+            break
+        sub = (sub - 1) & rest0
 
 
 def enumerate_codim2(g: ZGraph) -> list[Belt]:
@@ -103,30 +115,70 @@ def enumerate_codim2(g: ZGraph) -> list[Belt]:
     if g.n < 3:
         raise ValueError("need at least 3 vertices")
     full = g.full_mask
-    cores = []
-    rest0 = full ^ 1
-    # p holds vertex 0; q holds the least vertex outside p.
-    sub = rest0
-    while True:
-        p = sub | 1
-        rest = full ^ p
-        if rest and g.connected_in(p):
-            low = rest & -rest
-            rest2 = rest ^ low
-            sub2 = rest2
-            while True:
-                q = sub2 | low
-                r = rest ^ q
-                if r and g.connected_in(q) and g.connected_in(r):
-                    cores.append(tuple(sorted((p, q, r))))
-                if sub2 == 0:
-                    break
-                sub2 = (sub2 - 1) & rest2
-        if sub == 0:
-            break
-        sub = (sub - 1) & rest0
-    cores.sort(key=partition_key)
-    return [belt_of(g, c) for c in cores]
+    # every belt holding a facet shares one tuple for it: the belt list is
+    # the largest object a query builds (several MB at 10 vertices)
+    facet = {}
+    belts = []
+    for p, q, r, pq, pr, qr in _core_merges(g):
+        members = []
+        # with the core ascending (a, b, c) the merges run a|b, a|c, b|c,
+        # i.e. by the part left out, descending
+        for rest, ok in sorted(((r, pq), (q, pr), (p, qr)), reverse=True):
+            if ok:
+                merged = full ^ rest
+                members.append(facet.setdefault(merged, (merged, rest)))
+                members.append(facet.setdefault(rest, (rest, merged)))
+        belts.append(Belt(tuple(sorted((p, q, r))), tuple(members), pq + pr + qr))
+    belts.sort(key=lambda belt: partition_key(belt.core))
+    return belts
+
+
+def belt_adjacency(g: ZGraph, facets: list[FacetId], venkov: bool = True,
+                   dual: bool = True):
+    """Venkov and dual adjacency bitmasks from one pass over the cores.
+
+    facets is enumerate_facets(g).  The Venkov nodes are the facets whose
+    first part holds vertex 0, in that order; the dual nodes are all the
+    facets.  Returns (venkov_adj, dual_adj), with None for a graph not
+    asked for.
+
+    A belt's 2 or 3 facet pairs form a Venkov clique.  Its 4 or 6 facets
+    form a dual cycle, one edge per codimension-2 face; writing [x] for
+    (x | rest) and [xy] for (x∪y | rest), the cycle of a core whose three
+    parts all touch is [p] [pq] [q] [qr] [r] [pr], and when x and y share
+    no edge (z touching both) it is [x] [xz] [yz] [y].
+    """
+    full = g.full_mask
+    vadj = dadj = None
+    if venkov:
+        vnode = {f[0]: i for i, f in enumerate(f for f in facets if f[0] & 1)}
+        vadj = [0] * len(vnode)
+    if dual:
+        dnode = {f[0]: i for i, f in enumerate(facets)}
+        dadj = [0] * len(facets)
+    for p, q, r, pq, pr, qr in _core_merges(g):
+        if venkov:
+            # p holds vertex 0, so a pair is keyed by its part containing p
+            ids = [vnode[m] for m, ok in ((p | q, pq), (p | r, pr), (p, qr)) if ok]
+            clique = 0
+            for i in ids:
+                clique |= 1 << i
+            for i in ids:
+                vadj[i] |= clique ^ (1 << i)
+        if dual:
+            if pq and pr and qr:
+                cycle = (p, p | q, q, q | r, r, p | r)
+            elif not pq:
+                cycle = (p, p | r, q | r, q)
+            elif not pr:
+                cycle = (p, p | q, r | q, r)
+            else:
+                cycle = (q, q | p, r | p, r)
+            ids = [dnode[m] for m in cycle]
+            for i, j in zip(ids, ids[1:] + ids[:1]):
+                dadj[i] |= 1 << j
+                dadj[j] |= 1 << i
+    return vadj, dadj
 
 
 def in_same_belt(g: ZGraph, f1: FacetId, f2: FacetId) -> bool:
@@ -144,24 +196,3 @@ def in_same_belt(g: ZGraph, f1: FacetId, f2: FacetId) -> bool:
     if len(live) != 3:
         return False
     return all(g.connected_in(p) for p in live)
-
-
-def is_face_of(fine, coarse) -> bool:
-    """Order-respecting incidence: coarse merges consecutive runs of fine."""
-    k = 0
-    for cpart in coarse:
-        acc = 0
-        while acc != cpart:
-            if k >= len(fine) or fine[k] & ~cpart:
-                return False
-            acc |= fine[k]
-            k += 1
-    return k == len(fine)
-
-
-def is_refinement(fine, coarse) -> bool:
-    """Unordered family-level incidence: every fine part sits in a coarse one."""
-    for fpart in fine:
-        if not any(fpart & ~cpart == 0 for cpart in coarse):
-            return False
-    return True

@@ -85,16 +85,6 @@ class IntSpan:
     def contains(self, v) -> bool:
         return not any(self._reduce(v))
 
-    def add(self, v) -> bool:
-        """Insert v if independent; returns whether the span grew."""
-        r = self._reduce(v)
-        for c, x in enumerate(r):
-            if x:
-                self.rows.append(r)
-                self.pivots.append(c)
-                return True
-        return False
-
     def with_added(self, v):
         """A new span extended by v, or None if v is already in it.
 

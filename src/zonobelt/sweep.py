@@ -131,12 +131,8 @@ class SweepReport:
 def _check_graph(g: ZGraph, checks, row: SweepRow, violations: list):
     d = dimension(g)
     label = "n=%d %r" % (g.n, g.sorted_edges())
-    vg = venkov.build_venkov(g)
-    belt = (
-        max(venkov.eccentricity(vg.adj, i) for i in range(len(vg.nodes)))
-        if len(vg.nodes) > 1
-        else 0
-    )
+    vg, dg = dual.build_graphs(g)
+    belt = venkov.diameter_witness(vg.adj)[0]
     if belt > row.max_belt_diameter:
         row.max_belt_diameter = belt
         row.witness = g.sorted_edges()
@@ -147,7 +143,7 @@ def _check_graph(g: ZGraph, checks, row: SweepRow, violations: list):
             violations.append("%s: belt diameter %d > 2" % (label, belt))
         if d >= 7 and belt > 3:
             violations.append("%s: belt diameter %d > 3" % (label, belt))
-    dd = dual.dual_diameter(g)  # reported for every row, checked on demand
+    dd = venkov.diameter_witness(dg.adj)[0]  # reported for every row, checked on demand
     row.max_dual_diameter = max(row.max_dual_diameter, dd)
     if "dual_bound" in checks:
         if dd > belt + 1:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product
 
 from . import venkov
-from .faces import validate_partition
+from .faces import enumerate_facets, in_same_belt, validate_partition
 from .zgraph import (
     ZGraph,
     bits,
@@ -599,7 +599,7 @@ gen_paper_even = gen_even_extremal
 
 @dataclass
 class SearchResult:
-    status: str                 # "found" | "none" | "inconclusive"
+    status: str                 # "found" | "none" | "inconclusive" | "violation"
     witness: object = None      # ColoredZGraph or (ZGraph, facet, facet)
     distance: int | None = None
     nodes: int = 0
@@ -693,8 +693,6 @@ D8_Y2 = mask_of([2, 4, 5, 7])
 
 def _d8_common_neighbors(g: ZGraph) -> int:
     """Facet pairs belt-adjacent to both fixed partitions, counted."""
-    from .faces import enumerate_facets, in_same_belt
-
     f1 = (D8_X1, D8_Y1)
     f2 = (D8_X2, D8_Y2)
     count = 0
@@ -726,6 +724,10 @@ def search_d8_nonsymmetric(budget_seconds=3600.0, max_nodes=None, seed=1) -> Sea
     mutual intersections are nonempty, so distance >= 2 is automatic and
     distance 3 means exactly: no facet pair shares a belt with both.
     Seeded hill climbing over single-edge flips, with random restarts.
+
+    A graph that scores 0 but is not at belt distance 3 with belt diameter
+    3 contradicts either the scorer or the diameter bound; it is returned
+    with status "violation" instead of being climbed past.
     """
     rng = random.Random(seed)
     budget = _Budget(budget_seconds, max_nodes)
@@ -733,14 +735,11 @@ def search_d8_nonsymmetric(budget_seconds=3600.0, max_nodes=None, seed=1) -> Sea
     f1 = (D8_X1, D8_Y1)
     f2 = (D8_X2, D8_Y2)
 
-    def verify(g: ZGraph):
+    def verify(g: ZGraph) -> SearchResult:
         dist, _ = venkov.belt_distance(g, f1, f2)
-        if dist != 3:
-            return None
-        diam = venkov.belt_diameter(g)
-        if diam != 3:
-            return None
-        return SearchResult("found", (g, f1, f2), dist, budget.nodes, budget.elapsed)
+        ok = dist == 3 and venkov.belt_diameter(g) == 3
+        return SearchResult("found" if ok else "violation", (g, f1, f2), dist,
+                            budget.nodes, budget.elapsed)
 
     while budget.tick(0):
         edges = frozenset(e for e in pairs if rng.random() < 0.5)
@@ -751,10 +750,7 @@ def search_d8_nonsymmetric(budget_seconds=3600.0, max_nodes=None, seed=1) -> Sea
             if not budget.tick():
                 return SearchResult("inconclusive", None, None, budget.nodes, budget.elapsed)
             if score == 0:
-                hit = verify(g)
-                if hit:
-                    return hit
-                score = 1  # should not happen; keep moving
+                return verify(g)
             best = None
             order = list(pairs)
             rng.shuffle(order)

@@ -1,8 +1,22 @@
-"""Venkov graph: opposite-facet pairs joined when they share a belt."""
+"""Venkov graph: opposite-facet pairs joined when they share a belt.
+
+Two facet pairs share a belt exactly when they are members of the belt of
+one codimension-2 core, and every belt's 2 or 3 pairs are mutually
+adjacent.  So the adjacency is built from one pass over the cores
+(faces.belt_adjacency), joining each belt's pairs into a clique, rather
+than by testing every pair of facets.
+
+Diameters grow every node's BFS ball at once: ball_1(i) is i with its
+neighbours, and ball_{k+1}(i) joins ball_k(j) over i and its neighbours j,
+read straight from the adjacency bitmask.  A node's eccentricity is the
+first k at which its ball is full.  The whole graph takes one round per
+unit of diameter, each at most one OR per adjacent pair, instead of one
+BFS per source.
+"""
 
 from __future__ import annotations
 
-from .faces import FacetId, enumerate_facets, in_same_belt, unordered_pair
+from .faces import FacetId, belt_adjacency, enumerate_facets, in_same_belt, unordered_pair
 from .zgraph import ZGraph
 
 
@@ -12,74 +26,47 @@ class VenkovGraph:
     def __init__(self, nodes: list[FacetId], adj: list[int]):
         self.nodes = nodes
         self.adj = adj                      # bitmask over node indices
-        self.index = {f: i for i, f in enumerate(nodes)}
-
-    def node_of(self, f: FacetId) -> int:
-        key = unordered_pair(f)
-        if key not in self.index:
-            raise ValueError("not a facet of this graph: %r" % (f,))
-        return self.index[key]
 
 
 def build_venkov(g: ZGraph) -> VenkovGraph:
     if g.n < 3:
         raise ValueError("need at least 3 vertices")
-    nodes = [f for f in enumerate_facets(g) if f[0] & 1]
-    adj = [0] * len(nodes)
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            if in_same_belt(g, nodes[i], nodes[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return VenkovGraph(nodes, adj)
-
-
-def _bfs_masks(adj: list[int], src: int):
-    """Yield (frontier mask, depth) layers of a bitmask BFS."""
-    seen = 1 << src
-    frontier = seen
-    depth = 0
-    while frontier:
-        yield frontier, depth
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            m ^= low
-            nxt |= adj[low.bit_length() - 1]
-        frontier = nxt & ~seen
-        seen |= frontier
-        depth += 1
-
-
-def eccentricity(adj: list[int], src: int) -> int:
-    return farthest(adj, src)[0]
-
-
-def farthest(adj: list[int], src: int) -> tuple[int, int]:
-    """(eccentricity of src, lowest-index node realizing it)."""
-    last = 0
-    node = src
-    seen = 0
-    for frontier, depth in _bfs_masks(adj, src):
-        last = depth
-        node = (frontier & -frontier).bit_length() - 1
-        seen |= frontier
-    if seen != (1 << len(adj)) - 1:
-        raise RuntimeError("graph is disconnected")
-    return last, node
+    facets = enumerate_facets(g)
+    adj, _ = belt_adjacency(g, facets, dual=False)
+    return VenkovGraph([f for f in facets if f[0] & 1], adj)
 
 
 def diameter_witness(adj: list[int]) -> tuple[int, tuple[int, int]]:
-    """(diameter, first node pair realizing it)."""
-    best = -1
+    """(diameter, first node pair realizing it) of a connected graph.
+
+    The pair is the lowest node of largest eccentricity and the lowest node
+    at that distance from it.  Raises RuntimeError when disconnected.
+    """
+    full = (1 << len(adj)) - 1
+    ball = [1 << i for i in range(len(adj))]
+    active = [i for i in range(len(adj)) if ball[i] != full]
+    diameter = 0
     pair = (0, 0)
-    for i in range(len(adj)):
-        ecc, j = farthest(adj, i)
-        if ecc > best:
-            best = ecc
-            pair = (i, j)
-    return best, pair
+    while active:
+        diameter += 1
+        grown = []
+        for i in active:
+            b = ball[i] | adj[i]            # all of ball_1(i)
+            m = adj[i] if diameter > 1 else 0
+            while m and b != full:
+                low = m & -m
+                m ^= low
+                b |= ball[low.bit_length() - 1]
+            if b == ball[i]:
+                raise RuntimeError("graph is disconnected")
+            grown.append(b)
+        first = active[0]
+        outside = full ^ ball[first]
+        pair = (first, (outside & -outside).bit_length() - 1)
+        for i, b in zip(active, grown):
+            ball[i] = b
+        active = [i for i in active if ball[i] != full]
+    return diameter, pair
 
 
 def belt_distance(g: ZGraph, f1: FacetId, f2: FacetId):
@@ -118,7 +105,4 @@ def belt_distance(g: ZGraph, f1: FacetId, f2: FacetId):
 
 
 def belt_diameter(g: ZGraph) -> int:
-    vg = build_venkov(g)
-    if len(vg.nodes) == 1:
-        return 0
-    return max(eccentricity(vg.adj, i) for i in range(len(vg.nodes)))
+    return diameter_witness(build_venkov(g).adj)[0]

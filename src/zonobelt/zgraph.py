@@ -30,13 +30,6 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-def as_mask(s) -> int:
-    """Accept either a bitmask or an iterable of vertex labels."""
-    if isinstance(s, int):
-        return s
-    return mask_of(s)
-
-
 class ZGraph:
     """Immutable simple graph on vertices 0..n-1."""
 
@@ -138,15 +131,6 @@ def components(g: ZGraph) -> list[int]:
     return out
 
 
-def is_connected_induced(g: ZGraph, s) -> bool:
-    m = as_mask(s)
-    if m == 0:
-        raise ValueError("empty part")
-    if m & ~g.full_mask:
-        raise ValueError("vertex out of range")
-    return g.connected_in(m)
-
-
 def dimension(g: ZGraph) -> int:
     return g.n - len(components(g))
 
@@ -189,17 +173,6 @@ def delete_edge(g: ZGraph, i: int, j: int) -> ZGraph:
     if e not in g.edges:
         raise ValueError("edge (%d,%d) not present" % (i, j))
     return ZGraph(g.n, g.edges - {e})
-
-
-def reduce_connected(g: ZGraph) -> ZGraph:
-    """Glue components together until connected; dimension is preserved."""
-    while True:
-        comps = components(g)
-        if len(comps) == 1:
-            return g
-        a = bits(comps[0])[0]
-        b = bits(comps[1])[0]
-        g = contract(g, a, b)
 
 
 def min_label_perm(n: int, code) -> tuple[int, tuple[int, ...]]:

@@ -1,0 +1,143 @@
+"""Reference definitions the library's fast paths are checked against.
+
+These are the direct readings of the definitions: belts built core by core
+with an explicit crossing-edge test, Venkov and dual adjacency tested for
+every pair of facets, and diameters by one BFS per source node.  They are
+quadratic or worse, so the library derives the same objects from one pass
+over the codimension-2 cores instead.
+"""
+
+from zonobelt.faces import (
+    Belt,
+    enumerate_facets,
+    in_same_belt,
+    partition_key,
+    validate_partition,
+)
+from zonobelt.zgraph import ZGraph, bits
+
+
+def has_cross(g: ZGraph, a: int, b: int) -> bool:
+    """Is there an edge with one endpoint in a and the other in b?"""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    return any(g.adj[v] & b for v in bits(a))
+
+
+def belt_of(g: ZGraph, core) -> Belt:
+    """The belt of a codimension-2 core: every facet it refines."""
+    p, q, r = sorted(core)
+    validate_partition(g, (p, q, r))
+    members = []
+    for merged, rest in ((p | q, r), (p | r, q), (q | r, p)):
+        if g.connected_in(merged):
+            members.append((merged, rest))
+            members.append((rest, merged))
+    directions = sum(
+        1 for x, y in ((p, q), (p, r), (q, r)) if has_cross(g, x, y)
+    )
+    return Belt((p, q, r), tuple(members), directions)
+
+
+def enumerate_codim2(g: ZGraph) -> list[Belt]:
+    """All belts: every unordered 3-partition with connected parts."""
+    full = g.full_mask
+    cores = set()
+    for a in range(1, full + 1, 2):         # a holds vertex 0
+        rest = full ^ a
+        b = rest
+        while b:
+            c = rest ^ b
+            if c and b < c and all(g.connected_in(m) for m in (a, b, c)):
+                cores.add(tuple(sorted((a, b, c))))
+            b = (b - 1) & rest
+    return [belt_of(g, c) for c in sorted(cores, key=partition_key)]
+
+
+def facet_adjacent(g: ZGraph, f1, f2) -> bool:
+    """Do the ordered facets f1 and f2 share a codimension-2 face?"""
+    a, b = f1
+    c, d = f2
+    if f1 == f2:
+        raise ValueError("identical facets")
+    ac, ad, bc, bd = a & c, a & d, b & c, b & d
+    live = [p for p in (ac, ad, bc, bd) if p]
+    if len(live) != 3:
+        return False
+    if not all(g.connected_in(p) for p in live):
+        return False
+    if ac == 0:
+        return not has_cross(g, a, c)
+    if bd == 0:
+        return not has_cross(g, b, d)
+    return True
+
+
+def _pairwise(nodes, related) -> list[int]:
+    adj = [0] * len(nodes)
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            if related(nodes[i], nodes[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def build_venkov(g: ZGraph):
+    """(nodes, adjacency): facet pairs joined when in_same_belt holds."""
+    nodes = [f for f in enumerate_facets(g) if f[0] & 1]
+    return nodes, _pairwise(nodes, lambda f1, f2: in_same_belt(g, f1, f2))
+
+
+def build_dual(g: ZGraph):
+    """(nodes, adjacency): ordered facets joined when facet_adjacent holds."""
+    nodes = enumerate_facets(g)
+    return nodes, _pairwise(nodes, lambda f1, f2: facet_adjacent(g, f1, f2))
+
+
+def _bfs_masks(adj: list[int], src: int):
+    """Yield (frontier mask, depth) layers of a bitmask BFS."""
+    seen = 1 << src
+    frontier = seen
+    depth = 0
+    while frontier:
+        yield frontier, depth
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            m ^= low
+            nxt |= adj[low.bit_length() - 1]
+        frontier = nxt & ~seen
+        seen |= frontier
+        depth += 1
+
+
+def farthest(adj: list[int], src: int) -> tuple[int, int]:
+    """(eccentricity of src, lowest-index node realizing it)."""
+    last = 0
+    node = src
+    seen = 0
+    for frontier, depth in _bfs_masks(adj, src):
+        last = depth
+        node = (frontier & -frontier).bit_length() - 1
+        seen |= frontier
+    if seen != (1 << len(adj)) - 1:
+        raise RuntimeError("graph is disconnected")
+    return last, node
+
+
+def eccentricity(adj: list[int], src: int) -> int:
+    return farthest(adj, src)[0]
+
+
+def diameter_witness(adj: list[int]) -> tuple[int, tuple[int, int]]:
+    """(diameter, first node pair realizing it), one BFS per source."""
+    best = -1
+    pair = (0, 0)
+    for i in range(len(adj)):
+        ecc, j = farthest(adj, i)
+        if ecc > best:
+            best = ecc
+            pair = (i, j)
+    return best, pair

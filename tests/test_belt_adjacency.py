@@ -1,0 +1,104 @@
+"""Core-derived belts, Venkov and dual graphs, and ball-growth diameters
+against the pairwise and per-source-BFS references.
+
+Every connected graph on 3..7 vertices (up to isomorphism) and 24 seeded
+random connected graphs on 8..10 vertices must give the same belts, the
+same node order, the same adjacency bitmasks, the same diameters and the
+same witness pairs.
+"""
+
+import random
+
+import pytest
+
+import adjacency_reference as ref
+from zonobelt import dual, faces, venkov
+from zonobelt.sweep import enumerate_connected_graphs
+from zonobelt.zgraph import ZGraph, dimension
+
+
+def random_connected(count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = len(out)
+        n = 8 + k % 3
+        p = (0.3, 0.5, 0.7)[k // 3 % 3]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = ZGraph(n, [e for e in pairs if rng.random() < p])
+        if dimension(g) == n - 1:
+            out.append(g)
+    return out
+
+
+def assert_matches_reference(g):
+    belts = faces.enumerate_codim2(g)
+    assert belts == ref.enumerate_codim2(g)
+
+    vnodes, vadj = ref.build_venkov(g)
+    dnodes, dadj = ref.build_dual(g)
+    vg = venkov.build_venkov(g)
+    dg = dual.build_dual(g)
+    assert (vg.nodes, vg.adj) == (vnodes, vadj)
+    assert (dg.nodes, dg.adj) == (dnodes, dadj)
+    vg2, dg2 = dual.build_graphs(g)
+    assert (vg2.nodes, vg2.adj, dg2.nodes, dg2.adj) == (vnodes, vadj, dnodes, dadj)
+
+    belt, (bi, bj) = ref.diameter_witness(vadj)
+    ddiam, (di, dj) = ref.diameter_witness(dadj)
+    assert venkov.diameter_witness(vadj) == (belt, (bi, bj))
+    assert venkov.diameter_witness(dadj) == (ddiam, (di, dj))
+    assert venkov.belt_diameter(g) == belt
+    assert dual.dual_diameter(g) == ddiam
+    assert dual.check_diameter_bound(g) == {
+        "belt_diameter": belt,
+        "belt_witness": (vnodes[bi], vnodes[bj]),
+        "dual_diameter": ddiam,
+        "dual_witness": (dnodes[di], dnodes[dj]),
+        "bound_holds": ddiam <= belt + 1,
+    }
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_every_connected_graph_matches_reference(n):
+    for g in enumerate_connected_graphs(n):
+        assert_matches_reference(g)
+
+
+def test_random_graphs_8_to_10_match_reference():
+    graphs = random_connected(24, seed=20261018)
+    assert {g.n for g in graphs} == {8, 9, 10}
+    for g in graphs:
+        assert_matches_reference(g)
+
+
+def test_ball_growth_matches_bfs_on_random_adjacency():
+    # arbitrary connected adjacencies, not only Venkov and dual graphs
+    rng = random.Random(7)
+    for _ in range(200):
+        k = rng.randrange(1, 30)
+        adj = [0] * k
+        for v in range(1, k):
+            u = rng.randrange(v)                # a random spanning tree
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        for _ in range(rng.randrange(k + 1)):
+            u, v = rng.randrange(k), rng.randrange(k)
+            if u != v:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        assert venkov.diameter_witness(adj) == ref.diameter_witness(adj)
+
+
+def test_ball_growth_single_node():
+    assert venkov.diameter_witness([0]) == (0, (0, 0))
+
+
+@pytest.mark.parametrize("adj", [
+    [0, 0],
+    [0b010, 0b001, 0],                  # isolated third node
+    [0b0010, 0b0001, 0b1000, 0b0100],   # two edges, two components
+])
+def test_ball_growth_disconnected_raises(adj):
+    with pytest.raises(RuntimeError, match="disconnected"):
+        venkov.diameter_witness(adj)

@@ -276,3 +276,20 @@ def test_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["info", str(bad)]) == EXIT_USAGE
+
+
+def test_search_d8_violation_exits_one(monkeypatch, capsys):
+    # a graph the scorer calls perfect but that sits at belt distance 2
+    from zonobelt import symmetric, venkov
+
+    monkeypatch.setattr(symmetric, "_d8_score", lambda g: 0)
+    monkeypatch.setattr(venkov, "belt_distance", lambda g, f1, f2: (2, [f1, f2]))
+    res = symmetric.search_d8_nonsymmetric(max_nodes=5, seed=1)
+    assert res.status == "violation"
+    g, f1, f2 = res.witness
+    assert g.n == 9 and (f1, f2) == ((symmetric.D8_X1, symmetric.D8_Y1),
+                                     (symmetric.D8_X2, symmetric.D8_Y2))
+    assert res.distance == 2
+    assert main(["search", "d8", "--max-nodes", "5"]) == EXIT_VIOLATION
+    out = capsys.readouterr().out
+    assert "status: violation" in out and "distance: 2" in out

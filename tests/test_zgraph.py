@@ -13,10 +13,8 @@ from zonobelt.zgraph import (
     contract_map,
     delete_edge,
     dimension,
-    is_connected_induced,
     mask_of,
     min_label_perm,
-    reduce_connected,
 )
 
 
@@ -79,14 +77,6 @@ def test_dimension():
     assert dimension(ZGraph(5, [(0, 1)])) == 1
 
 
-def test_is_connected_induced_errors():
-    g = path(4)
-    with pytest.raises(ValueError, match="empty part"):
-        is_connected_induced(g, 0)
-    with pytest.raises(ValueError, match="out of range"):
-        is_connected_induced(g, 1 << 4)
-
-
 def test_contract_path():
     g = contract(path(4), 1, 2)
     assert g.n == 3
@@ -118,13 +108,6 @@ def test_delete_edge():
     assert g.sorted_edges() == [(0, 1), (2, 3)]
     with pytest.raises(ValueError):
         delete_edge(g, 1, 2)
-
-
-def test_reduce_connected():
-    g = ZGraph(4, [(0, 1), (2, 3)])
-    h = reduce_connected(g)
-    assert dimension(h) == dimension(g)
-    assert len(components(h)) == 1
 
 
 def brute_min_key(n, code):
