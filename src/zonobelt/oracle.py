@@ -4,6 +4,11 @@ Everything here works on integer zone matrices (rows e_i - e_j, one per
 edge) with fraction-free elimination; no floating point.  Facets are
 recovered as closed corank-1 row subsets, belts as rank-(d-2) overlaps,
 independently of the connectivity reasoning in the other modules.
+
+Each facet hyperplane is reached once, through its greedy basis: the rows
+picked by scanning the hyperplane's rows in index order and keeping each
+one independent of those kept so far.  A support reached twice means that
+invariant broke, and raises instead of being merged away.
 """
 
 from __future__ import annotations
@@ -60,6 +65,17 @@ def exact_rank(rows) -> int:
     return rank
 
 
+def _eliminate(v, row, c: int) -> list[int]:
+    """v with column c cleared by row, whose pivot column is c, gcd divided out."""
+    vc = v[c]
+    if not vc:
+        return v
+    p = row[c]
+    v = [p * x - vc * y for x, y in zip(v, row)]
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
 class IntSpan:
     """Growable integer row space with exact membership tests."""
 
@@ -67,19 +83,9 @@ class IntSpan:
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
-    def _reduce(self, v) -> list[int]:
-        v = list(v)
+    def _reduce(self, v):
         for row, c in zip(self.rows, self.pivots):
-            if v[c]:
-                p, vc = row[c], v[c]
-                for k in range(len(v)):
-                    v[k] = p * v[k] - vc * row[k]
-                g = 0
-                for x in v:
-                    g = gcd(g, x)
-                if g > 1:
-                    for k in range(len(v)):
-                        v[k] //= g
+            v = _eliminate(v, row, c)
         return v
 
     def contains(self, v) -> bool:
@@ -107,8 +113,17 @@ class IntSpan:
 def oracle_facets(g: ZGraph) -> list[frozenset]:
     """Supports of all closed corank-1 row subsets, as edge sets.
 
-    Enumerates independent (d-1)-subsets of rows by backtracking, takes the
-    closure of each span, and deduplicates.
+    Each hyperplane is reached once, through its greedy basis.  The
+    backtracking picks rows in increasing index order, and every row it
+    passes over is either inside the span built so far or outside it.  A
+    basis is the greedy basis of its span exactly when no row passed over
+    while outside ends up in the span, so a branch is cut as soon as one
+    does.  An outside row is kept as its residual modulo the span, and it
+    lies in the span extended by a new row exactly when one elimination
+    step against that row clears it.  The support of a leaf is the inside
+    rows, the chosen rows and the later rows the span contains.  A support
+    reached twice would mean the pruning is wrong, so it raises
+    RuntimeError instead of being merged.
     """
     d = dimension(g)
     if d < 2:
@@ -120,22 +135,47 @@ def oracle_facets(g: ZGraph) -> list[frozenset]:
         raise OracleBudgetError(
             "subset enumeration over C(%d,%d) exceeds cap" % (len(rows), need)
         )
+    m = len(rows)
     found: set[frozenset] = set()
+    inside: list[int] = []    # rows passed over inside the span, this branch
+    chosen: list[int] = []
 
-    def extend(start: int, span: IntSpan):
-        if span.rank == need:
-            support = frozenset(
-                edges[k] for k in range(len(rows)) if span.contains(rows[k])
-            )
-            found.add(support)
-            return
+    def extend(start: int, span: IntSpan, outside: list):
+        # outside: residuals modulo span of the rows passed over outside it,
+        # a fresh list per call
+        mark = len(inside)
         # range end: leave enough rows to still reach corank 1
-        for k in range(start, len(rows) - (need - span.rank) + 1):
+        for k in range(start, m - (need - span.rank) + 1):
             child = span.with_added(rows[k])
-            if child is not None:
-                extend(k + 1, child)
+            if child is None:
+                inside.append(k)
+                continue
+            r, c = child.rows[-1], child.pivots[-1]
+            residuals = []
+            for res in outside:
+                res = _eliminate(res, r, c)
+                if not any(res):
+                    break   # not a greedy basis
+                residuals.append(res)
+            else:
+                if child.rank == need:
+                    support = frozenset(
+                        edges[j] for j in inside + chosen + [k]
+                        + [j for j in range(k + 1, m) if child.contains(rows[j])]
+                    )
+                    if support in found:
+                        raise RuntimeError(
+                            "oracle reached the support %r twice" % sorted(support)
+                        )
+                    found.add(support)
+                else:
+                    chosen.append(k)
+                    extend(k + 1, child, residuals)
+                    chosen.pop()
+            outside.append(r)
+        del inside[mark:]
 
-    extend(0, IntSpan())
+    extend(0, IntSpan(), [])
     return sorted(found, key=lambda s: sorted(s))
 
 

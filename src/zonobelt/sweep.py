@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import dual, faces, oracle, symmetric, venkov
-from .zgraph import ZGraph, dimension, min_label_perm
+from .zgraph import ZGraph, bits, dimension, min_label_perm
 
 EXHAUSTIVE_MAX_N = 8
 # connected graphs up to isomorphism on 1..8 vertices, used as a self-test
@@ -21,22 +21,27 @@ CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
 ALL_CHECKS = ("belt_bound", "dual_bound", "oracle_equiv", "leaves_iff", "belt_size")
 
 
-def canonical_key(g: ZGraph) -> tuple[int, int]:
+def _label(g: ZGraph) -> tuple[tuple[int, int], tuple[int, ...]]:
+    """Canonical key of g and the placement realizing it, one labeling."""
     code = [[0] * g.n for _ in range(g.n)]
     for i, j in g.edges:
         code[i][j] = code[j][i] = 1
-    key, _ = min_label_perm(g.n, code)
-    return (g.n, key)
+    key, perm = min_label_perm(g.n, code)
+    return (g.n, key), perm
+
+
+def _relabel(g: ZGraph, perm) -> ZGraph:
+    slot = {v: k for k, v in enumerate(perm)}
+    return ZGraph(g.n, [(slot[i], slot[j]) for i, j in g.edges])
+
+
+def canonical_key(g: ZGraph) -> tuple[int, int]:
+    return _label(g)[0]
 
 
 def canonical_form(g: ZGraph) -> ZGraph:
     """The relabeling of g realizing its canonical key."""
-    code = [[0] * g.n for _ in range(g.n)]
-    for i, j in g.edges:
-        code[i][j] = code[j][i] = 1
-    _, perm = min_label_perm(g.n, code)
-    slot = {v: k for k, v in enumerate(perm)}
-    return ZGraph(g.n, [(slot[i], slot[j]) for i, j in g.edges])
+    return _relabel(g, _label(g)[1])
 
 
 def enumerate_connected_graphs(n: int) -> list[ZGraph]:
@@ -44,25 +49,26 @@ def enumerate_connected_graphs(n: int) -> list[ZGraph]:
 
     Grown by attaching one vertex at a time to every smaller graph (every
     connected graph has a non-cut vertex, so this reaches everything) and
-    deduplicating by canonical key.
+    deduplicating by canonical key.  Each candidate is labeled once; the
+    result is ordered by canonical key.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > EXHAUSTIVE_MAX_N:
         raise ValueError("use sampled mode")
-    reps = {ZGraph(1, [])}
+    reps = {(1, 0): ZGraph(1, [])}   # canonical key -> canonical form
     for k in range(1, n):
         grown = {}
-        for g in reps:
+        for g in reps.values():
             base = list(g.edges)
             for nbrs in range(1, 1 << k):
                 edges = base + [(v, k) for v in range(k) if nbrs & (1 << v)]
                 h = ZGraph(k + 1, edges)
-                key = canonical_key(h)
+                key, perm = _label(h)
                 if key not in grown:
-                    grown[key] = canonical_form(h)
-        reps = set(grown.values())
-    return sorted(reps, key=canonical_key)
+                    grown[key] = _relabel(h, perm)
+        reps = grown
+    return [reps[key] for key in sorted(reps)]
 
 
 def sample_connected_graphs(n: int, count: int, seed: int) -> list[ZGraph]:
@@ -128,6 +134,17 @@ class SweepReport:
         return not self.violations
 
 
+def _crossings(g: ZGraph, core) -> int:
+    """Pairs of parts of a core joined by at least one edge of g."""
+    p, q, r = core
+    near_p = near_q = 0
+    for v in bits(p):
+        near_p |= g.adj[v]
+    for v in bits(q):
+        near_q |= g.adj[v]
+    return bool(near_p & q) + bool(near_p & r) + bool(near_q & r)
+
+
 def _check_graph(g: ZGraph, checks, row: SweepRow, violations: list):
     d = dimension(g)
     label = "n=%d %r" % (g.n, g.sorted_edges())
@@ -153,12 +170,14 @@ def _check_graph(g: ZGraph, checks, row: SweepRow, violations: list):
         if d >= 7 and dd > 4:
             violations.append("%s: dual diameter %d > 4" % (label, dd))
     if "belt_size" in checks:
+        # directions are read off the edges, not off the belt's merge bits
         for belt_obj in faces.enumerate_codim2(g):
             size = len(belt_obj.members)
-            if size not in (4, 6) or belt_obj.directions not in (2, 3):
-                violations.append("%s: belt size %d/dirs %d" % (label, size, belt_obj.directions))
-            elif (size == 6) != (belt_obj.directions == 3):
-                violations.append("%s: size %d with %d directions" % (label, size, belt_obj.directions))
+            dirs = _crossings(g, belt_obj.core)
+            if size not in (4, 6) or dirs not in (2, 3):
+                violations.append("%s: belt size %d/dirs %d" % (label, size, dirs))
+            elif (size == 6) != (dirs == 3):
+                violations.append("%s: size %d with %d directions" % (label, size, dirs))
 
 
 def run_sweep(max_n: int, checks=ALL_CHECKS, oracle_samples: int = 200,

@@ -1,0 +1,82 @@
+"""Reference facet oracle: every basis of every hyperplane, deduplicated.
+
+This is the direct reading of "closed corank-1 row subsets": enumerate
+every independent (d-1)-subset of zone rows, take the closure of its span
+and keep the distinct closures.  It visits each hyperplane once per basis,
+C(|E|, d-1) subsets at worst, so it is only run on small or sparse graphs;
+``oracle.oracle_facets`` reaches each hyperplane once instead.  It keeps
+its own copy of the span arithmetic, so the two share only ``zone_matrix``.
+"""
+
+from math import gcd
+
+from zonobelt.oracle import zone_matrix
+from zonobelt.zgraph import ZGraph, dimension
+
+
+class IntSpan:
+    """Growable integer row space with exact membership tests."""
+
+    def __init__(self):
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    def _reduce(self, v) -> list[int]:
+        v = list(v)
+        for row, c in zip(self.rows, self.pivots):
+            if v[c]:
+                p, vc = row[c], v[c]
+                for k in range(len(v)):
+                    v[k] = p * v[k] - vc * row[k]
+                g = 0
+                for x in v:
+                    g = gcd(g, x)
+                if g > 1:
+                    for k in range(len(v)):
+                        v[k] //= g
+        return v
+
+    def contains(self, v) -> bool:
+        return not any(self._reduce(v))
+
+    def with_added(self, v):
+        """A new span extended by v, or None if v is already in it."""
+        r = self._reduce(v)
+        for c, x in enumerate(r):
+            if x:
+                s = IntSpan()
+                s.rows = self.rows + [r]
+                s.pivots = self.pivots + [c]
+                return s
+        return None
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
+def oracle_facets(g: ZGraph) -> list[frozenset]:
+    """Supports of all closed corank-1 row subsets, as edge sets."""
+    d = dimension(g)
+    if d < 2:
+        raise ValueError("need dimension >= 2")
+    edges = g.sorted_edges()
+    rows = zone_matrix(g)
+    need = d - 1
+    found: set[frozenset] = set()
+
+    def extend(start: int, span: IntSpan):
+        if span.rank == need:
+            support = frozenset(
+                edges[k] for k in range(len(rows)) if span.contains(rows[k])
+            )
+            found.add(support)
+            return
+        # range end: leave enough rows to still reach corank 1
+        for k in range(start, len(rows) - (need - span.rank) + 1):
+            child = span.with_added(rows[k])
+            if child is not None:
+                extend(k + 1, child)
+
+    extend(0, IntSpan())
+    return sorted(found, key=lambda s: sorted(s))

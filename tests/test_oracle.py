@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import oracle_reference as reference
 from zonobelt.oracle import (
     OracleBudgetError,
     exact_rank,
@@ -11,6 +12,7 @@ from zonobelt.oracle import (
     oracle_same_belt,
     zone_matrix,
 )
+from zonobelt.sweep import enumerate_connected_graphs
 from zonobelt.zgraph import ZGraph, dimension
 
 
@@ -84,3 +86,29 @@ def test_oracle_same_belt_k4_disjoint_supports():
 def test_budget_cap():
     with pytest.raises(OracleBudgetError):
         oracle_facets(complete(16))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_every_connected_graph_matches_reference(n):
+    for g in enumerate_connected_graphs(n):
+        assert oracle_facets(g) == reference.oracle_facets(g), g
+
+
+def sparse_connected(rng, n, extra):
+    """A random spanning tree on n vertices plus `extra` further edges."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = {tuple(sorted((order[v], order[rng.randrange(v)]))) for v in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
+    edges.update(rng.sample(pairs, extra))
+    return ZGraph(n, edges)
+
+
+def test_random_sparse_graphs_8_to_10_match_reference():
+    # the reference visits C(|E|, d-1) subsets, so keep to |E| <= n + 4
+    rng = random.Random(20261018)
+    for k in range(12):
+        n = 8 + k % 3
+        g = sparse_connected(rng, n, rng.randrange(5))
+        assert len(g.edges) <= n + 4 and dimension(g) == n - 1
+        assert oracle_facets(g) == reference.oracle_facets(g), g

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from zonobelt import faces, sweep
 from zonobelt.sweep import (
     CONNECTED_COUNTS,
     CSV_HEADER,
@@ -16,7 +17,7 @@ from zonobelt.sweep import (
     run_sweep,
     sample_connected_graphs,
 )
-from zonobelt.zgraph import ZGraph, dimension
+from zonobelt.zgraph import ZGraph, dimension, min_label_perm
 
 
 def test_connected_counts_to_seven():
@@ -29,6 +30,21 @@ def test_enumeration_errors():
         enumerate_connected_graphs(0)
     with pytest.raises(ValueError, match="sampled mode"):
         enumerate_connected_graphs(9)
+
+
+def test_enumeration_labels_each_candidate_once(monkeypatch):
+    calls = []
+
+    def counting(n, code):
+        calls.append(n)
+        return min_label_perm(n, code)
+
+    monkeypatch.setattr(sweep, "min_label_perm", counting)
+    graphs = enumerate_connected_graphs(6)
+    # level k grows every connected graph on k vertices by 2^k - 1 attachments
+    candidates = sum(CONNECTED_COUNTS[k - 1] * ((1 << k) - 1) for k in range(1, 6))
+    assert len(graphs) == CONNECTED_COUNTS[5]
+    assert 0 < len(calls) <= candidates
 
 
 def test_enumeration_is_canonical_and_sorted():
@@ -75,6 +91,18 @@ def test_run_sweep_small():
         "3,6,2,3,0\n"
         "4,21,2,3,0\n"
     )
+
+
+def test_belt_size_check_reads_crossings_from_edges(monkeypatch):
+    # on the path 0-1-2-3 the core {0},{1},{2,3} has two crossing directions,
+    # so a belt claiming six members and three directions must be reported
+    path = ZGraph(4, [(0, 1), (1, 2), (2, 3)])
+    members = tuple((m, 0b1111 ^ m) for m in (0b0001, 0b0010, 0b0011, 0b1100, 0b1101, 0b1110))
+    lying = faces.Belt((0b0001, 0b0010, 0b1100), members, 3)
+    monkeypatch.setattr(sweep, "enumerate_connected_graphs", lambda n: [path])
+    monkeypatch.setattr(faces, "enumerate_codim2", lambda g: [lying])
+    rep = run_sweep(4, checks=("belt_size",))
+    assert rep.violations == ["n=4 [(0, 1), (1, 2), (2, 3)]: size 6 with 2 directions"]
 
 
 def test_run_sweep_validates_args():
