@@ -258,14 +258,12 @@ def cmd_symmetric(args):
     return EXIT_OK
 
 
-GENERATOR_KINDS = ("k2dm1", "paper-odd", "paper-even", "odd-extremal",
-                   "even-extremal", "permutahedron")
+GENERATOR_KINDS = ("k2dm1", "odd-extremal", "even-extremal", "permutahedron")
 
 
 def _resolve_family_param(kind: str, d, n):
     """Family index n for the odd (d = 2n+3) / even (d = 2n+4) witnesses."""
-    odd = kind in ("paper-odd", "odd-extremal")
-    lo, off = (2, 3) if odd else (3, 4)
+    lo, off = (2, 3) if kind == "odd-extremal" else (3, 4)
     if n is None:
         if d is None:
             raise FileFormatError("%s needs --n or --d" % kind)
@@ -303,7 +301,7 @@ def cmd_generate(args):
         out = symmetric.permutahedron_graph(args.d)
     else:
         n = _resolve_family_param(kind, args.d, args.n)
-        fn = symmetric.gen_odd_extremal if kind in ("paper-odd", "odd-extremal") \
+        fn = symmetric.gen_odd_extremal if kind == "odd-extremal" \
             else symmetric.gen_even_extremal
         out = fn(n)
     doc = format_graph_file(emit_graph_file(out))
@@ -396,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="zonobelt",
         description="Belt and dual diameters of graphical zonotopes.",
     )
-    top.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="accepted for compatibility; execution is sequential")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="graph summary")

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import dual, faces, oracle, symmetric, venkov
-from .zgraph import ZGraph, bits, dimension, min_label_perm
+from .zgraph import ZGraph, bits, dimension, grow_canonical
 
 EXHAUSTIVE_MAX_N = 8
 # connected graphs up to isomorphism on 1..8 vertices, used as a self-test
@@ -21,54 +21,24 @@ CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
 ALL_CHECKS = ("belt_bound", "dual_bound", "oracle_equiv", "leaves_iff", "belt_size")
 
 
-def _label(g: ZGraph) -> tuple[tuple[int, int], tuple[int, ...]]:
-    """Canonical key of g and the placement realizing it, one labeling."""
-    code = [[0] * g.n for _ in range(g.n)]
-    for i, j in g.edges:
-        code[i][j] = code[j][i] = 1
-    key, perm = min_label_perm(g.n, code)
-    return (g.n, key), perm
-
-
-def _relabel(g: ZGraph, perm) -> ZGraph:
-    slot = {v: k for k, v in enumerate(perm)}
-    return ZGraph(g.n, [(slot[i], slot[j]) for i, j in g.edges])
-
-
-def canonical_key(g: ZGraph) -> tuple[int, int]:
-    return _label(g)[0]
-
-
-def canonical_form(g: ZGraph) -> ZGraph:
-    """The relabeling of g realizing its canonical key."""
-    return _relabel(g, _label(g)[1])
-
-
 def enumerate_connected_graphs(n: int) -> list[ZGraph]:
     """Connected graphs on n vertices up to isomorphism, canonical forms.
 
-    Grown by attaching one vertex at a time to every smaller graph (every
-    connected graph has a non-cut vertex, so this reaches everything) and
-    deduplicating by canonical key.  Each candidate is labeled once; the
-    result is ordered by canonical key.
+    Grown by attaching one vertex to every nonempty vertex set of every
+    smaller graph (every connected graph has a non-cut vertex, so this
+    reaches everything), one `grow_canonical` step per level.  The result
+    is ordered by canonical key.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > EXHAUSTIVE_MAX_N:
         raise ValueError("use sampled mode")
-    reps = {(1, 0): ZGraph(1, [])}   # canonical key -> canonical form
+    reps = {0: ()}   # canonical key -> canonical edges
     for k in range(1, n):
-        grown = {}
-        for g in reps.values():
-            base = list(g.edges)
-            for nbrs in range(1, 1 << k):
-                edges = base + [(v, k) for v in range(k) if nbrs & (1 << v)]
-                h = ZGraph(k + 1, edges)
-                key, perm = _label(h)
-                if key not in grown:
-                    grown[key] = _relabel(h, perm)
-        reps = grown
-    return [reps[key] for key in sorted(reps)]
+        reps = grow_canonical(reps.values(), k, range(1, 1 << k))
+    # popping frees each edge tuple as its graph is built: the level is never
+    # held twice, which would raise the sweep's peak RSS
+    return [ZGraph(n, reps.pop(key)) for key in sorted(reps)]
 
 
 def sample_connected_graphs(n: int, count: int, seed: int) -> list[ZGraph]:
@@ -193,18 +163,19 @@ def run_sweep(max_n: int, checks=ALL_CHECKS, oracle_samples: int = 200,
     for n in range(4, max_n + 1):
         start = time.monotonic()
         row = SweepRow(d=n - 1)
-        for g in enumerate_connected_graphs(n):
+        graphs = enumerate_connected_graphs(n)
+        for i, g in enumerate(graphs):
             row.instances += 1
             _check_graph(g, checks, row, violations)
+            if n > 6:  # the oracle samples: let each checked graph and its memos go
+                graphs[i] = None
         if "oracle_equiv" in checks:
-            if n <= 6:
-                for g in enumerate_connected_graphs(n):
-                    if not oracle_agrees(g):
-                        violations.append("n=%d %r: oracle mismatch" % (n, g.sorted_edges()))
-            elif n in (7, 8):
-                for g in sample_connected_graphs(n, oracle_samples, seed + n):
-                    if not oracle_agrees(g):
-                        violations.append("n=%d %r: oracle mismatch" % (n, g.sorted_edges()))
+            if n > 6:
+                graphs = sample_connected_graphs(n, oracle_samples, seed + n)
+            for g in graphs:
+                if not oracle_agrees(g):
+                    violations.append("n=%d %r: oracle mismatch" % (n, g.sorted_edges()))
+        del graphs  # before the leaves pass and the next level's growth
         if "leaves_iff" in checks and 4 <= n <= 7:
             for cg in symmetric.enumerate_conjugate_classes(n):
                 has_leaf = symmetric.find_common_leaf(cg) is not None

@@ -19,19 +19,19 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from . import venkov
 from .faces import enumerate_facets, in_same_belt, validate_partition
 from .zgraph import (
     ZGraph,
     bits,
+    canonical_label,
     components,
     contract_map,
     delete_edge,
     dimension,
+    grow_canonical,
     mask_of,
-    min_label_perm,
 )
 
 
@@ -405,76 +405,26 @@ def cross_completions(n: int, forest_edges, forbid_common_leaf=False):
                 yield comp
 
 
-def _labeled_trees(vertices: tuple[int, ...]):
-    """All labeled trees on the given vertices (Pruefer decoding)."""
-    k = len(vertices)
-    if k == 1:
-        yield ()
-        return
-    if k == 2:
-        yield ((min(vertices), max(vertices)),)
-        return
-    for seq in product(vertices, repeat=k - 2):
-        degree = dict.fromkeys(vertices, 1)
-        for s in seq:
-            degree[s] += 1
-        edges = []
-        ptr = list(vertices)
-        used = set()
-        seq_list = list(seq)
-        for s in seq_list:
-            leaf = min(v for v in vertices if degree[v] == 1 and v not in used)
-            edges.append((min(leaf, s), max(leaf, s)))
-            used.add(leaf)
-            degree[s] -= 1
-        rest = [v for v in vertices if v not in used]
-        edges.append((min(rest), max(rest)))
-        yield tuple(sorted(edges))
-
-
-def _plain_key(g: ZGraph):
-    code = [[0] * g.n for _ in range(g.n)]
-    for i, j in g.edges:
-        code[i][j] = code[j][i] = 1
-    return min_label_perm(g.n, code)[0]
-
-
 @lru_cache(maxsize=None)
 def free_trees(k: int) -> tuple:
-    """Trees on k vertices up to isomorphism, as canonical edge tuples."""
-    seen = {}
-    for edges in _labeled_trees(tuple(range(k))):
-        g = ZGraph(max(k, 1), edges)
-        key = _plain_key(g)
-        if key not in seen:
-            _, perm = min_label_perm(g.n, _code_of(g))
-            slot = {v: i for i, v in enumerate(perm)}
-            seen[key] = tuple(
-                sorted((min(slot[i], slot[j]), max(slot[i], slot[j])) for i, j in edges)
-            )
-    return tuple(sorted(seen.values()))
+    """Trees on k vertices up to isomorphism, as canonical edge tuples.
 
-
-def _code_of(g: ZGraph):
-    code = [[0] * g.n for _ in range(g.n)]
-    for i, j in g.edges:
-        code[i][j] = code[j][i] = 1
-    return code
+    Every tree on k >= 2 vertices has a leaf, so hanging a leaf off each
+    vertex of each tree on k - 1 vertices reaches every class.
+    """
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if k == 1:
+        return ((),)
+    grown = grow_canonical(free_trees(k - 1), k - 1, [1 << v for v in range(k - 1)])
+    return tuple(sorted(grown.values()))
 
 
 def colored_key(cg: ColoredZGraph):
     """Canonical key over relabelings and the red/blue swap."""
     n = cg.base.n
-    best = None
-    for red, blue in ((cg.red, cg.blue), (cg.blue, cg.red)):
-        code = [[0] * n for _ in range(n)]
-        for i, j in red:
-            code[i][j] = code[j][i] = 1
-        for i, j in blue:
-            code[i][j] = code[j][i] = 2
-        key, _ = min_label_perm(n, code)
-        if best is None or key < best:
-            best = key
+    best = min(canonical_label(n, order)[0]
+               for order in ((cg.red, cg.blue), (cg.blue, cg.red)))
     return (n, best)
 
 
@@ -486,24 +436,6 @@ def _red_forest_reps(n: int):
             for t2 in free_trees(b):
                 edges = list(t1) + [(i + a, j + a) for i, j in t2]
                 yield edges
-
-
-def enumerate_conjugate(n: int):
-    """All labeled conjugate colorings on n vertices (red forest driven)."""
-    full = (1 << n) - 1
-    sub = full ^ 1
-    while True:
-        v1 = sub | 1
-        v2 = full ^ v1
-        if v2:
-            for tree1 in _labeled_trees(tuple(bits(v1))):
-                for tree2 in _labeled_trees(tuple(bits(v2))):
-                    red = tuple(sorted(tree1 + tree2))
-                    for blue in cross_completions(n, red):
-                        yield ColoredZGraph(ZGraph(n, red + blue), red, blue)
-        if sub == 0:
-            break
-        sub = (sub - 1) & (full ^ 1)
 
 
 def enumerate_conjugate_classes(n: int) -> list[ColoredZGraph]:
@@ -586,11 +518,6 @@ def gen_even_extremal(n: int) -> ColoredZGraph:
     blue += [(a(2), b(2 * j)) for j in range(1, n + 1)]
     blue.append((a(4), b(2 * n)))
     return _complete_red(2 * n + 5, _norm_edges(blue))
-
-
-# compatibility aliases for the generator names
-gen_paper_odd = gen_odd_extremal
-gen_paper_even = gen_even_extremal
 
 
 # ---------------------------------------------------------------------------

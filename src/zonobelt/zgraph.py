@@ -232,3 +232,44 @@ def min_label_perm(n: int, code) -> tuple[int, tuple[int, ...]]:
 
     dfs(0, 0)
     return best_key, best_perm
+
+
+def canonical_label(n: int, edge_classes) -> tuple[int, tuple[int, ...]]:
+    """(key, placement) of a graph whose edges come in classes.
+
+    Class i (an iterable of vertex pairs) gets code i + 1.  Every labeling
+    in the package builds its code matrix here.
+    """
+    code = [[0] * n for _ in range(n)]
+    for c, edges in enumerate(edge_classes, 1):
+        for i, j in edges:
+            code[i][j] = code[j][i] = c
+    return min_label_perm(n, code)
+
+
+def relabel(edges, perm) -> tuple[tuple[int, int], ...]:
+    """Edges moved by a placement (perm[k] goes to slot k), sorted."""
+    slot = {v: k for k, v in enumerate(perm)}
+    return tuple(sorted(
+        (slot[i], slot[j]) if slot[i] < slot[j] else (slot[j], slot[i])
+        for i, j in edges
+    ))
+
+
+def grow_canonical(forms, k: int, masks) -> dict:
+    """One isomorph-free growth step: canonical forms on k + 1 vertices.
+
+    Each form (an edge collection on k vertices) gains vertex k joined to
+    the vertices of each mask in turn; every candidate is labeled once and
+    kept when its key is new.  Returns key -> canonical edge tuple.
+    """
+    attachments = [[(v, k) for v in bits(m)] for m in masks]
+    grown = {}
+    for edges in forms:
+        base = list(edges)
+        for attach in attachments:
+            new = base + attach
+            key, perm = canonical_label(k + 1, (new,))
+            if key not in grown:
+                grown[key] = relabel(new, perm)
+    return grown

@@ -216,9 +216,9 @@ def test_generate_stdout_routing(tmp_path, capsys):
 
 
 def test_generate_family_args(tmp_path, capsys):
-    assert main(["generate", "paper-odd", "--d", "7"]) == EXIT_OK
+    assert main(["generate", "odd-extremal", "--d", "7"]) == EXIT_OK
     capsys.readouterr()
-    assert main(["generate", "paper-odd", "--d", "8"]) == EXIT_USAGE
+    assert main(["generate", "odd-extremal", "--d", "8"]) == EXIT_USAGE
     capsys.readouterr()
     assert main(["generate", "odd-extremal", "--n", "2", "--d", "7"]) == EXIT_OK
     capsys.readouterr()
@@ -276,6 +276,9 @@ def test_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["info", str(bad)]) == EXIT_USAGE
+    # removed: the ignored --jobs option and the paper-odd/paper-even aliases
+    assert main(["--jobs", "2", "info", str(bad)]) == EXIT_USAGE
+    assert main(["generate", "paper-odd", "--d", "7"]) == EXIT_USAGE
 
 
 def test_search_d8_violation_exits_one(monkeypatch, capsys):

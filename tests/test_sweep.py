@@ -4,12 +4,10 @@ import random
 
 import pytest
 
-from zonobelt import faces, sweep
+from zonobelt import faces, sweep, zgraph
 from zonobelt.sweep import (
     CONNECTED_COUNTS,
     CSV_HEADER,
-    canonical_form,
-    canonical_key,
     enumerate_connected_graphs,
     oracle_agrees,
     report_csv,
@@ -17,7 +15,7 @@ from zonobelt.sweep import (
     run_sweep,
     sample_connected_graphs,
 )
-from zonobelt.zgraph import ZGraph, dimension, min_label_perm
+from zonobelt.zgraph import ZGraph, canonical_label, dimension, min_label_perm, relabel
 
 
 def test_connected_counts_to_seven():
@@ -39,7 +37,7 @@ def test_enumeration_labels_each_candidate_once(monkeypatch):
         calls.append(n)
         return min_label_perm(n, code)
 
-    monkeypatch.setattr(sweep, "min_label_perm", counting)
+    monkeypatch.setattr(zgraph, "min_label_perm", counting)
     graphs = enumerate_connected_graphs(6)
     # level k grows every connected graph on k vertices by 2^k - 1 attachments
     candidates = sum(CONNECTED_COUNTS[k - 1] * ((1 << k) - 1) for k in range(1, 6))
@@ -49,11 +47,12 @@ def test_enumeration_labels_each_candidate_once(monkeypatch):
 
 def test_enumeration_is_canonical_and_sorted():
     graphs = enumerate_connected_graphs(5)
-    keys = [canonical_key(g) for g in graphs]
+    labels = [canonical_label(5, (g.edges,)) for g in graphs]
+    keys = [key for key, _ in labels]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
-    for g in graphs:
-        assert canonical_form(g).edges == g.edges
+    for g, (_, perm) in zip(graphs, labels):
+        assert relabel(g.edges, perm) == tuple(g.sorted_edges())
 
 
 def test_canonical_key_relabel_invariant():
@@ -62,7 +61,7 @@ def test_canonical_key_relabel_invariant():
         relab = list(range(5))
         rng.shuffle(relab)
         h = ZGraph(5, [(relab[i], relab[j]) for i, j in g.edges])
-        assert canonical_key(h) == canonical_key(g)
+        assert canonical_label(5, (h.edges,))[0] == canonical_label(5, (g.edges,))[0]
 
 
 def test_sampling_deterministic_and_connected():

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import pytest
 
+from conjugate_reference import enumerate_conjugate, free_trees_by_pruefer
+from zonobelt import zgraph
 from zonobelt.faces import enumerate_facets
 from zonobelt.symmetric import (
     ColoredZGraph,
@@ -13,15 +15,12 @@ from zonobelt.symmetric import (
     color_facets,
     colored_key,
     cross_completions,
-    enumerate_conjugate,
     enumerate_conjugate_classes,
     find_common_leaf,
     free_trees,
     gen_even_extremal,
     gen_k2dm1,
     gen_odd_extremal,
-    gen_paper_even,
-    gen_paper_odd,
     is_bipartite,
     permutahedron_graph,
     red_blue_distance,
@@ -139,9 +138,36 @@ def test_colored_key_invariance():
 
 
 def test_free_trees_counts():
-    # 1, 1, 1, 2, 3, 6, 11 free trees on 1..7 vertices
-    for k, want in ((1, 1), (2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11)):
+    # 1, 1, 1, 2, 3, 6, 11, 23, 47, 106 free trees on 1..10 vertices
+    for k, want in ((1, 1), (2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11),
+                    (8, 23), (9, 47), (10, 106)):
         assert len(free_trees(k)) == want
+
+
+def test_free_trees_match_pruefer_reference():
+    for k in range(1, 8):
+        assert free_trees(k) == free_trees_by_pruefer(k)
+
+
+def test_tree_growth_stays_within_labeling_budget(monkeypatch):
+    # leaf attachment labels each tree on k - 1 vertices k - 1 times (326 calls
+    # up to k = 9); labeling every Pruefer tree takes 1,302 calls for k = 6 alone
+    calls = []
+    real = zgraph.min_label_perm
+
+    def counting(n, code):
+        calls.append(n)
+        if len(calls) > 1000:
+            raise AssertionError("more than 1000 labelings")
+        return real(n, code)
+
+    monkeypatch.setattr(zgraph, "min_label_perm", counting)
+    free_trees.cache_clear()   # grow every level under the counter
+    assert len(free_trees(9)) == 47
+    free_trees.cache_clear()
+    res = search_extremal(9, max_nodes=50)
+    assert res.status == "found" and res.distance == 3
+    assert calls
 
 
 def test_bipartite_trees_cayley_count():
@@ -197,8 +223,6 @@ def test_generators_hit_distance_three():
         gen_odd_extremal(1)
     with pytest.raises(ValueError):
         gen_even_extremal(2)
-    assert gen_paper_odd is gen_odd_extremal
-    assert gen_paper_even is gen_even_extremal
 
 
 def test_color_facets_match_components():

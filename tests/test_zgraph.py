@@ -8,6 +8,7 @@ import pytest
 from zonobelt.zgraph import (
     ZGraph,
     bits,
+    canonical_label,
     components,
     contract,
     contract_map,
@@ -15,6 +16,7 @@ from zonobelt.zgraph import (
     dimension,
     mask_of,
     min_label_perm,
+    relabel,
 )
 
 
@@ -157,3 +159,25 @@ def test_min_label_perm_relabel_invariant():
 
 def test_min_label_perm_single_vertex():
     assert min_label_perm(1, [[0]]) == (0, (0,))
+
+
+def test_canonical_label_codes_edge_classes():
+    rng = random.Random(13)
+    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    for _ in range(20):
+        red = [p for p in pairs if rng.random() < 0.3]
+        blue = [p for p in pairs if p not in red and rng.random() < 0.3]
+        code = [[0] * 6 for _ in range(6)]
+        for c, edges in ((1, red), (2, blue)):
+            for i, j in edges:
+                code[i][j] = code[j][i] = c
+        key, perm = canonical_label(6, (red, blue))
+        assert (key, perm) == min_label_perm(6, code)
+        # the placement carries each class onto the same canonical edges
+        # from any starting labeling
+        relab = list(range(6))
+        rng.shuffle(relab)
+        moved = [[(relab[i], relab[j]) for i, j in edges] for edges in (red, blue)]
+        key2, perm2 = canonical_label(6, moved)
+        assert key2 == key
+        assert [relabel(e, perm2) for e in moved] == [relabel(e, perm) for e in (red, blue)]
