@@ -5,14 +5,15 @@ vertex indices; edges may instead all carry a color tag [i, j, "r"|"b"],
 which loads as a colored graph.  Vertices print 1-based everywhere; facet
 arguments use "|" between parts and "," within, e.g. "1|2,3,4".
 
-Exit codes: 0 success, 1 violation found, 2 usage or parse error,
-3 inconclusive (budget exhausted or oracle refused).
+Exit codes: 0 success, 1 violation found, 2 usage, parse or output error
+(stdout closed early), 3 inconclusive (budget exhausted or oracle refused).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import dual, faces, oracle, symmetric, sweep, venkov
@@ -488,7 +489,17 @@ def cli_dispatch(argv) -> int:
 
 
 def main(argv=None) -> int:
-    return cli_dispatch(sys.argv[1:] if argv is None else argv)
+    try:
+        code = cli_dispatch(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`); point it at devnull so
+        # the interpreter's final flush does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -291,6 +292,12 @@ def _tree_bipartition(n: int, edges, comp_mask: int) -> tuple[int, int]:
     return zero, comp_mask ^ zero
 
 
+def _leaves(edges) -> list[int]:
+    """Vertices of degree 1 in an edge set."""
+    deg = Counter(v for e in edges for v in e)
+    return [v for v, k in deg.items() if k == 1]
+
+
 def bipartite_trees(xs: int, ys: int, min_deg=None):
     """Spanning trees of the complete bipartite graph on xs x ys.
 
@@ -372,8 +379,8 @@ def cross_completions(n: int, forest_edges, forbid_common_leaf=False):
     The completion's component partition must properly 2-color the given
     forest, so its components are unions of the forest trees' bipartition
     classes (two pairings) and its edges form two bipartite spanning trees.
-    With forbid_common_leaf, completions leave no vertex that is a leaf in
-    both the forest and the completion.
+    With forbid_common_leaf, every leaf of the forest gets degree >= 2 in
+    the completion, so no vertex is a leaf in both.
     """
     forest_edges = sorted(_norm_edges(forest_edges))
     comps = components(ZGraph(n, forest_edges))
@@ -382,27 +389,13 @@ def cross_completions(n: int, forest_edges, forbid_common_leaf=False):
     t1, t2 = comps
     p, q = _tree_bipartition(n, forest_edges, t1)
     s, t = _tree_bipartition(n, forest_edges, t2)
-    fdeg = dict.fromkeys(range(n), 0)
-    for i, j in forest_edges:
-        fdeg[i] += 1
-        fdeg[j] += 1
-    min_deg = None
-    if forbid_common_leaf:
-        min_deg = {v: 2 for v in range(n) if fdeg[v] == 1}
+    min_deg = dict.fromkeys(_leaves(forest_edges), 2) if forbid_common_leaf else None
     for b1x, b1y, b2x, b2y in ((p, s, q, t), (p, t, q, s)):
         if b1x | b1y == 0 or b2x | b2y == 0:
             continue
         for tree1 in bipartite_trees(b1x, b1y, min_deg):
             for tree2 in bipartite_trees(b2x, b2y, min_deg):
-                comp = tree1 + tree2
-                if forbid_common_leaf:
-                    cdeg = dict.fromkeys(range(n), 0)
-                    for i, j in comp:
-                        cdeg[i] += 1
-                        cdeg[j] += 1
-                    if any(cdeg[v] == 1 and fdeg[v] == 1 for v in range(n)):
-                        continue
-                yield comp
+                yield tree1 + tree2
 
 
 @lru_cache(maxsize=None)
@@ -428,53 +421,54 @@ def colored_key(cg: ColoredZGraph):
     return (n, best)
 
 
-def _red_forest_reps(n: int):
-    """2-component spanning forests up to isomorphism: free tree pairs."""
-    for a in range(1, n // 2 + 1):
-        b = n - a
-        for t1 in free_trees(a):
-            for t2 in free_trees(b):
-                edges = list(t1) + [(i + a, j + a) for i, j in t2]
-                yield edges
+def _forests(n: int, a: int):
+    """2-component spanning forests up to isomorphism, trees on a and n - a vertices."""
+    for t1 in free_trees(a):
+        for t2 in free_trees(n - a):
+            yield t1 + tuple((i + a, j + a) for i, j in t2)
 
 
 def enumerate_conjugate_classes(n: int) -> list[ColoredZGraph]:
     """Conjugate colorings up to isomorphism and color swap."""
     seen = {}
-    for red in _red_forest_reps(n):
-        for blue in cross_completions(n, red):
-            cg = ColoredZGraph(ZGraph(n, tuple(red) + tuple(blue)), red, blue)
-            key = colored_key(cg)
-            if key not in seen:
-                seen[key] = cg
+    for a in range(1, n // 2 + 1):
+        for red in _forests(n, a):
+            for blue in cross_completions(n, red):
+                cg = ColoredZGraph(ZGraph(n, red + blue), red, blue)
+                key = colored_key(cg)
+                if key not in seen:
+                    seen[key] = cg
     return [seen[k] for k in sorted(seen)]
 
 
-def _path_edges(vertices: list[int]):
-    return tuple(
-        (min(a, b), max(a, b)) for a, b in zip(vertices, vertices[1:])
-    )
+def _leaf_free_completion(n: int, blue_edges) -> ColoredZGraph | None:
+    """The first red completion of a blue 2-forest with no common leaf, or None.
 
-
-def _complete_red(n: int, blue_edges, budget=None) -> ColoredZGraph:
-    """Find red edges making the given blue forest conjugate, leaf-free.
-
-    Completions are searched deterministically; a completion with no
-    common leaf has red-blue distance 3 by the leaf criterion, which is
-    asserted on the result.
+    cross_completions gives every blue leaf red degree >= 2, so its first
+    completion is leaf-free and, by the leaf criterion, at distance 3.  The
+    result is checked for all three; a failed check raises RuntimeError.
     """
-    for red in cross_completions(n, blue_edges, forbid_common_leaf=True):
-        cg = ColoredZGraph(ZGraph(n, tuple(red) + tuple(blue_edges)), red, blue_edges)
-        ok, reasons = check_conjugate(cg)
-        if not ok:
-            raise RuntimeError("completion not conjugate: %s" % reasons)
-        if find_common_leaf(cg) is not None:
-            continue
-        dist = red_blue_distance(cg)
-        if dist != 3:
-            raise RuntimeError("leaf-free completion at distance %d" % dist)
-        return cg
-    raise RuntimeError("no red completion found")
+    red = next(cross_completions(n, blue_edges, forbid_common_leaf=True), None)
+    if red is None:
+        return None
+    cg = ColoredZGraph(ZGraph(n, tuple(red) + tuple(blue_edges)), red, blue_edges)
+    ok, reasons = check_conjugate(cg)
+    if not ok:
+        raise RuntimeError("completion not conjugate: %s" % reasons)
+    leaf = find_common_leaf(cg)
+    if leaf is not None:
+        raise RuntimeError("completion has a common leaf at vertex %d" % (leaf + 1))
+    dist = red_blue_distance(cg)
+    if dist != 3:
+        raise RuntimeError("leaf-free completion at distance %d" % dist)
+    return cg
+
+
+def _family_witness(n: int, blue) -> ColoredZGraph:
+    cg = _leaf_free_completion(n, _norm_edges(blue))
+    if cg is None:
+        raise RuntimeError("no red completion found")
+    return cg
 
 
 def gen_odd_extremal(n: int) -> ColoredZGraph:
@@ -496,7 +490,7 @@ def gen_odd_extremal(n: int) -> ColoredZGraph:
     blue.append((a(3), b(2 * n)))
     blue.append((a(2), b(1)))
     blue += [(a(4), b(2 * j - 1)) for j in range(1, n + 1)]
-    return _complete_red(2 * n + 4, _norm_edges(blue))
+    return _family_witness(2 * n + 4, blue)
 
 
 def gen_even_extremal(n: int) -> ColoredZGraph:
@@ -517,7 +511,7 @@ def gen_even_extremal(n: int) -> ColoredZGraph:
     blue += [(a(5), b(2 * j - 1)) for j in range(2, n + 1)]
     blue += [(a(2), b(2 * j)) for j in range(1, n + 1)]
     blue.append((a(4), b(2 * n)))
-    return _complete_red(2 * n + 5, _norm_edges(blue))
+    return _family_witness(2 * n + 5, blue)
 
 
 # ---------------------------------------------------------------------------
@@ -554,62 +548,36 @@ class _Budget:
         return time.monotonic() - self.t0
 
 
-def _two_path_reps(n: int):
-    """Red 2-path forests up to isomorphism: one per size split.
-
-    Only graphs without singleton color components can be leaf-free, and
-    with disjoint leaf sets on n <= 9 vertices the minority color has
-    exactly 4 leaves, i.e. two paths; so these reds are exhaustive for the
-    no-common-leaf question up to isomorphism and color swap.
-    """
-    for split in range(2, n // 2 + 1):
-        yield _path_edges(list(range(split))) + _path_edges(list(range(split, n)))
-
-
 def search_extremal(d: int, budget_seconds=None, max_nodes=None) -> SearchResult:
     """Search for a conjugate coloring on d+1 vertices with no common leaf.
 
-    Complete for d <= 8 (full class enumeration for d <= 6, the two-path
-    reduction for d = 7, 8); budgeted backtracking over red forests sorted
-    by leaf count for d >= 9.
+    A leaf-free coloring has disjoint leaf sets, so one color has at most
+    (d+1) // 2 leaves; and a color component on one vertex forces the
+    K_{2,d-1} coloring, which has common leaves.  So it suffices to complete
+    the 2-forests of free trees on at least 2 vertices each with at most
+    (d+1) // 2 leaves, fewest leaves first: exhaustive up to isomorphism and
+    color swap for every d ("none" at once for d <= 6, where two trees
+    already have 4 leaves).  The budget is checked before each tree-size
+    step and counts one node per forest completed.
     """
     if d < 3:
         raise ValueError("need d >= 3")
     n = d + 1
     budget = _Budget(budget_seconds, max_nodes)
-
-    def finish(status, witness=None):
-        dist = red_blue_distance(witness) if witness is not None else None
-        return SearchResult(status, witness, dist, budget.nodes, budget.elapsed)
-
-    if d <= 6:
-        for cg in enumerate_conjugate_classes(n):
-            if not budget.tick():
-                return finish("inconclusive")
-            if find_common_leaf(cg) is None:
-                return finish("found", cg)
-        return finish("none")
-
-    if d <= 8:
-        reds = _two_path_reps(n)
-    else:
-        def leaf_count(edges):
-            return sum(1 for v in range(n) if sum(v in e for e in edges) == 1)
-
-        reds = sorted(_red_forest_reps(n), key=lambda edges: (leaf_count(edges), edges))
-
-    for red in reds:
-        for blue in cross_completions(n, red, forbid_common_leaf=True):
-            if not budget.tick():
-                return finish("inconclusive")
-            cg = ColoredZGraph(ZGraph(n, tuple(red) + tuple(blue)), red, blue)
-            if find_common_leaf(cg) is None:
-                return finish("found", cg)
+    for k in range(2, n - 1):
+        if not budget.tick(0):
+            return SearchResult("inconclusive", None, None, budget.nodes, budget.elapsed)
+        free_trees(k)
+    forests = sorted((len(_leaves(f)), f) for a in range(2, n // 2 + 1) for f in _forests(n, a))
+    for leaves, forest in forests:
+        if leaves > n // 2:
+            break
         if not budget.tick():
-            return finish("inconclusive")
-    # for d >= 9 the red enumeration is still exhaustive up to isomorphism,
-    # so completing it without a hit is a genuine negative
-    return finish("none")
+            return SearchResult("inconclusive", None, None, budget.nodes, budget.elapsed)
+        cg = _leaf_free_completion(n, forest)
+        if cg is not None:
+            return SearchResult("found", cg, 3, budget.nodes, budget.elapsed)
+    return SearchResult("none", None, None, budget.nodes, budget.elapsed)
 
 
 D8_X1 = mask_of(range(0, 5))

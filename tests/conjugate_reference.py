@@ -1,14 +1,23 @@
-"""Labeled references for the conjugate-coloring enumeration.
+"""References for the conjugate-coloring enumeration and the extremal search.
 
 The library grows free trees one leaf at a time and enumerates conjugate
 colorings up to isomorphism; these enumerate every labeled tree (Pruefer
 decoding) and every labeled conjugate coloring instead, so the tests can
-check the isomorph-free paths against them.
+check the isomorph-free paths against them.  The library's extremal search
+completes only the forests its leaf-count bound admits; the three-regime
+search kept here reaches the same answers by other routes.
 """
 
 from itertools import product
 
-from zonobelt.symmetric import ColoredZGraph, cross_completions
+from zonobelt.symmetric import (
+    ColoredZGraph,
+    cross_completions,
+    enumerate_conjugate_classes,
+    find_common_leaf,
+    free_trees,
+    red_blue_distance,
+)
 from zonobelt.zgraph import ZGraph, bits, canonical_label, relabel
 
 
@@ -63,3 +72,55 @@ def enumerate_conjugate(n: int):
         if sub == 0:
             break
         sub = (sub - 1) & (full ^ 1)
+
+
+def _path_edges(vertices):
+    return tuple((min(a, b), max(a, b)) for a, b in zip(vertices, vertices[1:]))
+
+
+def _two_path_reps(n: int):
+    """Red 2-path forests up to isomorphism: one per size split.
+
+    Only graphs without singleton color components can be leaf-free, and
+    with disjoint leaf sets on n <= 9 vertices the minority color has
+    exactly 4 leaves, i.e. two paths; so these reds are exhaustive for the
+    no-common-leaf question up to isomorphism and color swap.
+    """
+    for split in range(2, n // 2 + 1):
+        yield _path_edges(list(range(split))) + _path_edges(list(range(split, n)))
+
+
+def red_forest_reps(n: int):
+    """Every 2-forest up to isomorphism, singleton trees included."""
+    for a in range(1, n // 2 + 1):
+        for t1 in free_trees(a):
+            for t2 in free_trees(n - a):
+                yield list(t1) + [(i + a, j + a) for i, j in t2]
+
+
+def search_extremal_reference(d: int):
+    """(status, distance, witness) of the no-common-leaf search.
+
+    Every conjugate class is scanned for d <= 6, the two-path red forests
+    are completed for d = 7, 8, and every free-tree pair sorted by leaf
+    count for d >= 9; each completion is checked for a common leaf.
+    """
+    n = d + 1
+    if d <= 6:
+        for cg in enumerate_conjugate_classes(n):
+            if find_common_leaf(cg) is None:
+                return "found", red_blue_distance(cg), cg
+        return "none", None, None
+    if d <= 8:
+        reds = _two_path_reps(n)
+    else:
+        def leaf_count(edges):
+            return sum(1 for v in range(n) if sum(v in e for e in edges) == 1)
+
+        reds = sorted(red_forest_reps(n), key=lambda edges: (leaf_count(edges), edges))
+    for red in reds:
+        for blue in cross_completions(n, red, forbid_common_leaf=True):
+            cg = ColoredZGraph(ZGraph(n, tuple(red) + tuple(blue)), red, blue)
+            if find_common_leaf(cg) is None:
+                return "found", red_blue_distance(cg), cg
+    return "none", None, None

@@ -1,9 +1,14 @@
 """Command line behavior: parsing, exit codes, output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from zonobelt import symmetric
 from zonobelt.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -296,3 +301,45 @@ def test_search_d8_violation_exits_one(monkeypatch, capsys):
     assert main(["search", "d8", "--max-nodes", "5"]) == EXIT_VIOLATION
     out = capsys.readouterr().out
     assert "status: violation" in out and "distance: 2" in out
+
+
+def _no_leaf_floor(monkeypatch):
+    # completions stop avoiding common leaves
+    real = symmetric.cross_completions
+    monkeypatch.setattr(symmetric, "cross_completions",
+                        lambda n, forest, forbid_common_leaf=False: real(n, forest))
+
+
+def _distance_two(monkeypatch):
+    # every coloring reads as belt distance 2
+    monkeypatch.setattr(symmetric, "red_blue_distance", lambda cg: 2)
+
+
+@pytest.mark.parametrize("breakage", [_no_leaf_floor, _distance_two])
+def test_broken_completion_raises(monkeypatch, capsys, breakage):
+    breakage(monkeypatch)
+    with pytest.raises(RuntimeError, match="common leaf|distance 2"):
+        symmetric.search_extremal(7)
+    with pytest.raises(RuntimeError, match="common leaf|distance 2"):
+        symmetric.gen_odd_extremal(2)
+    assert main(["search", "extremal", "--d", "7"]) == EXIT_VIOLATION
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_closed_stdout_exits_two(tmp_path, n):
+    # K4's facets fit the stdout buffer, K10's do not: the pipe breaks at
+    # the final flush in one case and inside a print in the other
+    doc = {"vertices": n,
+           "edges": [[i, j] for i in range(1, n + 1) for j in range(i + 1, n + 1)]}
+    f = write_graph(tmp_path, "k%d.json" % n, doc)
+    env = dict(os.environ, PYTHONPATH=str(Path(symmetric.__file__).parents[1]))
+    r, w = os.pipe()
+    os.close(r)   # nobody will read
+    try:
+        proc = subprocess.run([sys.executable, "-m", "zonobelt.cli", "facets", f],
+                              stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(w)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == b""

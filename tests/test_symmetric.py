@@ -5,7 +5,12 @@ from itertools import combinations
 
 import pytest
 
-from conjugate_reference import enumerate_conjugate, free_trees_by_pruefer
+from conjugate_reference import (
+    enumerate_conjugate,
+    free_trees_by_pruefer,
+    red_forest_reps,
+    search_extremal_reference,
+)
 from zonobelt import zgraph
 from zonobelt.faces import enumerate_facets
 from zonobelt.symmetric import (
@@ -168,6 +173,13 @@ def test_tree_growth_stays_within_labeling_budget(monkeypatch):
     res = search_extremal(9, max_nodes=50)
     assert res.status == "found" and res.distance == 3
     assert calls
+    # the search grows trees on at most d - 1 vertices and labels nothing
+    # else: 326 labelings for d = 10, against 749 with the 10-vertex trees
+    calls.clear()
+    free_trees.cache_clear()
+    res = search_extremal(10)
+    assert res.status == "found" and res.distance == 3
+    assert len(calls) <= 400
 
 
 def test_bipartite_trees_cayley_count():
@@ -187,6 +199,17 @@ def test_bipartite_trees_degree_floor():
     # the star is the only tree; leaf floors of 2 are unsatisfiable
     assert list(bipartite_trees(xs, ys, {1: 2})) == []
     assert len(list(bipartite_trees(xs, ys))) == 1
+
+
+def test_leaf_floor_drops_exactly_the_common_leaf_completions():
+    # forbid_common_leaf prunes inside the tree search; it must keep every
+    # completion that a filter on the finished coloring would keep
+    for n in range(4, 10):
+        for forest in red_forest_reps(n):
+            leaves = {v for v in range(n) if sum(v in e for e in forest) == 1}
+            want = [c for c in cross_completions(n, forest)
+                    if not any(sum(v in e for e in c) == 1 for v in leaves)]
+            assert list(cross_completions(n, forest, forbid_common_leaf=True)) == want
 
 
 def test_cross_completions_are_conjugate():
@@ -288,14 +311,38 @@ def test_search_extremal_low_dimensions():
     assert find_common_leaf(res.witness) is None
 
 
+@pytest.mark.parametrize("d", range(3, 10))
+def test_search_extremal_matches_reference(d):
+    res = search_extremal(d)
+    status, distance, _ = search_extremal_reference(d)
+    assert (res.status, res.distance) == (status, distance)
+    if res.status == "found":
+        assert res.witness.base.n == d + 1
+        assert check_conjugate(res.witness)[0]
+        assert find_common_leaf(res.witness) is None
+        assert red_blue_distance(res.witness) == 3
+    else:
+        assert res.witness is None
+
+
+def test_small_conjugate_classes_all_have_common_leaves():
+    # the d <= 6 "none" without the leaf-count argument
+    for n in range(4, 8):
+        for cg in enumerate_conjugate_classes(n):
+            assert find_common_leaf(cg) is not None
+        assert search_extremal(n - 1).nodes == 0
+
+
 def test_search_extremal_validates_d():
     with pytest.raises(ValueError):
         search_extremal(2)
 
 
 def test_search_extremal_budget_exhaustion():
-    res = search_extremal(6, max_nodes=1)
+    # d = 8 completes three forests before answering "none"
+    res = search_extremal(8, max_nodes=1)
     assert res.status == "inconclusive"
+    assert res.nodes == 2
 
 
 def test_search_d8_budget_exhaustion():
