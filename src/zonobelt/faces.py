@@ -17,10 +17,6 @@ from .zgraph import ZGraph, components
 FacetId = tuple[int, int]
 
 
-def opposite(f: FacetId) -> FacetId:
-    return (f[1], f[0])
-
-
 def unordered_pair(f: FacetId) -> FacetId:
     """Canonical representative of {A,B}: the part with vertex 0 first."""
     return f if f[0] & 1 else (f[1], f[0])

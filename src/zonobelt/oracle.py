@@ -3,7 +3,9 @@
 Everything here works on integer zone matrices (rows e_i - e_j, one per
 edge) with fraction-free elimination; no floating point.  Facets are
 recovered as closed corank-1 row subsets, belts as rank-(d-2) overlaps,
-independently of the connectivity reasoning in the other modules.
+independently of the connectivity reasoning in the other modules.  An
+overlap of fewer than d - 2 rows cannot reach that rank, so it is answered
+without elimination.
 
 Each facet hyperplane is reached once, through its greedy basis: the rows
 picked by scanning the hyperplane's rows in index order and keeping each
@@ -18,10 +20,13 @@ from math import comb, gcd
 from .zgraph import ZGraph, dimension
 
 SUBSET_CAP = 10**8
+# same-belt checks in one verification: F(F-1)/2 for F facet pairs.  511
+# pairs, the most any graph on 10 vertices has, still pass.
+SAME_BELT_PAIR_CAP = 511 * 510 // 2
 
 
 class OracleBudgetError(Exception):
-    """Raised when the subset enumeration would exceed the evaluation cap."""
+    """Raised when the oracle's work would exceed one of its caps."""
 
 
 def zone_matrix(g: ZGraph) -> list[tuple[int, ...]]:
@@ -180,11 +185,17 @@ def oracle_facets(g: ZGraph) -> list[frozenset]:
 
 
 def oracle_same_belt(g: ZGraph, s1: frozenset, s2: frozenset) -> bool:
-    """Do two facet supports meet in a rank d-2 (codimension-2) zone set?"""
+    """Do two facet supports meet in a rank d-2 (codimension-2) zone set?
+
+    A rank is at most the number of rows, so fewer than d - 2 shared edges
+    answer False exactly, without elimination.
+    """
     if s1 == s2:
         raise ValueError("identical supports")
     d = dimension(g)
     shared = s1 & s2
+    if len(shared) < d - 2:
+        return False
     rows = []
     for i, j in sorted(shared):
         row = [0] * g.n

@@ -25,8 +25,9 @@ def enumerate_connected_graphs(n: int) -> list[ZGraph]:
     """Connected graphs on n vertices up to isomorphism, canonical forms.
 
     Grown by attaching one vertex to every nonempty vertex set of every
-    smaller graph (every connected graph has a non-cut vertex, so this
-    reaches everything), one `grow_canonical` step per level.  The result
+    smaller graph, one `grow_canonical` step per level.  Every connected
+    graph has a non-cut vertex, so this reaches everything; the step labels
+    only candidates whose new vertex is a least non-cut vertex.  The result
     is ordered by canonical key.
     """
     if n < 1:
@@ -67,8 +68,19 @@ def facet_support(g: ZGraph, pair) -> frozenset:
 
 
 def oracle_agrees(g: ZGraph) -> bool:
-    """Facet sets and same-belt relations: partition calculus vs oracle."""
+    """Facet sets and same-belt relations: partition calculus vs oracle.
+
+    Raises oracle.OracleBudgetError before any oracle work when the
+    same-belt checks, one per two facet pairs, would exceed
+    oracle.SAME_BELT_PAIR_CAP.
+    """
     pairs = [f for f in faces.enumerate_facets(g) if f[0] & 1]
+    checks = len(pairs) * (len(pairs) - 1) // 2
+    if checks > oracle.SAME_BELT_PAIR_CAP:
+        raise oracle.OracleBudgetError(
+            "%d same-belt checks for %d facet pairs exceed cap %d"
+            % (checks, len(pairs), oracle.SAME_BELT_PAIR_CAP)
+        )
     supports = [facet_support(g, f) for f in pairs]
     if sorted(supports, key=sorted) != oracle.oracle_facets(g):
         return False

@@ -403,7 +403,9 @@ def free_trees(k: int) -> tuple:
     """Trees on k vertices up to isomorphism, as canonical edge tuples.
 
     Every tree on k >= 2 vertices has a leaf, so hanging a leaf off each
-    vertex of each tree on k - 1 vertices reaches every class.
+    vertex of each tree on k - 1 vertices reaches every class.  The leaves
+    are the tree's non-cut vertices, so `grow_canonical` labels only the
+    trees whose new leaf has the least invariant among the leaves.
     """
     if k < 1:
         raise ValueError("need k >= 1")

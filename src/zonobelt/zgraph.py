@@ -62,12 +62,6 @@ class ZGraph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return ((i, j) if i < j else (j, i)) in self.edges
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def connected_in(self, mask: int) -> bool:
         """Is the subgraph induced on the (nonempty) mask connected?
 
@@ -75,23 +69,9 @@ class ZGraph:
         masks over and over.
         """
         hit = self._conn.get(mask)
-        if hit is not None:
-            return hit
-        seen = mask & -mask
-        frontier = seen
-        adj = self.adj
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                m ^= low
-                nxt |= adj[low.bit_length() - 1]
-            frontier = nxt & mask & ~seen
-            seen |= frontier
-        ok = seen == mask
-        self._conn[mask] = ok
-        return ok
+        if hit is None:
+            hit = self._conn[mask] = reach(self.adj, mask & -mask, mask) == mask
+        return hit
 
     def __eq__(self, other):
         return (
@@ -107,28 +87,38 @@ class ZGraph:
         return "ZGraph(%d, %r)" % (self.n, self.sorted_edges())
 
 
+def reach(adj, start: int, mask: int) -> int:
+    """Vertices of mask joined to the start set by paths inside mask.
+
+    adj[v] is the neighbour bitmask of v; start must lie inside mask.
+    """
+    seen = frontier = start
+    while frontier:
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            m ^= low
+            nxt |= adj[low.bit_length() - 1]
+        frontier = nxt & mask & ~seen
+        seen |= frontier
+    return seen
+
+
+def _parts(adj, mask: int) -> list[int]:
+    """Components of the subgraph induced on mask, ordered by least vertex."""
+    out = []
+    rest = mask
+    while rest:
+        comp = reach(adj, rest & -rest, mask)
+        out.append(comp)
+        rest ^= comp
+    return out
+
+
 def components(g: ZGraph) -> list[int]:
     """Connected components as bitmasks, ordered by least vertex."""
-    out = []
-    seen = 0
-    for v in range(g.n):
-        bit = 1 << v
-        if seen & bit:
-            continue
-        comp = bit
-        frontier = bit
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                m ^= low
-                nxt |= g.adj[low.bit_length() - 1]
-            frontier = nxt & ~comp
-            comp |= frontier
-        out.append(comp)
-        seen |= comp
-    return out
+    return _parts(g.adj, g.full_mask)
 
 
 def dimension(g: ZGraph) -> int:
@@ -256,18 +246,77 @@ def relabel(edges, perm) -> tuple[tuple[int, int], ...]:
     ))
 
 
+def _least_noncut(parent):
+    """A test on masks: is a vertex joined to the mask a least non-cut vertex?
+
+    parent holds the neighbour masks of a connected graph on k vertices.
+    The returned test takes the mask of a new vertex k and says whether no
+    non-cut vertex of the grown graph has a smaller invariant (degree, then
+    sorted neighbour degrees); ties count as least.  Vertex k is never a cut
+    vertex, because the parent is connected.  An old vertex v is one unless
+    the mask meets every component of the parent without v, so those
+    components are found once per parent.
+    """
+    k = len(parent)
+    full = (1 << k) - 1
+    deg = [a.bit_count() for a in parent]
+    nbrs = [bits(a) for a in parent]
+    split = [_parts(parent, full ^ 1 << v) for v in range(k)]
+
+    def passes(m: int) -> bool:
+        dk = m.bit_count()
+        own = None
+        for v in range(k):
+            dv = deg[v] + (m >> v & 1)
+            if dv > dk:
+                continue
+            for c in split[v]:
+                if not c & m:
+                    break   # v is a cut vertex
+            else:
+                if dv < dk:
+                    return False
+                if own is None:
+                    own = sorted(deg[u] + 1 for u in bits(m))
+                mine = [deg[u] + (m >> u & 1) for u in nbrs[v]]
+                if m >> v & 1:
+                    mine.append(dk)
+                if sorted(mine) < own:
+                    return False
+        return True
+
+    return passes
+
+
 def grow_canonical(forms, k: int, masks) -> dict:
     """One isomorph-free growth step: canonical forms on k + 1 vertices.
 
-    Each form (an edge collection on k vertices) gains vertex k joined to
-    the vertices of each mask in turn; every candidate is labeled once and
-    kept when its key is new.  Returns key -> canonical edge tuple.
+    Each form (the edges of a connected graph on k vertices) gains vertex k
+    joined to the vertices of each mask in turn.  A candidate is labeled
+    only when vertex k passes `_least_noncut`, and kept when its key is
+    new.  Returns key -> canonical edge tuple.
+
+    This is McKay's canonical augmentation with a cheap invariant standing
+    in for the canonical deletion.  It reaches every class when the forms
+    hold every connected class on k vertices and the masks hold every
+    neighbourhood a least non-cut vertex can have: deleting such a vertex
+    from a connected graph on k + 1 vertices leaves a connected parent
+    isomorphic to one of the forms, and putting it back is a candidate that
+    passes.  All nonempty masks serve connected graphs.  Single bits serve
+    trees, whose non-cut vertices are the leaves.
     """
-    attachments = [[(v, k) for v in bits(m)] for m in masks]
+    attachments = [(m, [(v, k) for v in bits(m)]) for m in masks]
     grown = {}
     for edges in forms:
         base = list(edges)
-        for attach in attachments:
+        parent = [0] * k
+        for i, j in base:
+            parent[i] |= 1 << j
+            parent[j] |= 1 << i
+        passes = _least_noncut(parent)
+        for m, attach in attachments:
+            if not passes(m):
+                continue
             new = base + attach
             key, perm = canonical_label(k + 1, (new,))
             if key not in grown:

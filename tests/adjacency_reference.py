@@ -17,6 +17,11 @@ from zonobelt.faces import (
 from zonobelt.zgraph import ZGraph, bits
 
 
+def opposite(f):
+    """The facet (B, A) of the facet (A, B)."""
+    return (f[1], f[0])
+
+
 def has_cross(g: ZGraph, a: int, b: int) -> bool:
     """Is there an edge with one endpoint in a and the other in b?"""
     if a.bit_count() > b.bit_count():

@@ -80,3 +80,16 @@ def oracle_facets(g: ZGraph) -> list[frozenset]:
 
     extend(0, IntSpan())
     return sorted(found, key=lambda s: sorted(s))
+
+
+def oracle_same_belt(g: ZGraph, s1: frozenset, s2: frozenset) -> bool:
+    """Same belt: the shared rows have rank d - 2, always found by elimination."""
+    if s1 == s2:
+        raise ValueError("identical supports")
+    span = IntSpan()
+    for i, j in sorted(s1 & s2):
+        row = [0] * g.n
+        row[i] = 1
+        row[j] = -1
+        span = span.with_added(row) or span
+    return span.rank == dimension(g) - 2

@@ -2,13 +2,14 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from zonobelt import symmetric
+from zonobelt import faces, oracle, symmetric
 from zonobelt.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -273,6 +274,47 @@ def test_oracle_verify(tmp_path, capsys):
     f = write_graph(tmp_path, "k16.json", big)
     assert main(["oracle", "verify", f]) == EXIT_INCONCLUSIVE
     assert "unverified" in capsys.readouterr().out
+
+
+def count_oracle_calls(monkeypatch):
+    calls = {"oracle_facets": 0, "oracle_same_belt": 0}
+    for name in calls:
+        real = getattr(oracle, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(oracle, name, counting)
+    return calls
+
+
+def test_oracle_verify_caps_same_belt_checks(tmp_path, capsys, monkeypatch):
+    # 35 edges on 11 vertices: C(35, 9) bases stay under SUBSET_CAP, but 876
+    # facet pairs make 383,250 same-belt checks, so nothing is run at all
+    pairs = [(i, j) for i in range(11) for j in range(i + 1, 11)]
+    edges = random.Random(1).sample(pairs, 35)
+    g = ZGraph(11, edges)
+    assert sum(1 for f in faces.enumerate_facets(g) if f[0] & 1) == 876
+    calls = count_oracle_calls(monkeypatch)
+    doc = {"vertices": 11, "edges": [[i + 1, j + 1] for i, j in edges]}
+    assert main(["oracle", "verify", write_graph(tmp_path, "g11.json", doc)]) == EXIT_INCONCLUSIVE
+    out = capsys.readouterr().out
+    assert "unverified" in out and "383250 same-belt checks" in out
+    assert calls == {"oracle_facets": 0, "oracle_same_belt": 0}
+
+
+def test_oracle_verify_pair_cap_boundary(tmp_path, capsys, monkeypatch):
+    # K4 has 7 facet pairs, so 21 same-belt checks: a cap of 21 verifies it
+    calls = count_oracle_calls(monkeypatch)
+    f = write_graph(tmp_path, "k4.json", K4)
+    monkeypatch.setattr(oracle, "SAME_BELT_PAIR_CAP", 21)
+    assert main(["oracle", "verify", f]) == EXIT_OK
+    assert calls == {"oracle_facets": 1, "oracle_same_belt": 21}
+    monkeypatch.setattr(oracle, "SAME_BELT_PAIR_CAP", 20)
+    assert main(["oracle", "verify", f]) == EXIT_INCONCLUSIVE
+    assert "unverified" in capsys.readouterr().out
+    assert calls == {"oracle_facets": 1, "oracle_same_belt": 21}
 
 
 def test_usage_errors(tmp_path, capsys):

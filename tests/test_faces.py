@@ -10,7 +10,6 @@ from zonobelt.faces import (
     enumerate_codim2,
     enumerate_facets,
     in_same_belt,
-    opposite,
     unordered_pair,
     validate_partition,
 )
@@ -77,9 +76,8 @@ def to_sets(f):
 
 def test_opposite_and_unordered():
     f = (0b0001, 0b1110)
-    assert opposite(f) == (0b1110, 0b0001)
     assert unordered_pair(f) == f
-    assert unordered_pair(opposite(f)) == f
+    assert unordered_pair((0b1110, 0b0001)) == f
 
 
 def test_validate_partition_errors():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import oracle_reference as reference
+from zonobelt import oracle
 from zonobelt.oracle import (
     OracleBudgetError,
     exact_rank,
@@ -12,7 +13,7 @@ from zonobelt.oracle import (
     oracle_same_belt,
     zone_matrix,
 )
-from zonobelt.sweep import enumerate_connected_graphs
+from zonobelt.sweep import enumerate_connected_graphs, sample_connected_graphs
 from zonobelt.zgraph import ZGraph, dimension
 
 
@@ -112,3 +113,29 @@ def test_random_sparse_graphs_8_to_10_match_reference():
         g = sparse_connected(rng, n, rng.randrange(5))
         assert len(g.edges) <= n + 4 and dimension(g) == n - 1
         assert oracle_facets(g) == reference.oracle_facets(g), g
+
+
+def test_same_belt_shortcut_matches_reference(monkeypatch):
+    # every facet pair of every connected graph on 3..6 vertices, and of
+    # seeded 7-vertex graphs: fewer than d - 2 shared edges answer without
+    # elimination, and every answer equals the reference's
+    ranks = []
+    real = oracle.exact_rank
+
+    def counting(rows):
+        ranks.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(oracle, "exact_rank", counting)
+    graphs = [g for n in range(3, 7) for g in enumerate_connected_graphs(n)]
+    graphs += sample_connected_graphs(7, 12, seed=20261019)
+    pairs = short = 0
+    for g in graphs:
+        supports = oracle_facets(g)
+        for i, s1 in enumerate(supports):
+            for s2 in supports[i + 1:]:
+                got = oracle_same_belt(g, s1, s2)
+                assert got == reference.oracle_same_belt(g, s1, s2), (g, s1, s2)
+                pairs += 1
+                short += len(s1 & s2) < dimension(g) - 2
+    assert short > 0 and len(ranks) == pairs - short

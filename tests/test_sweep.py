@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import growth_reference
 from zonobelt import faces, sweep, zgraph
 from zonobelt.sweep import (
     CONNECTED_COUNTS,
@@ -43,6 +44,27 @@ def test_enumeration_labels_each_candidate_once(monkeypatch):
     candidates = sum(CONNECTED_COUNTS[k - 1] * ((1 << k) - 1) for k in range(1, 6))
     assert len(graphs) == CONNECTED_COUNTS[5]
     assert 0 < len(calls) <= candidates
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumeration_matches_unfiltered_growth(n):
+    # the invariant filter drops no class and changes no canonical form
+    got = [tuple(g.sorted_edges()) for g in enumerate_connected_graphs(n)]
+    assert got == growth_reference.connected_graphs(n)
+
+
+def test_enumeration_stays_within_labeling_budget(monkeypatch):
+    # only candidates whose new vertex is a least non-cut vertex are labeled:
+    # 2,101 labelings up to n = 7, against 7,815 with every candidate labeled
+    calls = []
+
+    def counting(n, code):
+        calls.append(n)
+        return min_label_perm(n, code)
+
+    monkeypatch.setattr(zgraph, "min_label_perm", counting)
+    assert len(enumerate_connected_graphs(7)) == CONNECTED_COUNTS[6]
+    assert 0 < len(calls) <= 3000
 
 
 def test_enumeration_is_canonical_and_sorted():

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import growth_reference
 from conjugate_reference import (
     enumerate_conjugate,
     free_trees_by_pruefer,
@@ -154,9 +155,15 @@ def test_free_trees_match_pruefer_reference():
         assert free_trees(k) == free_trees_by_pruefer(k)
 
 
+def test_free_trees_match_unfiltered_growth():
+    for k in range(1, 10):
+        assert free_trees(k) == growth_reference.free_trees(k)
+
+
 def test_tree_growth_stays_within_labeling_budget(monkeypatch):
-    # leaf attachment labels each tree on k - 1 vertices k - 1 times (326 calls
-    # up to k = 9); labeling every Pruefer tree takes 1,302 calls for k = 6 alone
+    # leaf attachment labels only trees whose new leaf is a least leaf (212
+    # calls up to k = 9, 326 with every attachment labeled); labeling every
+    # Pruefer tree takes 1,302 calls for k = 6 alone
     calls = []
     real = zgraph.min_label_perm
 
@@ -174,7 +181,7 @@ def test_tree_growth_stays_within_labeling_budget(monkeypatch):
     assert res.status == "found" and res.distance == 3
     assert calls
     # the search grows trees on at most d - 1 vertices and labels nothing
-    # else: 326 labelings for d = 10, against 749 with the 10-vertex trees
+    # else: 212 labelings for d = 10, against 468 with the 10-vertex trees
     calls.clear()
     free_trees.cache_clear()
     res = search_extremal(10)

@@ -5,8 +5,10 @@ from itertools import permutations
 
 import pytest
 
+import growth_reference
 from zonobelt.zgraph import (
     ZGraph,
+    _least_noncut,
     bits,
     canonical_label,
     components,
@@ -41,9 +43,6 @@ def test_mask_helpers():
 def test_edge_normalization():
     g = ZGraph(3, [(2, 0), (0, 2), (1, 2)])
     assert g.sorted_edges() == [(0, 2), (1, 2)]
-    assert g.has_edge(2, 0)
-    assert not g.has_edge(0, 1)
-    assert g.degree(2) == 2
 
 
 def test_edge_validation():
@@ -63,6 +62,28 @@ def test_connected_in():
     assert g.connected_in(0b0110)
     assert not g.connected_in(0b1001)  # endpoints only
     assert g.connected_in(0b0001)
+
+
+def test_least_noncut_matches_definition():
+    # move each non-cut vertex of every connected graph on 2..6 vertices to the
+    # last slot: the filter passes it exactly when no non-cut vertex has a
+    # smaller (degree, sorted neighbour degrees), so some vertex always passes
+    for n in range(2, 7):
+        for edges in growth_reference.connected_graphs(n):
+            g = ZGraph(n, edges)
+            deg = [a.bit_count() for a in g.adj]
+
+            def invariant(v):
+                return (deg[v], sorted(deg[u] for u in bits(g.adj[v])))
+
+            noncut = [v for v in range(n) if g.connected_in(g.full_mask ^ 1 << v)]
+            least = min(invariant(v) for v in noncut)
+            for v in noncut:
+                swap = list(range(n))
+                swap[v], swap[n - 1] = n - 1, v
+                h = ZGraph(n, [(swap[i], swap[j]) for i, j in edges])
+                parent = [a & ~(1 << n - 1) for a in h.adj[:-1]]
+                assert _least_noncut(parent)(h.adj[-1]) == (invariant(v) == least)
 
 
 def test_components_by_least_vertex():
