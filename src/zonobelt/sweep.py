@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import dual, faces, oracle, symmetric, venkov
-from .zgraph import ZGraph, bits, dimension, grow_canonical
+from .zgraph import ZGraph, dimension, grow_canonical
 
 EXHAUSTIVE_MAX_N = 8
 # connected graphs up to isomorphism on 1..8 vertices, used as a self-test
@@ -21,25 +21,41 @@ CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
 ALL_CHECKS = ("belt_bound", "dual_bound", "oracle_equiv", "leaves_iff", "belt_size")
 
 
+def connected_levels(lo: int, hi: int):
+    """Yield the connected graphs on n vertices for n = lo..hi, in turn.
+
+    Each level is a list of canonical forms ordered by canonical key.  It is
+    grown once, by one `grow_canonical` step from the edge tuples of the
+    level below: every connected graph on n vertices arises from one on
+    n - 1 by attaching a vertex to a nonempty vertex set, because every
+    connected graph has a non-cut vertex.  The step labels only candidates
+    whose new vertex is a least non-cut vertex, and no twin-swapped copy
+    of another candidate.  The edge tuples are kept only while a higher
+    level still needs them.
+    """
+    if lo < 1:
+        raise ValueError("need n >= 1")
+    if hi > EXHAUSTIVE_MAX_N:
+        raise ValueError("use sampled mode")
+    reps = {0: ()}   # canonical key -> canonical edges
+    for n in range(1, hi + 1):
+        if n > 1:
+            reps = grow_canonical(reps.values(), n - 1, range(1, 1 << (n - 1)))
+        if n == hi:
+            # popping frees each edge tuple as its graph is built: the top
+            # level is never held twice, which would raise the sweep's peak RSS
+            yield [ZGraph(n, reps.pop(key)) for key in sorted(reps)]
+        elif n >= lo:
+            yield [ZGraph(n, reps[key]) for key in sorted(reps)]
+
+
 def enumerate_connected_graphs(n: int) -> list[ZGraph]:
     """Connected graphs on n vertices up to isomorphism, canonical forms.
 
-    Grown by attaching one vertex to every nonempty vertex set of every
-    smaller graph, one `grow_canonical` step per level.  Every connected
-    graph has a non-cut vertex, so this reaches everything; the step labels
-    only candidates whose new vertex is a least non-cut vertex.  The result
-    is ordered by canonical key.
+    Ordered by canonical key; see `connected_levels`.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > EXHAUSTIVE_MAX_N:
-        raise ValueError("use sampled mode")
-    reps = {0: ()}   # canonical key -> canonical edges
-    for k in range(1, n):
-        reps = grow_canonical(reps.values(), k, range(1, 1 << k))
-    # popping frees each edge tuple as its graph is built: the level is never
-    # held twice, which would raise the sweep's peak RSS
-    return [ZGraph(n, reps.pop(key)) for key in sorted(reps)]
+    graphs, = connected_levels(n, n)
+    return graphs
 
 
 def sample_connected_graphs(n: int, count: int, seed: int) -> list[ZGraph]:
@@ -67,14 +83,43 @@ def facet_support(g: ZGraph, pair) -> frozenset:
     )
 
 
+def oracle_belt_adjacency(g: ZGraph, supports: list) -> list[int]:
+    """The oracle's same-belt relation on facet supports, as bitmasks.
+
+    Bit j of entry i says whether supports[i] and supports[j] lie in a
+    common belt by `oracle.oracle_same_belt`.  That verdict is a rank test
+    on the shared edges alone: two facet hyperplanes meet in a flat, and
+    they share a belt iff that flat has rank d - 2.  So the oracle is asked
+    once per distinct intersection, keyed by its edge bitmask.
+    """
+    bit = {e: 1 << k for k, e in enumerate(g.sorted_edges())}
+    masks = [sum(bit[e] for e in s) for s in supports]
+    ranked = {}   # intersection edge bitmask -> same belt
+    adj = [0] * len(supports)
+    for i in range(len(supports)):
+        for j in range(i + 1, len(supports)):
+            flat = masks[i] & masks[j]
+            same = ranked.get(flat)
+            if same is None:
+                same = ranked[flat] = oracle.oracle_same_belt(g, supports[i], supports[j])
+            if same:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
 def oracle_agrees(g: ZGraph) -> bool:
     """Facet sets and same-belt relations: partition calculus vs oracle.
 
-    Raises oracle.OracleBudgetError before any oracle work when the
-    same-belt checks, one per two facet pairs, would exceed
+    The same-belt relation of the partition calculus is the Venkov
+    adjacency of `faces.belt_adjacency`; the oracle's is
+    `oracle_belt_adjacency` over the same facet pairs.  Raises
+    oracle.OracleBudgetError before any oracle work when the same-belt
+    checks, one per two facet pairs, would exceed
     oracle.SAME_BELT_PAIR_CAP.
     """
-    pairs = [f for f in faces.enumerate_facets(g) if f[0] & 1]
+    facets = faces.enumerate_facets(g)
+    pairs = [f for f in facets if f[0] & 1]
     checks = len(pairs) * (len(pairs) - 1) // 2
     if checks > oracle.SAME_BELT_PAIR_CAP:
         raise oracle.OracleBudgetError(
@@ -84,12 +129,8 @@ def oracle_agrees(g: ZGraph) -> bool:
     supports = [facet_support(g, f) for f in pairs]
     if sorted(supports, key=sorted) != oracle.oracle_facets(g):
         return False
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            combinatorial = faces.in_same_belt(g, pairs[i], pairs[j])
-            if combinatorial != oracle.oracle_same_belt(g, supports[i], supports[j]):
-                return False
-    return True
+    venkov_adj = faces.belt_adjacency(g, facets, dual=False)[0]
+    return oracle_belt_adjacency(g, supports) == venkov_adj
 
 
 @dataclass
@@ -114,17 +155,6 @@ class SweepReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def _crossings(g: ZGraph, core) -> int:
-    """Pairs of parts of a core joined by at least one edge of g."""
-    p, q, r = core
-    near_p = near_q = 0
-    for v in bits(p):
-        near_p |= g.adj[v]
-    for v in bits(q):
-        near_q |= g.adj[v]
-    return bool(near_p & q) + bool(near_p & r) + bool(near_q & r)
 
 
 def _check_graph(g: ZGraph, checks, row: SweepRow, violations: list):
@@ -152,10 +182,15 @@ def _check_graph(g: ZGraph, checks, row: SweepRow, violations: list):
         if d >= 7 and dd > 4:
             violations.append("%s: dual diameter %d > 4" % (label, dd))
     if "belt_size" in checks:
-        # directions are read off the edges, not off the belt's merge bits
-        for belt_obj in faces.enumerate_codim2(g):
-            size = len(belt_obj.members)
-            dirs = _crossings(g, belt_obj.core)
+        # directions are read off the edges, not off the merge bits:
+        # near[m] is the neighbourhood of the vertex set m
+        near = [0] * (1 << g.n)
+        for m in range(1, 1 << g.n):
+            low = m & -m
+            near[m] = near[m ^ low] | g.adj[low.bit_length() - 1]
+        for p, q, r, pq, pr, qr in faces._core_merges(g):
+            size = 2 * (pq + pr + qr)
+            dirs = bool(near[p] & q) + bool(near[p] & r) + bool(near[q] & r)
             if size not in (4, 6) or dirs not in (2, 3):
                 violations.append("%s: belt size %d/dirs %d" % (label, size, dirs))
             elif (size == 6) != (dirs == 3):
@@ -172,10 +207,11 @@ def run_sweep(max_n: int, checks=ALL_CHECKS, oracle_samples: int = 200,
         raise ValueError("need max_n >= 4 (dimension at least 3)")
     rows = []
     violations: list[str] = []
+    levels = connected_levels(4, max_n)
     for n in range(4, max_n + 1):
         start = time.monotonic()
         row = SweepRow(d=n - 1)
-        graphs = enumerate_connected_graphs(n)
+        graphs = next(levels)
         for i, g in enumerate(graphs):
             row.instances += 1
             _check_graph(g, checks, row, violations)

@@ -405,7 +405,8 @@ def free_trees(k: int) -> tuple:
     Every tree on k >= 2 vertices has a leaf, so hanging a leaf off each
     vertex of each tree on k - 1 vertices reaches every class.  The leaves
     are the tree's non-cut vertices, so `grow_canonical` labels only the
-    trees whose new leaf has the least invariant among the leaves.
+    trees whose new leaf has the least invariant among the leaves, and
+    hangs no leaf off a vertex whose earlier twin it could use instead.
     """
     if k < 1:
         raise ValueError("need k >= 1")

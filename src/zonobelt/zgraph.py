@@ -288,13 +288,29 @@ def _least_noncut(parent):
     return passes
 
 
+def _twins(parent) -> list[tuple[int, int]]:
+    """(1 << u, 1 << v) for each vertex v and its nearest earlier twin u.
+
+    u and v are twins when N(u)∖{v} = N(v)∖{u}; swapping them is then an
+    automorphism of the graph whose neighbour masks are parent.
+    """
+    out = []
+    for v in range(1, len(parent)):
+        for u in range(v - 1, -1, -1):
+            if parent[u] & ~(1 << v) == parent[v] & ~(1 << u):
+                out.append((1 << u, 1 << v))
+                break
+    return out
+
+
 def grow_canonical(forms, k: int, masks) -> dict:
     """One isomorph-free growth step: canonical forms on k + 1 vertices.
 
     Each form (the edges of a connected graph on k vertices) gains vertex k
-    joined to the vertices of each mask in turn.  A candidate is labeled
-    only when vertex k passes `_least_noncut`, and kept when its key is
-    new.  Returns key -> canonical edge tuple.
+    joined to the vertices of each mask in turn.  A mask that holds a
+    vertex but not its nearest earlier twin (`_twins`) is skipped.  Any
+    other candidate is labeled only when vertex k passes `_least_noncut`,
+    and kept when its key is new.  Returns key -> canonical edge tuple.
 
     This is McKay's canonical augmentation with a cheap invariant standing
     in for the canonical deletion.  It reaches every class when the forms
@@ -304,6 +320,16 @@ def grow_canonical(forms, k: int, masks) -> dict:
     isomorphic to one of the forms, and putting it back is a candidate that
     passes.  All nonempty masks serve connected graphs.  Single bits serve
     trees, whose non-cut vertices are the leaves.
+
+    The twin rule loses nothing.  Swapping twins u < v is an automorphism of
+    the parent; fixing vertex k, it carries the candidate of a mask m onto
+    the candidate of the swapped mask, so both have the same key and, since
+    "vertex k is a least non-cut vertex" is an isomorphism invariant, the
+    same `_least_noncut` verdict.  A skipped mask holds some v without its
+    twin u < v; swapping them lowers the sum of the mask's vertices, so
+    repeated swaps end at a mask that is not skipped.  When the masks are
+    closed under these swaps (all nonempty masks, or all single bits), that
+    mask is among them.
     """
     attachments = [(m, [(v, k) for v in bits(m)]) for m in masks]
     grown = {}
@@ -314,8 +340,9 @@ def grow_canonical(forms, k: int, masks) -> dict:
             parent[i] |= 1 << j
             parent[j] |= 1 << i
         passes = _least_noncut(parent)
+        twins = _twins(parent)
         for m, attach in attachments:
-            if not passes(m):
+            if any(m & v and not m & u for u, v in twins) or not passes(m):
                 continue
             new = base + attach
             key, perm = canonical_label(k + 1, (new,))

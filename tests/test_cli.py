@@ -305,16 +305,17 @@ def test_oracle_verify_caps_same_belt_checks(tmp_path, capsys, monkeypatch):
 
 
 def test_oracle_verify_pair_cap_boundary(tmp_path, capsys, monkeypatch):
-    # K4 has 7 facet pairs, so 21 same-belt checks: a cap of 21 verifies it
+    # K4 has 7 facet pairs, so 21 same-belt checks: a cap of 21 verifies it.
+    # The oracle ranks each of the 7 distinct intersections once.
     calls = count_oracle_calls(monkeypatch)
     f = write_graph(tmp_path, "k4.json", K4)
     monkeypatch.setattr(oracle, "SAME_BELT_PAIR_CAP", 21)
     assert main(["oracle", "verify", f]) == EXIT_OK
-    assert calls == {"oracle_facets": 1, "oracle_same_belt": 21}
+    assert calls == {"oracle_facets": 1, "oracle_same_belt": 7}
     monkeypatch.setattr(oracle, "SAME_BELT_PAIR_CAP", 20)
     assert main(["oracle", "verify", f]) == EXIT_INCONCLUSIVE
     assert "unverified" in capsys.readouterr().out
-    assert calls == {"oracle_facets": 1, "oracle_same_belt": 21}
+    assert calls == {"oracle_facets": 1, "oracle_same_belt": 7}
 
 
 def test_usage_errors(tmp_path, capsys):

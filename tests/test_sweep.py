@@ -5,7 +5,8 @@ import random
 import pytest
 
 import growth_reference
-from zonobelt import faces, sweep, zgraph
+import oracle_reference
+from zonobelt import dual, faces, oracle, sweep, zgraph
 from zonobelt.sweep import (
     CONNECTED_COUNTS,
     CSV_HEADER,
@@ -29,6 +30,8 @@ def test_enumeration_errors():
         enumerate_connected_graphs(0)
     with pytest.raises(ValueError, match="sampled mode"):
         enumerate_connected_graphs(9)
+    with pytest.raises(ValueError, match="sampled mode"):
+        next(sweep.connected_levels(4, 9))   # before growing any level
 
 
 def test_enumeration_labels_each_candidate_once(monkeypatch):
@@ -54,8 +57,9 @@ def test_enumeration_matches_unfiltered_growth(n):
 
 
 def test_enumeration_stays_within_labeling_budget(monkeypatch):
-    # only candidates whose new vertex is a least non-cut vertex are labeled:
-    # 2,101 labelings up to n = 7, against 7,815 with every candidate labeled
+    # only candidates whose new vertex is a least non-cut vertex, one per
+    # twin-swap orbit, are labeled: 1,305 labelings up to n = 7, against
+    # 7,815 with every candidate labeled
     calls = []
 
     def counting(n, code):
@@ -64,7 +68,16 @@ def test_enumeration_stays_within_labeling_budget(monkeypatch):
 
     monkeypatch.setattr(zgraph, "min_label_perm", counting)
     assert len(enumerate_connected_graphs(7)) == CONNECTED_COUNTS[6]
-    assert 0 < len(calls) <= 3000
+    assert 0 < len(calls) <= 1600
+
+
+def test_levels_match_unfiltered_growth():
+    # one generator grows every level once, from the level below
+    levels = list(sweep.connected_levels(1, 7))
+    assert [len(graphs) for graphs in levels] == CONNECTED_COUNTS[:7]
+    for n, graphs in enumerate(levels, 1):
+        assert [tuple(g.sorted_edges()) for g in graphs] == growth_reference.connected_graphs(n)
+    assert [g.n for g in next(sweep.connected_levels(3, 5))] == [3, 3]
 
 
 def test_enumeration_is_canonical_and_sorted():
@@ -100,6 +113,60 @@ def test_oracle_agrees_small():
         assert oracle_agrees(g)
 
 
+def test_oracle_relation_matches_reference():
+    # one oracle call per distinct intersection answers every facet pair
+    # exactly as the reference, which ranks every pair by elimination
+    graphs = [g for n in range(4, 7) for g in enumerate_connected_graphs(n)]
+    graphs += sample_connected_graphs(7, 12, seed=20261019)
+    for g in graphs:
+        supports = oracle.oracle_facets(g)
+        adj = sweep.oracle_belt_adjacency(g, supports)
+        for i, s1 in enumerate(supports):
+            assert not adj[i] >> i & 1
+            for j in range(i + 1, len(supports)):
+                want = oracle_reference.oracle_same_belt(g, s1, supports[j])
+                assert bool(adj[i] >> j & 1) == bool(adj[j] >> i & 1) == want, (g, i, j)
+
+
+def _repeated_flat(g):
+    """(i, j, flat): the first Venkov pair whose intersection an earlier pair had."""
+    pairs = [f for f in faces.enumerate_facets(g) if f[0] & 1]
+    masks = [sweep.facet_support(g, f) for f in pairs]
+    seen = set()
+    for i in range(len(pairs)):
+        for j in range(i + 1, len(pairs)):
+            flat = masks[i] & masks[j]
+            if flat in seen:
+                return i, j, flat
+            seen.add(flat)
+    raise AssertionError("no repeated intersection")
+
+
+def test_oracle_agrees_catches_a_flipped_venkov_bit(monkeypatch):
+    g = ZGraph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4)])
+    assert oracle_agrees(g)
+    i, j, _ = _repeated_flat(g)
+    real = faces.belt_adjacency
+
+    def flipped(g, facets, **kw):
+        vadj, dadj = real(g, facets, **kw)
+        vadj[i] ^= 1 << j
+        vadj[j] ^= 1 << i
+        return vadj, dadj
+
+    monkeypatch.setattr(faces, "belt_adjacency", flipped)
+    assert not oracle_agrees(g)
+
+
+def test_oracle_agrees_catches_a_lying_oracle(monkeypatch):
+    g = ZGraph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4)])
+    _, _, flat = _repeated_flat(g)
+    real = oracle.oracle_same_belt
+    monkeypatch.setattr(oracle, "oracle_same_belt",
+                        lambda g, s1, s2: real(g, s1, s2) != (s1 & s2 == flat))
+    assert not oracle_agrees(g)
+
+
 def test_run_sweep_small():
     rep = run_sweep(5, oracle_samples=0)
     assert rep.ok
@@ -116,12 +183,13 @@ def test_run_sweep_small():
 
 def test_belt_size_check_reads_crossings_from_edges(monkeypatch):
     # on the path 0-1-2-3 the core {0},{1},{2,3} has two crossing directions,
-    # so a belt claiming six members and three directions must be reported
+    # so merge bits claiming six members must be reported
     path = ZGraph(4, [(0, 1), (1, 2), (2, 3)])
-    members = tuple((m, 0b1111 ^ m) for m in (0b0001, 0b0010, 0b0011, 0b1100, 0b1101, 0b1110))
-    lying = faces.Belt((0b0001, 0b0010, 0b1100), members, 3)
-    monkeypatch.setattr(sweep, "enumerate_connected_graphs", lambda n: [path])
-    monkeypatch.setattr(faces, "enumerate_codim2", lambda g: [lying])
+    graphs = dual.build_graphs(path)   # built from the true merges
+    lying = (0b0001, 0b0010, 0b1100, True, True, True)
+    monkeypatch.setattr(sweep, "connected_levels", lambda lo, hi: iter([[path]]))
+    monkeypatch.setattr(dual, "build_graphs", lambda g: graphs)
+    monkeypatch.setattr(faces, "_core_merges", lambda g: iter([lying]))
     rep = run_sweep(4, checks=("belt_size",))
     assert rep.violations == ["n=4 [(0, 1), (1, 2), (2, 3)]: size 6 with 2 directions"]
 

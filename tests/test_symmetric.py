@@ -161,9 +161,10 @@ def test_free_trees_match_unfiltered_growth():
 
 
 def test_tree_growth_stays_within_labeling_budget(monkeypatch):
-    # leaf attachment labels only trees whose new leaf is a least leaf (212
-    # calls up to k = 9, 326 with every attachment labeled); labeling every
-    # Pruefer tree takes 1,302 calls for k = 6 alone
+    # leaf attachment labels only trees whose new leaf is a least leaf and
+    # not a twin-swapped copy (136 calls up to k = 9, 326 with every
+    # attachment labeled); labeling every Pruefer tree takes 1,302 calls for
+    # k = 6 alone
     calls = []
     real = zgraph.min_label_perm
 
@@ -181,7 +182,7 @@ def test_tree_growth_stays_within_labeling_budget(monkeypatch):
     assert res.status == "found" and res.distance == 3
     assert calls
     # the search grows trees on at most d - 1 vertices and labels nothing
-    # else: 212 labelings for d = 10, against 468 with the 10-vertex trees
+    # else: 136 labelings for d = 10, against 302 with the 10-vertex trees
     calls.clear()
     free_trees.cache_clear()
     res = search_extremal(10)

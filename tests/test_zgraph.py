@@ -9,6 +9,7 @@ import growth_reference
 from zonobelt.zgraph import (
     ZGraph,
     _least_noncut,
+    _twins,
     bits,
     canonical_label,
     components,
@@ -84,6 +85,38 @@ def test_least_noncut_matches_definition():
                 h = ZGraph(n, [(swap[i], swap[j]) for i, j in edges])
                 parent = [a & ~(1 << n - 1) for a in h.adj[:-1]]
                 assert _least_noncut(parent)(h.adj[-1]) == (invariant(v) == least)
+
+
+def test_twin_rule_skips_only_swapped_copies():
+    # every mask grow_canonical skips on a connected parent of 2..6 vertices
+    # swaps, twin for twin, into a kept mask with the same verdict and child
+    skipped_total = 0
+    for k in range(2, 7):
+        for edges in growth_reference.connected_graphs(k):
+            parent = list(ZGraph(k, edges).adj)
+            twins = _twins(parent)
+            for u, v in twins:
+                a, b = bits(u)[0], bits(v)[0]
+                assert a < b and parent[a] & ~v == parent[b] & ~u
+            passes = _least_noncut(parent)
+
+            def skipped(m):
+                return any(m & v and not m & u for u, v in twins)
+
+            def child_key(m):
+                return canonical_label(k + 1, (list(edges) + [(v, k) for v in bits(m)],))[0]
+
+            for m in range(1, 1 << k):
+                if not skipped(m):
+                    continue
+                skipped_total += 1
+                kept = m
+                while skipped(kept):
+                    u, v = next((u, v) for u, v in twins if kept & v and not kept & u)
+                    kept ^= u | v
+                assert passes(kept) == passes(m), (edges, m, kept)
+                assert child_key(kept) == child_key(m), (edges, m, kept)
+    assert skipped_total > 0
 
 
 def test_components_by_least_vertex():
