@@ -10,7 +10,12 @@ search kept here reaches the same answers by other routes.
 
 from itertools import product
 
+from zonobelt.faces import enumerate_facets, in_same_belt
 from zonobelt.symmetric import (
+    D8_X1,
+    D8_X2,
+    D8_Y1,
+    D8_Y2,
     ColoredZGraph,
     cross_completions,
     enumerate_conjugate_classes,
@@ -124,3 +129,18 @@ def search_extremal_reference(d: int):
             if find_common_leaf(cg) is None:
                 return "found", red_blue_distance(cg), cg
     return "none", None, None
+
+
+def d8_common_neighbors_reference(g: ZGraph) -> int:
+    """Facet pairs of g sharing a belt with both d8 partitions, by full scan."""
+    f1 = (D8_X1, D8_Y1)
+    f2 = (D8_X2, D8_Y2)
+    count = 0
+    for f in enumerate_facets(g):
+        if not f[0] & 1:
+            continue
+        if {f[0], f[1]} in ({D8_X1, D8_Y1}, {D8_X2, D8_Y2}):
+            continue
+        if in_same_belt(g, f, f1) and in_same_belt(g, f, f2):
+            count += 1
+    return count

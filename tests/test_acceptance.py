@@ -68,7 +68,11 @@ def test_criterion_04_sharp_witnesses():
 def test_criterion_05_d8_witness():
     res = symmetric.search_d8_nonsymmetric(budget_seconds=3600.0, seed=1)
     assert res.status == "found", res.status
+    assert res.nodes == 844
     g, f1, f2 = res.witness
+    assert g.sorted_edges() == [(0, 2), (0, 4), (0, 5), (0, 8), (1, 3), (1, 4), (1, 5), (1, 7),
+                                (1, 8), (2, 5), (2, 7), (2, 8), (3, 4), (3, 5), (3, 6), (4, 5),
+                                (4, 6), (4, 8), (5, 6), (6, 7), (7, 8)]
     assert g.n == 9 and dimension(g) == 8
     assert faces.validate_partition(g, f1)
     assert faces.validate_partition(g, f2)

@@ -346,6 +346,24 @@ def test_search_d8_violation_exits_one(monkeypatch, capsys):
     assert "status: violation" in out and "distance: 2" in out
 
 
+def _common_leaf_reduction(g, f1, f2):
+    cg = gen_k2dm1(7)
+    return (cg, *symmetric.color_facets(cg))
+
+
+def _stalled_reduction(g, f1, f2):
+    raise RuntimeError("reduction did not reach a conjugate pair")
+
+
+@pytest.mark.parametrize("reduction", [_common_leaf_reduction, _stalled_reduction])
+def test_search_d8_failed_reduction_exits_one(monkeypatch, capsys, reduction):
+    # the seed-12 witness is at distance 3, but its reduction breaks the proof's chain
+    monkeypatch.setattr(symmetric, "reduce_to_symmetric", reduction)
+    assert main(["search", "d8", "--seed", "12", "--max-nodes", "400"]) == EXIT_VIOLATION
+    out = capsys.readouterr().out
+    assert "status: violation" in out and "distance: 3" in out
+
+
 def _no_leaf_floor(monkeypatch):
     # completions stop avoiding common leaves
     real = symmetric.cross_completions

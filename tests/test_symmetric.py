@@ -1,20 +1,27 @@
 """Conjugate colorings: checks, enumeration, generators, reduction, search."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 import growth_reference
 from conjugate_reference import (
+    d8_common_neighbors_reference,
     enumerate_conjugate,
     free_trees_by_pruefer,
     red_forest_reps,
     search_extremal_reference,
 )
-from zonobelt import zgraph
-from zonobelt.faces import enumerate_facets
+from zonobelt import faces, symmetric, venkov, zgraph
+from zonobelt.faces import enumerate_facets, in_same_belt
 from zonobelt.symmetric import (
+    D8_CANDIDATES,
+    D8_X1,
+    D8_X2,
+    D8_Y1,
+    D8_Y2,
     ColoredZGraph,
     bipartite_trees,
     check_conjugate,
@@ -357,3 +364,93 @@ def test_search_d8_budget_exhaustion():
     res = search_d8_nonsymmetric(max_nodes=1, seed=3)
     assert res.status == "inconclusive"
     assert res.witness is None
+
+
+# the d8 climb's witnesses from restart seeds 12 (node 97) and 1 (node 844)
+D8_WITNESS_SEED12 = [(0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (1, 2), (1, 3), (1, 6), (1, 7), (2, 5),
+                     (2, 7), (3, 4), (3, 5), (3, 6), (4, 5), (4, 8), (5, 8), (6, 7), (7, 8)]
+D8_WITNESS_SEED1 = [(0, 2), (0, 4), (0, 5), (0, 8), (1, 3), (1, 4), (1, 5), (1, 7), (1, 8), (2, 5),
+                    (2, 7), (2, 8), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (4, 8), (5, 6), (6, 7),
+                    (7, 8)]
+D8_F1 = (D8_X1, D8_Y1)
+D8_F2 = (D8_X2, D8_Y2)
+
+
+def test_d8_candidates_are_the_common_neighbors_in_k9():
+    # in K9 every part is connected, so only the empty intersections decide
+    k9 = permutahedron_graph(8)
+    brute = [f for f in enumerate_facets(k9)
+             if f[0] & 1 and {f[0], f[1]} not in ({D8_X1, D8_Y1}, {D8_X2, D8_Y2})
+             and in_same_belt(k9, f, D8_F1) and in_same_belt(k9, f, D8_F2)]
+    assert sorted(D8_CANDIDATES) == sorted(brute)
+    assert len(D8_CANDIDATES) == 16
+
+
+def test_d8_score_matches_full_scan_on_random_graphs():
+    rng = random.Random(88)
+    pairs = list(combinations(range(9), 2))
+    unpenalised = 0
+    for p in (0.3, 0.5, 0.7):
+        for _ in range(100):
+            g = ZGraph(9, [e for e in pairs if rng.random() < p])
+            if not g.connected_in(g.full_mask):
+                continue
+            want = d8_common_neighbors_reference(g)
+            assert symmetric._d8_common_neighbors(g) == want
+            score = symmetric._d8_score(g)
+            if score < 100:
+                assert score == want
+                unpenalised += 1
+    assert unpenalised >= 30
+
+
+def test_d8_score_matches_full_scan_along_a_climb(monkeypatch):
+    real = symmetric._d8_score
+    scored = []
+
+    def recording(g):
+        score = real(g)
+        scored.append((g, score))
+        return score
+
+    monkeypatch.setattr(symmetric, "_d8_score", recording)
+    res = search_d8_nonsymmetric(max_nodes=400, seed=12)
+    assert (res.status, res.nodes) == ("found", 97)
+    assert res.witness[0].sorted_edges() == D8_WITNESS_SEED12
+    checked = 0
+    for g, score in scored:
+        if score < 100:
+            assert score == d8_common_neighbors_reference(g)
+            checked += 1
+    assert checked > 1000
+
+
+def test_d8_score_scans_only_the_candidates(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for mod in (faces, venkov, symmetric):
+        for name in ("enumerate_facets", "in_same_belt"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    # K9: all 16 candidates share both belts, so every test runs
+    assert symmetric._d8_score(permutahedron_graph(8)) == 16
+    assert calls == {"in_same_belt": 32}
+    calls.clear()
+    assert symmetric._d8_score(ZGraph(9, D8_WITNESS_SEED12)) == 0
+    assert calls["enumerate_facets"] == 0 and calls["in_same_belt"] <= 32
+
+
+@pytest.mark.parametrize("edges", [D8_WITNESS_SEED12, D8_WITNESS_SEED1])
+def test_d8_witnesses_reduce_to_leaf_free_colorings(edges):
+    g = ZGraph(9, edges)
+    cg, i1, i2 = reduce_to_symmetric(g, D8_F1, D8_F2)
+    assert cg.base.n == 8
+    assert check_conjugate(cg)[0]
+    assert find_common_leaf(cg) is None
+    assert red_blue_distance(cg) == 3
