@@ -9,6 +9,7 @@ parallel to a codimension-2 face, whose core is the unordered 3-partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .zgraph import ZGraph, components
 
@@ -111,11 +112,14 @@ def enumerate_codim2(g: ZGraph) -> list[Belt]:
     if g.n < 3:
         raise ValueError("need at least 3 vertices")
     full = g.full_mask
-    # every belt holding a facet shares one tuple for it: the belt list is
-    # the largest object a query builds (several MB at 10 vertices)
+    # every belt holding a part or a facet shares one int or tuple for it:
+    # the belt list is the largest object a query builds (several MB at 10
+    # vertices)
+    part = {}
     facet = {}
     belts = []
     for p, q, r, pq, pr, qr in _core_merges(g):
+        p, q, r = part.setdefault(p, p), part.setdefault(q, q), part.setdefault(r, r)
         members = []
         # with the core ascending (a, b, c) the merges run a|b, a|c, b|c,
         # i.e. by the part left out, descending
@@ -125,8 +129,15 @@ def enumerate_codim2(g: ZGraph) -> list[Belt]:
                 members.append(facet.setdefault(merged, (merged, rest)))
                 members.append(facet.setdefault(rest, (rest, merged)))
         belts.append(Belt(tuple(sorted((p, q, r))), tuple(members), pq + pr + qr))
-    belts.sort(key=lambda belt: partition_key(belt.core))
+    # partition_key order from two stable sorts whose keys allocate nothing
+    belts.sort(key=attrgetter("core"))
+    belts.sort(key=_zero_part_size)
     return belts
+
+
+def _zero_part_size(belt: Belt) -> int:
+    a, b, c = belt.core
+    return (a if a & 1 else b if b & 1 else c).bit_count()
 
 
 def belt_adjacency(g: ZGraph, facets: list[FacetId], venkov: bool = True,

@@ -12,12 +12,17 @@ read straight from the adjacency bitmask.  A node's eccentricity is the
 first k at which its ball is full.  The whole graph takes one round per
 unit of diameter, each at most one OR per adjacent pair, instead of one
 BFS per source.
+
+A belt distance needs neither: belt_neighbors generates a node's
+neighbours from submasks of its two parts, so belt_distance never lists
+the facets.
 """
 
 from __future__ import annotations
 
-from .faces import FacetId, belt_adjacency, enumerate_facets, in_same_belt, unordered_pair
-from .zgraph import ZGraph
+from .faces import FacetId, belt_adjacency, enumerate_facets, unordered_pair
+from .faces import _require_connected, validate_partition
+from .zgraph import ZGraph, bits
 
 
 class VenkovGraph:
@@ -69,39 +74,90 @@ def diameter_witness(adj: list[int]) -> tuple[int, tuple[int, int]]:
     return diameter, pair
 
 
+def belt_neighbors(g: ZGraph, a: int) -> list[int]:
+    """Venkov neighbours of the facet pair {a, V∖a}, sorted like the facets.
+
+    Each neighbour {C, V∖C} is named by its part holding vertex 0.  It shares
+    a belt with {a, V∖a} exactly when C is a proper submask of one side P
+    and C and rest = P∖C are connected: the other side O is connected, so
+    V∖C = O ∪ rest is connected exactly when rest touches O.
+    """
+    full = g.full_mask
+    conn = g.connected_in
+    adj = g.adj
+    out = []
+    for side in (a, full ^ a):
+        other = full ^ side
+        touch = 0
+        for v in bits(other):
+            touch |= adj[v]
+        sub = (side - 1) & side
+        while sub:
+            rest = side ^ sub
+            if rest & touch and conn(sub) and conn(rest):
+                out.append(sub if sub & 1 else full ^ sub)
+            sub = (sub - 1) & side
+    out.sort()
+    out.sort(key=int.bit_count)
+    return out
+
+
+def _discovered(g: ZGraph, src: int):
+    """(node, parent) in the discovery order of a BFS from src; src first."""
+    yield src, None
+    seen = {src}
+    queue = [src]
+    for u in queue:                     # grows while read: a FIFO queue
+        for v in belt_neighbors(g, u):
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+                yield v, u
+
+
+def _pair_key(g: ZGraph, f) -> FacetId:
+    key = tuple(unordered_pair(f))
+    try:
+        if len(key) == 2:
+            return validate_partition(g, key)
+    except ValueError:
+        pass
+    raise ValueError("not a facet of this graph")
+
+
 def belt_distance(g: ZGraph, f1: FacetId, f2: FacetId):
     """(BFS distance between the facet pairs, one shortest belt path).
 
-    Neighbors are computed lazily so a short distance never pays for the
-    full Venkov adjacency of a large instance.
+    The BFS generates neighbours (belt_neighbors) instead of scanning every
+    facet, and stops at the first node it finds next to f2, so the last
+    level is never expanded.  Nodes are expanded in discovery order over
+    sorted neighbour lists, so the path is the one a BFS over the sorted
+    facet list returns.  The path's ends are f1 and f2 with vertex 0's part
+    first.
     """
-    nodes = [f for f in enumerate_facets(g) if f[0] & 1]
-    index = {f: i for i, f in enumerate(nodes)}
-    key1, key2 = unordered_pair(f1), unordered_pair(f2)
-    if key1 not in index or key2 not in index:
-        raise ValueError("not a facet of this graph")
-    src, dst = index[key1], index[key2]
+    _require_connected(g)
+    if g.n < 2:
+        raise ValueError("need at least 2 vertices")
+    start, goal = _pair_key(g, f1), _pair_key(g, f2)
+    src, dst = start[0], goal[0]
     if src == dst:
-        return 0, [nodes[src]]
-    parent = {src: -1}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            fu = nodes[u]
-            for v, fv in enumerate(nodes):
-                if v in parent or not in_same_belt(g, fu, fv):
-                    continue
-                parent[v] = u
-                if v == dst:
-                    path = [v]
-                    while path[-1] != src:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return len(path) - 1, [nodes[x] for x in path]
-                nxt.append(v)
-        frontier = nxt
-    raise RuntimeError("facet pairs not connected in the Venkov graph")
+        return 0, [start]
+    near = set(belt_neighbors(g, dst))
+    parent = {}
+    for v, u in _discovered(g, src):
+        parent[v] = u
+        if v in near:
+            break
+    else:
+        raise RuntimeError("facet pairs not connected in the Venkov graph")
+    full = g.full_mask
+    path = [goal]
+    while v != src:
+        path.append((v, full ^ v))
+        v = parent[v]
+    path.append(start)
+    path.reverse()
+    return len(path) - 1, path
 
 
 def belt_diameter(g: ZGraph) -> int:

@@ -2,9 +2,11 @@
 
 These are the direct readings of the definitions: belts built core by core
 with an explicit crossing-edge test, Venkov and dual adjacency tested for
-every pair of facets, and diameters by one BFS per source node.  They are
+every pair of facets, diameters by one BFS per source node, and belt
+distance by a BFS that scans every facet for each frontier node.  They are
 quadratic or worse, so the library derives the same objects from one pass
-over the codimension-2 cores instead.
+over the codimension-2 cores, and belt distance from generated neighbours,
+instead.
 """
 
 from zonobelt.faces import (
@@ -12,6 +14,7 @@ from zonobelt.faces import (
     enumerate_facets,
     in_same_belt,
     partition_key,
+    unordered_pair,
     validate_partition,
 )
 from zonobelt.zgraph import ZGraph, bits
@@ -146,3 +149,41 @@ def diameter_witness(adj: list[int]) -> tuple[int, tuple[int, int]]:
             best = ecc
             pair = (i, j)
     return best, pair
+
+
+def belt_distance_reference(g: ZGraph, f1, f2):
+    """(distance, path) by a BFS testing in_same_belt against every facet."""
+    nodes = [f for f in enumerate_facets(g) if f[0] & 1]
+    index = {f: i for i, f in enumerate(nodes)}
+    key1, key2 = unordered_pair(f1), unordered_pair(f2)
+    if key1 not in index or key2 not in index:
+        raise ValueError("not a facet of this graph")
+    src, dst = index[key1], index[key2]
+    if src == dst:
+        return 0, [nodes[src]]
+    parent = {src: -1}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            fu = nodes[u]
+            for v, fv in enumerate(nodes):
+                if v in parent or not in_same_belt(g, fu, fv):
+                    continue
+                parent[v] = u
+                if v == dst:
+                    path = [v]
+                    while path[-1] != src:
+                        path.append(parent[path[-1]])
+                    path.reverse()
+                    return len(path) - 1, [nodes[x] for x in path]
+                nxt.append(v)
+        frontier = nxt
+    raise RuntimeError("facet pairs not connected in the Venkov graph")
+
+
+def belt_neighbors_reference(g: ZGraph, a: int) -> list[int]:
+    """Vertex-0 parts of the facet pairs in_same_belt with {a, V∖a}."""
+    f = (a, g.full_mask ^ a)
+    return [c for c, d in enumerate_facets(g)
+            if c & 1 and c != a and in_same_belt(g, f, (c, d))]

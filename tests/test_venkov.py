@@ -1,18 +1,30 @@
-"""Venkov graph construction, distances, and diameters."""
+"""Venkov graph construction, distances, and diameters.
+
+belt_distance and belt_neighbors generate neighbours; they are checked
+against the facet-scanning references in adjacency_reference on every
+facet-pair query of every connected graph with n <= 6, on seeded graphs
+with 7..12 vertices and on the odd and even family witnesses up to d = 14.
+"""
 
 import random
+from collections import Counter
 
 import pytest
 
+import adjacency_reference as ref
 from adjacency_reference import eccentricity, farthest
+from zonobelt import faces, venkov
 from zonobelt.faces import enumerate_facets, in_same_belt, unordered_pair
+from zonobelt.sweep import enumerate_connected_graphs
+from zonobelt.symmetric import color_facets, gen_even_extremal, gen_odd_extremal
 from zonobelt.venkov import (
     belt_diameter,
     belt_distance,
+    belt_neighbors,
     build_venkov,
     diameter_witness,
 )
-from zonobelt.zgraph import ZGraph
+from zonobelt.zgraph import ZGraph, dimension
 
 
 def path(n):
@@ -62,8 +74,40 @@ def test_belt_distance_same_pair():
 
 
 def test_belt_distance_rejects_non_facet():
-    with pytest.raises(ValueError, match="not a facet"):
-        belt_distance(path(4), (0b0101, 0b1010), (0b0001, 0b1110))
+    g = path(4)
+    ok = (0b0001, 0b1110)
+    # a disconnected part, parts not covering, overlapping, an empty part,
+    # a bit outside the graph, three parts
+    for bad in ((0b0101, 0b1010), (0b0001, 0b0110), (0b0011, 0b1110),
+                (0b1111, 0), (0b10001, 0b1110), (0b0001, 0b0110, 0b1000)):
+        for f1, f2 in ((bad, ok), (ok, bad)):
+            with pytest.raises(ValueError, match="not a facet"):
+                belt_distance(g, f1, f2)
+
+
+def test_belt_distance_rejects_bad_graphs():
+    with pytest.raises(ValueError, match="graph must be connected"):
+        belt_distance(ZGraph(4, [(0, 1), (2, 3)]), (0b0011, 0b1100), (0b0001, 0b1110))
+    with pytest.raises(ValueError, match="need at least 2 vertices"):
+        belt_distance(ZGraph(1, []), (1, 0), (1, 0))
+
+
+def test_belt_distance_unreachable_raises(monkeypatch):
+    monkeypatch.setattr(venkov, "belt_neighbors", lambda g, a: [])
+    with pytest.raises(RuntimeError, match="not connected"):
+        belt_distance(complete(4), (0b0011, 0b1100), (0b0101, 0b1010))
+
+
+def test_belt_distance_list_facets_give_tuples():
+    g = complete(5)
+    f1, f2 = (0b00011, 0b11100), (0b01010, 0b10101)
+    want = belt_distance(g, f1, f2)
+    assert want == ref.belt_distance_reference(g, f1, f2) and want[0] == 2
+    for a, b in ((list(f1), list(f2)), (list(f1[::-1]), list(f2[::-1]))):
+        got = belt_distance(g, a, b)
+        assert got == want
+        assert all(type(f) is tuple and all(type(x) is int for x in f) for f in got[1])
+    assert belt_distance(g, [0b11100, 0b00011], f1) == (0, [f1])
 
 
 def test_belt_distance_agrees_with_bfs_on_full_graph():
@@ -114,3 +158,87 @@ def test_eccentricity_and_witness():
 def test_farthest_disconnected_raises():
     with pytest.raises(RuntimeError, match="disconnected"):
         farthest([0, 0], 0)
+
+
+def facet_pairs(g):
+    return [f for f in enumerate_facets(g) if f[0] & 1]
+
+
+def seeded_graphs(ns, per, seed):
+    """per connected graphs for each n in ns at edge densities 0.3/0.5/0.7."""
+    rng = random.Random(seed)
+    out = []
+    for n in ns:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for p in (0.3, 0.5, 0.7):
+            made = 0
+            while made < per:
+                g = ZGraph(n, [e for e in pairs if rng.random() < p])
+                if dimension(g) == n - 1:
+                    out.append(g)
+                    made += 1
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_belt_distance_matches_reference_on_every_query(n):
+    for g in enumerate_connected_graphs(n):
+        nodes = facet_pairs(g)
+        for f1 in nodes:
+            for f2 in nodes:
+                assert belt_distance(g, f1, f2) == ref.belt_distance_reference(g, f1, f2)
+
+
+def test_belt_distance_matches_reference_on_seeded_graphs():
+    rng = random.Random(71)
+    for g in seeded_graphs(range(7, 13), 2, 70):
+        vg = build_venkov(g)
+        _, (i, j) = diameter_witness(vg.adj)
+        queries = [(vg.nodes[i], vg.nodes[j])]
+        queries += [rng.sample(vg.nodes, 2) for _ in range(8)]
+        for f1, f2 in queries:
+            if rng.random() < 0.5:
+                f2 = f2[::-1]
+            assert belt_distance(g, f1, f2) == ref.belt_distance_reference(g, f1, f2)
+
+
+@pytest.mark.parametrize("cg", [gen_odd_extremal(n) for n in range(2, 6)]
+                         + [gen_even_extremal(n) for n in range(3, 6)],
+                         ids=lambda cg: "d%d" % (cg.base.n - 1))
+def test_belt_distance_matches_reference_on_family_witnesses(cg):
+    fr, fb = color_facets(cg)
+    got = belt_distance(cg.base, fr, fb)
+    assert got[0] == 3
+    assert got == ref.belt_distance_reference(cg.base, fr, fb)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_belt_neighbors_match_scan_on_every_graph(n):
+    for g in enumerate_connected_graphs(n):
+        for a, _ in facet_pairs(g):
+            assert belt_neighbors(g, a) == ref.belt_neighbors_reference(g, a)
+
+
+def test_belt_neighbors_match_scan_on_seeded_graphs():
+    for g in seeded_graphs(range(7, 11), 1, 72):
+        for a, _ in facet_pairs(g):
+            assert belt_neighbors(g, a) == ref.belt_neighbors_reference(g, a)
+
+
+def test_belt_distance_scans_no_facets(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    # venkov binds its own names at import, so patching faces alone misses it
+    for mod in (faces, venkov):
+        for name in ("enumerate_facets", "in_same_belt"):
+            monkeypatch.setattr(mod, name, counting(name, getattr(faces, name)),
+                                raising=False)
+    cg = gen_even_extremal(5)
+    assert belt_distance(cg.base, *color_facets(cg))[0] == 3
+    assert calls == {}
