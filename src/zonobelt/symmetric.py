@@ -24,6 +24,7 @@ from functools import lru_cache
 from . import venkov
 from .faces import in_same_belt, validate_partition
 from .zgraph import (
+    PAIR,
     ZGraph,
     bits,
     canonical_label,
@@ -33,11 +34,12 @@ from .zgraph import (
     dimension,
     grow_canonical,
     mask_of,
+    pair,
 )
 
 
 def _norm_edges(edges):
-    return frozenset((i, j) if i < j else (j, i) for i, j in edges)
+    return frozenset(pair(i, j) for i, j in edges)
 
 
 class ColoredZGraph:
@@ -304,6 +306,13 @@ def bipartite_trees(xs: int, ys: int, min_deg=None):
     Yields sorted edge tuples in lexicographic order.  min_deg maps a
     vertex to a required minimum degree (used to rule out common leaves
     during search instead of filtering afterwards).
+
+    The walk takes or skips each candidate edge in order and cuts a branch
+    only when it cannot finish.  Every edge joins one xs vertex to one ys
+    vertex, so on each side the degree still missing from the floors must
+    fit in the edges still to choose.  A vertex's slack (degree plus the
+    candidates left at it, minus its floor) drops only when an edge at it
+    is skipped, so only that edge's ends need checking.
     """
     verts = bits(xs | ys)
     if len(verts) == 1:
@@ -311,66 +320,67 @@ def bipartite_trees(xs: int, ys: int, min_deg=None):
         return
     if not xs or not ys:
         return
-    cand = sorted(
-        (min(u, v), max(u, v)) for u in bits(xs) for v in bits(ys)
-    )
-    need = len(verts) - 1
-    req = {v: 1 for v in verts}
+    cand = sorted(PAIR[u][v] for u in bits(xs) for v in bits(ys))
+    m = len(cand)
+    top = verts[-1] + 1
+    req = [1] * top
     if min_deg:
         for v, k in min_deg.items():
-            if v in req:
+            if v >= 0 and (xs | ys) >> v & 1:
                 req[v] = max(1, k)
-    # suffix incidence counts for degree-feasibility pruning
-    m = len(cand)
-    suffix = [dict.fromkeys(verts, 0) for _ in range(m + 1)]
-    for i in range(m - 1, -1, -1):
-        row = dict(suffix[i + 1])
-        u, v = cand[i]
-        row[u] += 1
-        row[v] += 1
-        suffix[i] = row
-
-    deg = dict.fromkeys(verts, 0)
-    comp = {v: v for v in verts}
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
+    side = [ys >> v & 1 for v in range(top)]
+    slack = [0] * top
+    for v in bits(xs):
+        slack[v] = ys.bit_count() - req[v]
+    for v in bits(ys):
+        slack[v] = xs.bit_count() - req[v]
+    unmet = [sum(req[v] for v in bits(xs)), sum(req[v] for v in bits(ys))]
+    need = len(verts) - 1
+    if min(slack[v] for v in verts) < 0 or max(unmet) > need:
+        return
+    deg = [0] * top
+    comp = [1 << v for v in range(top)]
     chosen = []
 
-    def feasible(i):
-        for v in verts:
-            if deg[v] + suffix[i][v] < req[v]:
-                return False
-        return True
-
-    def rec(i):
-        if len(chosen) == need:
-            if all(deg[v] >= req[v] for v in verts):
+    def rec(i, left):
+        if not left:
+            if unmet == [0, 0]:
                 yield tuple(chosen)
             return
-        if m - i < need - len(chosen) or not feasible(i):
+        if m - i < left:
             return
-        u, v = cand[i]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            saved = dict(comp)
-            comp[rv] = ru
+        e = cand[i]
+        u, v = e
+        cu, cv = comp[u], comp[v]
+        if cu != cv:
+            both = cu | cv
+            for w in bits(both):
+                comp[w] = both
             deg[u] += 1
             deg[v] += 1
-            chosen.append(cand[i])
-            yield from rec(i + 1)
-            chosen.pop()
+            met_u, met_v = deg[u] <= req[u], deg[v] <= req[v]
+            unmet[side[u]] -= met_u
+            unmet[side[v]] -= met_v
+            if unmet[0] < left and unmet[1] < left:
+                chosen.append(e)
+                yield from rec(i + 1, left - 1)
+                chosen.pop()
+            unmet[side[u]] += met_u
+            unmet[side[v]] += met_v
             deg[u] -= 1
             deg[v] -= 1
-            comp.clear()
-            comp.update(saved)
-        yield from rec(i + 1)
+            for w in bits(cu):
+                comp[w] = cu
+            for w in bits(cv):
+                comp[w] = cv
+        slack[u] -= 1
+        slack[v] -= 1
+        if slack[u] >= 0 and slack[v] >= 0:
+            yield from rec(i + 1, left)
+        slack[u] += 1
+        slack[v] += 1
 
-    yield from rec(0)
+    yield from rec(0, need)
 
 
 def cross_completions(n: int, forest_edges, forbid_common_leaf=False):

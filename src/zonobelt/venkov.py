@@ -14,8 +14,8 @@ unit of diameter, each at most one OR per adjacent pair, instead of one
 BFS per source.
 
 A belt distance needs neither: belt_neighbors generates a node's
-neighbours from submasks of its two parts, so belt_distance never lists
-the facets.
+neighbours from the splits of each part into two connected parts, so
+belt_distance never lists the facets.
 """
 
 from __future__ import annotations
@@ -81,22 +81,39 @@ def belt_neighbors(g: ZGraph, a: int) -> list[int]:
     a belt with {a, V∖a} exactly when C is a proper submask of one side P
     and C and rest = P∖C are connected: the other side O is connected, so
     V∖C = O ∪ rest is connected exactly when rest touches O.
+
+    So each side P is split into two connected parts.  The part holding P's
+    least vertex is grown as a connected set (the extension/banned-set walk
+    finds each such set once), and the split is kept when the rest is
+    connected too.  Either part is a neighbour when the other touches O.
     """
     full = g.full_mask
     conn = g.connected_in
     adj = g.adj
     out = []
     for side in (a, full ^ a):
-        other = full ^ side
         touch = 0
-        for v in bits(other):
+        for v in bits(full ^ side):
             touch |= adj[v]
-        sub = (side - 1) & side
-        while sub:
-            rest = side ^ sub
-            if rest & touch and conn(sub) and conn(rest):
-                out.append(sub if sub & 1 else full ^ sub)
-            sub = (sub - 1) & side
+        low = side & -side
+        ext = adj[low.bit_length() - 1] & side
+        # (connected set holding low, its extension, banned): the set and
+        # its extension are banned, and so is each earlier sibling's vertex
+        stack = [(low, ext, low | ext)]
+        while stack:
+            part, ext, ban = stack.pop()
+            if part != side:
+                rest = side ^ part
+                if conn(rest):
+                    if rest & touch:
+                        out.append(part if part & 1 else full ^ part)
+                    if part & touch:
+                        out.append(rest if rest & 1 else full ^ rest)
+            while ext:
+                v = ext & -ext
+                ext ^= v
+                new = adj[v.bit_length() - 1] & side & ~ban
+                stack.append((part | v, ext | new, ban | new))
     out.sort()
     out.sort(key=int.bit_count)
     return out

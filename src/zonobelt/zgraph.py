@@ -12,6 +12,23 @@ from typing import Iterable
 
 MAX_N = 16
 
+# PAIR[i][j] is the one (min(i, j), max(i, j)) tuple for i != j < MAX_N, so
+# every graph and coloring holds the same 120 edge objects, not private copies.
+_UPPER = [[(i, j) if i < j else None for j in range(MAX_N)] for i in range(MAX_N)]
+PAIR = tuple(
+    tuple(_UPPER[i][j] if i < j else _UPPER[j][i] for j in range(MAX_N))
+    for i in range(MAX_N)
+)
+del _UPPER
+
+
+def pair(i: int, j: int) -> tuple[int, int]:
+    """The edge {i, j} as the shared PAIR tuple, or a fresh sorted tuple
+    when i, j is not a pair of distinct labels below MAX_N."""
+    if i != j and 0 <= i < MAX_N and 0 <= j < MAX_N:
+        return PAIR[i][j]
+    return (i, j) if i < j else (j, i)
+
 
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
@@ -45,9 +62,7 @@ class ZGraph:
                 raise ValueError("loop edge (%d,%d)" % (i, j))
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError("edge endpoint out of range: (%d,%d)" % (i, j))
-            if i > j:
-                i, j = j, i
-            es.add((i, j))
+            es.add(PAIR[i][j])
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         self.n = n
@@ -131,31 +146,21 @@ def _compact(v: int, hi: int, lo: int) -> int:
     return v - 1 if v > hi else v
 
 
-def contract(g: ZGraph, i: int, j: int) -> ZGraph:
-    """Glue vertices i and j (an i-j edge need not exist).
+def contract_map(g: ZGraph, i: int, j: int) -> tuple[ZGraph, list[int]]:
+    """Glue vertices i and j (an i-j edge need not exist); (graph, label map).
 
     The merged vertex lands in min(i,j)'s slot, remaining labels compact
     down preserving relative order; parallel edges collapse, loops drop.
+    The map sends each old label to its new one.
     """
     if i == j:
         raise ValueError("cannot contract a vertex with itself")
     if not (0 <= i < g.n and 0 <= j < g.n):
         raise ValueError("vertex out of range")
     lo, hi = (i, j) if i < j else (j, i)
-    new_edges = set()
-    for a, b in g.edges:
-        a = _compact(a, hi, lo)
-        b = _compact(b, hi, lo)
-        if a != b:
-            new_edges.add((a, b) if a < b else (b, a))
-    return ZGraph(g.n - 1, new_edges)
-
-
-def contract_map(g: ZGraph, i: int, j: int) -> tuple[ZGraph, list[int]]:
-    """contract() plus the old-label -> new-label map."""
-    h = contract(g, i, j)
-    lo, hi = (i, j) if i < j else (j, i)
-    return h, [_compact(v, hi, lo) for v in range(g.n)]
+    new = [_compact(v, hi, lo) for v in range(g.n)]
+    edges = [(new[a], new[b]) for a, b in g.edges if new[a] != new[b]]
+    return ZGraph(g.n - 1, edges), new
 
 
 def delete_edge(g: ZGraph, i: int, j: int) -> ZGraph:

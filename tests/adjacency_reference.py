@@ -187,3 +187,29 @@ def belt_neighbors_reference(g: ZGraph, a: int) -> list[int]:
     f = (a, g.full_mask ^ a)
     return [c for c, d in enumerate_facets(g)
             if c & 1 and c != a and in_same_belt(g, f, (c, d))]
+
+
+def belt_neighbors_submasks(g: ZGraph, a: int) -> list[int]:
+    """Vertex-0 parts of the neighbours of {a, V∖a}, from every submask.
+
+    Walks every proper submask C of both sides P and keeps it when C and
+    P∖C are connected and P∖C touches the other side.
+    """
+    full = g.full_mask
+    conn = g.connected_in
+    adj = g.adj
+    out = []
+    for side in (a, full ^ a):
+        other = full ^ side
+        touch = 0
+        for v in bits(other):
+            touch |= adj[v]
+        sub = (side - 1) & side
+        while sub:
+            rest = side ^ sub
+            if rest & touch and conn(sub) and conn(rest):
+                out.append(sub if sub & 1 else full ^ sub)
+            sub = (sub - 1) & side
+    out.sort()
+    out.sort(key=int.bit_count)
+    return out

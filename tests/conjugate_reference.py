@@ -144,3 +144,79 @@ def d8_common_neighbors_reference(g: ZGraph) -> int:
         if in_same_belt(g, f, f1) and in_same_belt(g, f, f2):
             count += 1
     return count
+
+
+def bipartite_trees_reference(xs: int, ys: int, min_deg=None):
+    """Spanning trees of the complete bipartite graph on xs x ys.
+
+    Yields sorted edge tuples in lexicographic order, pruning only by a
+    scan of every vertex's degree floor at each node and restoring the
+    union-find from a copy on backtrack.  min_deg maps a vertex to a
+    required minimum degree.
+    """
+    verts = bits(xs | ys)
+    if len(verts) == 1:
+        yield ()
+        return
+    if not xs or not ys:
+        return
+    cand = sorted(
+        (min(u, v), max(u, v)) for u in bits(xs) for v in bits(ys)
+    )
+    need = len(verts) - 1
+    req = {v: 1 for v in verts}
+    if min_deg:
+        for v, k in min_deg.items():
+            if v in req:
+                req[v] = max(1, k)
+    # suffix incidence counts for degree-feasibility pruning
+    m = len(cand)
+    suffix = [dict.fromkeys(verts, 0) for _ in range(m + 1)]
+    for i in range(m - 1, -1, -1):
+        row = dict(suffix[i + 1])
+        u, v = cand[i]
+        row[u] += 1
+        row[v] += 1
+        suffix[i] = row
+
+    deg = dict.fromkeys(verts, 0)
+    comp = {v: v for v in verts}
+
+    def find(x):
+        while comp[x] != x:
+            comp[x] = comp[comp[x]]
+            x = comp[x]
+        return x
+
+    chosen = []
+
+    def feasible(i):
+        for v in verts:
+            if deg[v] + suffix[i][v] < req[v]:
+                return False
+        return True
+
+    def rec(i):
+        if len(chosen) == need:
+            if all(deg[v] >= req[v] for v in verts):
+                yield tuple(chosen)
+            return
+        if m - i < need - len(chosen) or not feasible(i):
+            return
+        u, v = cand[i]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            saved = dict(comp)
+            comp[rv] = ru
+            deg[u] += 1
+            deg[v] += 1
+            chosen.append(cand[i])
+            yield from rec(i + 1)
+            chosen.pop()
+            deg[u] -= 1
+            deg[v] -= 1
+            comp.clear()
+            comp.update(saved)
+        yield from rec(i + 1)
+
+    yield from rec(0)

@@ -2,12 +2,13 @@
 
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
 import growth_reference
 from conjugate_reference import (
+    bipartite_trees_reference,
     d8_common_neighbors_reference,
     enumerate_conjugate,
     free_trees_by_pruefer,
@@ -89,6 +90,20 @@ def test_colored_graph_validation():
         ColoredZGraph(g, [(0, 1)], [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match="exactly one color"):
         ColoredZGraph(g, [(0, 1)], [])
+
+
+def test_colorings_share_the_graph_edge_objects():
+    red = [(1, 0), (2, 3)]
+    blue = [(0, 3), (2, 1)]
+    cg = ColoredZGraph(ZGraph(4, red + blue), [(0, 1), (2, 3)], blue)
+    other = ColoredZGraph(ZGraph(4, [(3, 2), (1, 2), (1, 0), (3, 0)]), red, blue)
+    for a, b in ((cg, other), (cg.swapped(), other.swapped())):
+        for e in a.red | a.blue:
+            assert any(e is f for f in b.base.edges)
+            assert any(e is f for f in a.base.edges)
+    for tree in bipartite_trees(mask_of([0, 1]), mask_of([2, 3])):
+        for e in tree:
+            assert e is zgraph.PAIR[e[0]][e[1]]
 
 
 def test_check_conjugate_reports_reasons():
@@ -214,6 +229,50 @@ def test_bipartite_trees_degree_floor():
     # the star is the only tree; leaf floors of 2 are unsatisfiable
     assert list(bipartite_trees(xs, ys, {1: 2})) == []
     assert len(list(bipartite_trees(xs, ys))) == 1
+
+
+def _floors(rng, vertices):
+    return {v: rng.choice((1, 2, 2, 3)) for v in vertices if rng.random() < 0.5}
+
+
+def test_bipartite_trees_match_reference_on_every_small_split():
+    rng = random.Random(41)
+    for n in range(1, 8):
+        full = (1 << n) - 1
+        for xs in range(full + 1):
+            ys = full ^ xs
+            for floor in (None, _floors(rng, range(n)), _floors(rng, range(n))):
+                assert (list(bipartite_trees(xs, ys, floor))
+                        == list(bipartite_trees_reference(xs, ys, floor)))
+
+
+def test_bipartite_trees_match_reference_on_seeded_splits():
+    rng = random.Random(42)
+    for case in range(40):
+        k = rng.randint(8, 12)
+        vertices = rng.sample(range(16), k)
+        cut = rng.randint(1, k - 1)
+        xs, ys = mask_of(vertices[:cut]), mask_of(vertices[cut:])
+        floor = {v: 2 for v in vertices if rng.random() < 0.3} if case % 2 else None
+        got = list(islice(bipartite_trees(xs, ys, floor), 200))
+        assert got == list(islice(bipartite_trees_reference(xs, ys, floor), 200))
+
+
+def _classes_and_searches():
+    classes = [[(cg.base.n, sorted(cg.red), sorted(cg.blue))
+                for cg in enumerate_conjugate_classes(n)] for n in range(2, 9)]
+    searches = []
+    for d in range(3, 11):
+        res = search_extremal(d)
+        witness = res.witness and (sorted(res.witness.red), sorted(res.witness.blue))
+        searches.append((res.status, res.distance, res.nodes, witness))
+    return classes, searches
+
+
+def test_classes_and_searches_match_reference_tree_walk(monkeypatch):
+    got = _classes_and_searches()
+    monkeypatch.setattr(symmetric, "bipartite_trees", bipartite_trees_reference)
+    assert _classes_and_searches() == got
 
 
 def test_leaf_floor_drops_exactly_the_common_leaf_completions():

@@ -4,6 +4,9 @@ belt_distance and belt_neighbors generate neighbours; they are checked
 against the facet-scanning references in adjacency_reference on every
 facet-pair query of every connected graph with n <= 6, on seeded graphs
 with 7..12 vertices and on the odd and even family witnesses up to d = 14.
+belt_neighbors' connected splits are also checked against the submask walk
+they replaced, on every facet of every connected graph with n <= 7 and on
+seeded graphs with 8..12 vertices.
 """
 
 import random
@@ -223,6 +226,41 @@ def test_belt_neighbors_match_scan_on_seeded_graphs():
     for g in seeded_graphs(range(7, 11), 1, 72):
         for a, _ in facet_pairs(g):
             assert belt_neighbors(g, a) == ref.belt_neighbors_reference(g, a)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_belt_neighbors_match_submask_walk_on_every_graph(n):
+    for g in enumerate_connected_graphs(n):
+        for a, _ in facet_pairs(g):
+            assert belt_neighbors(g, a) == ref.belt_neighbors_submasks(g, a)
+
+
+def test_belt_neighbors_match_submask_walk_on_seeded_graphs():
+    for g in seeded_graphs(range(8, 13), 1, 73):
+        for a, _ in facet_pairs(g):
+            assert belt_neighbors(g, a) == ref.belt_neighbors_submasks(g, a)
+
+
+def test_belt_neighbors_match_submask_walk_on_family_witnesses():
+    # the 15-vertex witness, along every node its belt_distance discovers
+    cg = gen_even_extremal(5)
+    g = cg.base
+    fr, fb = color_facets(cg)
+    _, path_nodes = belt_distance(g, fr, fb)
+    seen = {a for a, _ in path_nodes}
+    for a in list(seen):
+        seen.update(belt_neighbors(g, a))
+    for a in sorted(seen):
+        assert belt_neighbors(g, a) == ref.belt_neighbors_submasks(g, a)
+
+
+def test_belt_distance_tests_few_masks():
+    # the connected splits ask connected_in about far fewer masks than the
+    # submask walk, which left 14,738 memo entries on this query
+    cg = gen_even_extremal(5)
+    g = ZGraph(cg.base.n, cg.base.edges)
+    assert belt_distance(g, *color_facets(cg))[0] == 3
+    assert len(g._conn) <= 6000
 
 
 def test_belt_distance_scans_no_facets(monkeypatch):

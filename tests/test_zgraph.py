@@ -7,18 +7,19 @@ import pytest
 
 import growth_reference
 from zonobelt.zgraph import (
+    PAIR,
     ZGraph,
     _least_noncut,
     _twins,
     bits,
     canonical_label,
     components,
-    contract,
     contract_map,
     delete_edge,
     dimension,
     mask_of,
     min_label_perm,
+    pair,
     relabel,
 )
 
@@ -133,23 +134,40 @@ def test_dimension():
     assert dimension(ZGraph(5, [(0, 1)])) == 1
 
 
+def test_graphs_share_edge_objects():
+    g = ZGraph(5, [(0, 1), (3, 2), (4, 1)])
+    h = ZGraph(5, [(2, 3), (1, 4), (1, 0)])
+    assert g == h
+    for e in g.edges:
+        assert e is PAIR[e[0]][e[1]] is PAIR[e[1]][e[0]]
+        assert any(e is f for f in h.edges)
+    assert len({id(e) for row in PAIR for e in row if e}) == 120
+
+
+def test_pair_shares_only_valid_edges():
+    assert pair(3, 1) is PAIR[1][3]
+    assert pair(2, 2) == (2, 2)
+    assert pair(-1, 3) == (-1, 3)
+    assert pair(16, 3) == (3, 16)
+
+
 def test_contract_path():
-    g = contract(path(4), 1, 2)
+    g = contract_map(path(4), 1, 2)[0]
     assert g.n == 3
     assert g.sorted_edges() == [(0, 1), (1, 2)]
 
 
 def test_contract_complete_collapses_parallel():
-    g = contract(complete(4), 0, 1)
+    g = contract_map(complete(4), 0, 1)[0]
     assert g.n == 3
     assert g.sorted_edges() == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_contract_errors():
     with pytest.raises(ValueError):
-        contract(path(4), 2, 2)
+        contract_map(path(4), 2, 2)
     with pytest.raises(ValueError):
-        contract(path(4), 0, 4)
+        contract_map(path(4), 0, 4)
 
 
 def test_contract_map_labels():
