@@ -50,6 +50,34 @@ def _require_connected(g: ZGraph):
         raise ValueError("graph must be connected")
 
 
+def connected_splits(g: ZGraph, side: int):
+    """Yield each split of side into two connected parts once.
+
+    A split {C, side∖C} is named by C, its part holding side's least
+    vertex.  C is grown as a connected set from that vertex: the walk keeps
+    an extension set (neighbours of C not yet decided) and a banned set
+    (vertices already decided), and pops one extension vertex per branch,
+    so it reaches every connected C exactly once.  A C ⊊ side is yielded
+    when side∖C is connected too.
+    """
+    conn = g.connected_in
+    adj = g.adj
+    low = side & -side
+    ext = adj[low.bit_length() - 1] & side
+    # (connected set holding low, its extension, banned): the set and its
+    # extension are banned, and so is each earlier sibling's vertex
+    stack = [(low, ext, low | ext)]
+    while stack:
+        part, ext, ban = stack.pop()
+        if part != side and conn(side ^ part):
+            yield part
+        while ext:
+            v = ext & -ext
+            ext ^= v
+            new = adj[v.bit_length() - 1] & side & ~ban
+            stack.append((part | v, ext | new, ban | new))
+
+
 def enumerate_facets(g: ZGraph) -> list[FacetId]:
     """All ordered 2-partitions with both parts connected, sorted."""
     _require_connected(g)
@@ -57,10 +85,9 @@ def enumerate_facets(g: ZGraph) -> list[FacetId]:
         raise ValueError("need at least 2 vertices")
     full = g.full_mask
     out = []
-    for a in range(1, full):
-        b = full ^ a
-        if g.connected_in(a) and g.connected_in(b):
-            out.append((a, b))
+    for a in connected_splits(g, full):
+        out.append((a, full ^ a))
+        out.append((full ^ a, a))
     out.sort(key=partition_key)
     return out
 
@@ -187,19 +214,3 @@ def belt_adjacency(g: ZGraph, facets: list[FacetId], venkov: bool = True,
                 dadj[j] |= 1 << i
     return vadj, dadj
 
-
-def in_same_belt(g: ZGraph, f1: FacetId, f2: FacetId) -> bool:
-    """Do the facet pairs {A,B} and {C,D} lie in a common belt?
-
-    True iff exactly one of the four intersections is empty and the other
-    three induce connected subgraphs.  Orientation-insensitive.
-    """
-    a, b = f1
-    c, d = f2
-    if {a, b} == {c, d}:
-        raise ValueError("same facet pair")
-    parts = (a & c, a & d, b & c, b & d)
-    live = [p for p in parts if p]
-    if len(live) != 3:
-        return False
-    return all(g.connected_in(p) for p in live)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import venkov
-from .faces import in_same_belt, validate_partition
+from .faces import validate_partition
 from .zgraph import (
     PAIR,
     ZGraph,
@@ -599,36 +599,9 @@ D8_X2 = mask_of([0, 1, 3, 6, 8])
 D8_Y2 = mask_of([2, 4, 5, 7])
 
 
-def _common_neighbor_candidates(f1, f2) -> tuple:
-    """Facet pairs that can share a belt with both f1 and f2, vertex 0 first.
-
-    {C, V∖C} shares a belt with {A, B} only when exactly one of the four
-    intersections is empty, i.e. when C or V∖C is a proper subset of A or
-    of B.  Which candidates do share both belts depends on the graph.
-    """
-    full = f1[0] | f1[1]
-    fixed = ({f1[0], f1[1]}, {f2[0], f2[1]})
-    out = []
-    for m in f1:
-        c = m
-        while c := (c - 1) & m:   # the nonempty proper subsets of m
-            pair = {c, full ^ c}
-            if pair not in fixed and any(x != y and x & ~y == 0 for x in pair for y in f2):
-                out.append((c, full ^ c) if c & 1 else (full ^ c, c))
-    return tuple(sorted(out))
-
-
-# 16 of the 255 facet pairs of a 9-vertex graph
-D8_CANDIDATES = _common_neighbor_candidates((D8_X1, D8_Y1), (D8_X2, D8_Y2))
-
-
 def _d8_common_neighbors(g: ZGraph) -> int:
     """Facet pairs belt-adjacent to both fixed partitions, counted."""
-    f1 = (D8_X1, D8_Y1)
-    f2 = (D8_X2, D8_Y2)
-    conn = g.connected_in
-    return sum(1 for f in D8_CANDIDATES
-               if conn(f[0]) and conn(f[1]) and in_same_belt(g, f, f1) and in_same_belt(g, f, f2))
+    return len(set(venkov.belt_neighbors(g, D8_X1)) & set(venkov.belt_neighbors(g, D8_X2)))
 
 
 def _d8_score(g: ZGraph) -> int:

@@ -14,14 +14,16 @@ unit of diameter, each at most one OR per adjacent pair, instead of one
 BFS per source.
 
 A belt distance needs neither: belt_neighbors generates a node's
-neighbours from the splits of each part into two connected parts, so
-belt_distance never lists the facets.
+neighbours from the splits of each part into two connected parts, with the
+walk that lists the facets (faces.connected_splits) run on each part
+instead of on the whole vertex set, so belt_distance never lists the
+facets.
 """
 
 from __future__ import annotations
 
-from .faces import FacetId, belt_adjacency, enumerate_facets, unordered_pair
-from .faces import _require_connected, validate_partition
+from .faces import FacetId, belt_adjacency, connected_splits, enumerate_facets
+from .faces import _require_connected, unordered_pair, validate_partition
 from .zgraph import ZGraph, bits
 
 
@@ -78,42 +80,31 @@ def belt_neighbors(g: ZGraph, a: int) -> list[int]:
     """Venkov neighbours of the facet pair {a, V∖a}, sorted like the facets.
 
     Each neighbour {C, V∖C} is named by its part holding vertex 0.  It shares
-    a belt with {a, V∖a} exactly when C is a proper submask of one side P
-    and C and rest = P∖C are connected: the other side O is connected, so
-    V∖C = O ∪ rest is connected exactly when rest touches O.
+    a belt with {a, V∖a} exactly when C is a proper submask of one side P,
+    C, rest = P∖C and the other side O are connected, and V∖C = O ∪ rest is
+    connected, which holds exactly when rest touches O.
 
-    So each side P is split into two connected parts.  The part holding P's
-    least vertex is grown as a connected set (the extension/banned-set walk
-    finds each such set once), and the split is kept when the rest is
-    connected too.  Either part is a neighbour when the other touches O.
+    So each side P is split into two connected parts (connected_splits,
+    the walk that also lists the facets), and either part is a neighbour
+    when the other touches O.  O is connected when {a, V∖a} is a facet
+    pair; for any other 2-partition a side is skipped when O is not, so the
+    list still holds the facet pairs that share a belt with it.
     """
     full = g.full_mask
-    conn = g.connected_in
     adj = g.adj
     out = []
     for side in (a, full ^ a):
+        if not g.connected_in(full ^ side):
+            continue
         touch = 0
         for v in bits(full ^ side):
             touch |= adj[v]
-        low = side & -side
-        ext = adj[low.bit_length() - 1] & side
-        # (connected set holding low, its extension, banned): the set and
-        # its extension are banned, and so is each earlier sibling's vertex
-        stack = [(low, ext, low | ext)]
-        while stack:
-            part, ext, ban = stack.pop()
-            if part != side:
-                rest = side ^ part
-                if conn(rest):
-                    if rest & touch:
-                        out.append(part if part & 1 else full ^ part)
-                    if part & touch:
-                        out.append(rest if rest & 1 else full ^ rest)
-            while ext:
-                v = ext & -ext
-                ext ^= v
-                new = adj[v.bit_length() - 1] & side & ~ban
-                stack.append((part | v, ext | new, ban | new))
+        for part in connected_splits(g, side):
+            rest = side ^ part
+            if rest & touch:
+                out.append(part if part & 1 else full ^ part)
+            if part & touch:
+                out.append(rest if rest & 1 else full ^ rest)
     out.sort()
     out.sort(key=int.bit_count)
     return out
@@ -133,12 +124,11 @@ def _discovered(g: ZGraph, src: int):
 
 
 def _pair_key(g: ZGraph, f) -> FacetId:
-    key = tuple(unordered_pair(f))
-    try:
-        if len(key) == 2:
-            return validate_partition(g, key)
-    except ValueError:
-        pass
+    if len(f) == 2:
+        try:
+            return validate_partition(g, tuple(unordered_pair(f)))
+        except ValueError:
+            pass
     raise ValueError("not a facet of this graph")
 
 

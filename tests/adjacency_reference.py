@@ -1,10 +1,11 @@
 """Reference definitions the library's fast paths are checked against.
 
-These are the direct readings of the definitions: belts built core by core
-with an explicit crossing-edge test, Venkov and dual adjacency tested for
-every pair of facets, diameters by one BFS per source node, and belt
-distance by a BFS that scans every facet for each frontier node.  They are
-quadratic or worse, so the library derives the same objects from one pass
+These are the direct readings of the definitions: facets by a scan of
+every vertex mask, belts built core by core with an explicit crossing-edge
+test, Venkov and dual adjacency tested for every pair of facets, diameters
+by one BFS per source node, and belt distance by a BFS that scans every
+facet for each frontier node.  They are quadratic or worse, so the library
+derives the same objects from one walk over connected splits, one pass
 over the codimension-2 cores, and belt distance from generated neighbours,
 instead.
 """
@@ -12,12 +13,40 @@ instead.
 from zonobelt.faces import (
     Belt,
     enumerate_facets,
-    in_same_belt,
     partition_key,
     unordered_pair,
     validate_partition,
 )
 from zonobelt.zgraph import ZGraph, bits
+
+
+def enumerate_facets_scan(g: ZGraph):
+    """All ordered 2-partitions with both parts connected, from every mask."""
+    full = g.full_mask
+    out = []
+    for a in range(1, full):
+        b = full ^ a
+        if g.connected_in(a) and g.connected_in(b):
+            out.append((a, b))
+    out.sort(key=partition_key)
+    return out
+
+
+def in_same_belt(g: ZGraph, f1, f2) -> bool:
+    """Do the facet pairs {A,B} and {C,D} lie in a common belt?
+
+    True iff exactly one of the four intersections is empty and the other
+    three induce connected subgraphs.  Orientation-insensitive.
+    """
+    a, b = f1
+    c, d = f2
+    if {a, b} == {c, d}:
+        raise ValueError("same facet pair")
+    parts = (a & c, a & d, b & c, b & d)
+    live = [p for p in parts if p]
+    if len(live) != 3:
+        return False
+    return all(g.connected_in(p) for p in live)
 
 
 def opposite(f):

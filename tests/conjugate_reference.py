@@ -10,7 +10,8 @@ search kept here reaches the same answers by other routes.
 
 from itertools import product
 
-from zonobelt.faces import enumerate_facets, in_same_belt
+from adjacency_reference import in_same_belt
+from zonobelt.faces import enumerate_facets
 from zonobelt.symmetric import (
     D8_X1,
     D8_X2,

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from adjacency_reference import facet_adjacent, opposite
+from adjacency_reference import facet_adjacent, in_same_belt, opposite
 from zonobelt.dual import build_dual, check_diameter_bound, dual_diameter
-from zonobelt.faces import enumerate_codim2, enumerate_facets, in_same_belt
+from zonobelt.faces import enumerate_codim2, enumerate_facets
 from zonobelt.venkov import belt_diameter
 from zonobelt.zgraph import ZGraph
 

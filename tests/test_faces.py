@@ -5,15 +5,17 @@ from itertools import permutations
 
 import pytest
 
-from adjacency_reference import has_cross
+from adjacency_reference import enumerate_facets_scan, has_cross, in_same_belt
 from zonobelt.faces import (
+    connected_splits,
     enumerate_codim2,
     enumerate_facets,
-    in_same_belt,
     unordered_pair,
     validate_partition,
 )
-from zonobelt.zgraph import ZGraph, bits, mask_of
+from zonobelt.sweep import enumerate_connected_graphs
+from zonobelt.symmetric import gen_even_extremal, gen_odd_extremal
+from zonobelt.zgraph import ZGraph, bits, dimension, mask_of
 
 
 def path(n):
@@ -118,6 +120,46 @@ def test_facets_match_reference():
             assert {to_sets(f) for f in ours} == {
                 (a, b) for a, b in ref_facets(n, edges)
             }
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_facets_match_scan_on_every_graph(n):
+    for g in enumerate_connected_graphs(n):
+        assert enumerate_facets(g) == enumerate_facets_scan(g)
+
+
+def test_facets_match_scan_on_seeded_graphs():
+    rng = random.Random(11)
+    for n in range(8, 17):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for p in (0.2, 0.3, 0.5, 0.7):
+            made = 0
+            while made < 2:
+                g = ZGraph(n, [e for e in pairs if rng.random() < p])
+                if dimension(g) == n - 1:
+                    assert enumerate_facets(g) == enumerate_facets_scan(g)
+                    made += 1
+
+
+@pytest.mark.parametrize("cg", [gen_odd_extremal(n) for n in range(2, 5)]
+                         + [gen_even_extremal(n) for n in range(3, 6)],
+                         ids=lambda cg: "d%d" % (cg.base.n - 1))
+def test_facets_match_scan_on_family_witnesses(cg):
+    assert enumerate_facets(cg.base) == enumerate_facets_scan(cg.base)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_connected_splits_match_submasks(n):
+    # every side of every facet: the submasks holding the side's least
+    # vertex whose two parts are connected, by set-based connectivity
+    for g in enumerate_connected_graphs(n):
+        edges = g.sorted_edges()
+        for side, _ in enumerate_facets(g):
+            low = side & -side
+            want = [c for c in range(1, side) if c & side == c and c & low
+                    and ref_connected(edges, bits(c))
+                    and ref_connected(edges, bits(side ^ c))]
+            assert sorted(connected_splits(g, side)) == want
 
 
 def test_cores_match_reference():

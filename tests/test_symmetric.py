@@ -7,6 +7,7 @@ from itertools import combinations, islice
 import pytest
 
 import growth_reference
+from adjacency_reference import in_same_belt
 from conjugate_reference import (
     bipartite_trees_reference,
     d8_common_neighbors_reference,
@@ -16,9 +17,8 @@ from conjugate_reference import (
     search_extremal_reference,
 )
 from zonobelt import faces, symmetric, venkov, zgraph
-from zonobelt.faces import enumerate_facets, in_same_belt
+from zonobelt.faces import enumerate_facets
 from zonobelt.symmetric import (
-    D8_CANDIDATES,
     D8_X1,
     D8_X2,
     D8_Y1,
@@ -435,14 +435,13 @@ D8_F1 = (D8_X1, D8_Y1)
 D8_F2 = (D8_X2, D8_Y2)
 
 
-def test_d8_candidates_are_the_common_neighbors_in_k9():
+def test_d8_common_neighbors_in_k9():
     # in K9 every part is connected, so only the empty intersections decide
     k9 = permutahedron_graph(8)
     brute = [f for f in enumerate_facets(k9)
              if f[0] & 1 and {f[0], f[1]} not in ({D8_X1, D8_Y1}, {D8_X2, D8_Y2})
              and in_same_belt(k9, f, D8_F1) and in_same_belt(k9, f, D8_F2)]
-    assert sorted(D8_CANDIDATES) == sorted(brute)
-    assert len(D8_CANDIDATES) == 16
+    assert symmetric._d8_common_neighbors(k9) == len(brute) == 16
 
 
 def test_d8_score_matches_full_scan_on_random_graphs():
@@ -484,7 +483,7 @@ def test_d8_score_matches_full_scan_along_a_climb(monkeypatch):
     assert checked > 1000
 
 
-def test_d8_score_scans_only_the_candidates(monkeypatch):
+def test_d8_score_lists_two_neighbour_sets(monkeypatch):
     calls = Counter()
 
     def counting(name, fn):
@@ -494,15 +493,16 @@ def test_d8_score_scans_only_the_candidates(monkeypatch):
         return wrapper
 
     for mod in (faces, venkov, symmetric):
-        for name in ("enumerate_facets", "in_same_belt"):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
-    # K9: all 16 candidates share both belts, so every test runs
-    assert symmetric._d8_score(permutahedron_graph(8)) == 16
-    assert calls == {"in_same_belt": 32}
-    calls.clear()
-    assert symmetric._d8_score(ZGraph(9, D8_WITNESS_SEED12)) == 0
-    assert calls["enumerate_facets"] == 0 and calls["in_same_belt"] <= 32
+        if hasattr(mod, "enumerate_facets"):
+            monkeypatch.setattr(mod, "enumerate_facets",
+                                counting("enumerate_facets", faces.enumerate_facets))
+    monkeypatch.setattr(venkov, "belt_neighbors",
+                        counting("belt_neighbors", venkov.belt_neighbors))
+    # K9: every part is connected and all 16 common neighbours count
+    for g, score in ((permutahedron_graph(8), 16), (ZGraph(9, D8_WITNESS_SEED12), 0)):
+        calls.clear()
+        assert symmetric._d8_score(g) == score
+        assert calls == {"belt_neighbors": 2}
 
 
 @pytest.mark.parametrize("edges", [D8_WITNESS_SEED12, D8_WITNESS_SEED1])

@@ -15,9 +15,9 @@ from collections import Counter
 import pytest
 
 import adjacency_reference as ref
-from adjacency_reference import eccentricity, farthest
+from adjacency_reference import eccentricity, farthest, in_same_belt
 from zonobelt import faces, venkov
-from zonobelt.faces import enumerate_facets, in_same_belt, unordered_pair
+from zonobelt.faces import enumerate_facets, unordered_pair
 from zonobelt.sweep import enumerate_connected_graphs
 from zonobelt.symmetric import color_facets, gen_even_extremal, gen_odd_extremal
 from zonobelt.venkov import (
@@ -80,9 +80,10 @@ def test_belt_distance_rejects_non_facet():
     g = path(4)
     ok = (0b0001, 0b1110)
     # a disconnected part, parts not covering, overlapping, an empty part,
-    # a bit outside the graph, three parts
+    # a bit outside the graph, three parts, one part, no parts
     for bad in ((0b0101, 0b1010), (0b0001, 0b0110), (0b0011, 0b1110),
-                (0b1111, 0), (0b10001, 0b1110), (0b0001, 0b0110, 0b1000)):
+                (0b1111, 0), (0b10001, 0b1110), (0b0001, 0b0110, 0b1000),
+                (0b0010,), ()):
         for f1, f2 in ((bad, ok), (ok, bad)):
             with pytest.raises(ValueError, match="not a facet"):
                 belt_distance(g, f1, f2)
@@ -274,9 +275,8 @@ def test_belt_distance_scans_no_facets(monkeypatch):
 
     # venkov binds its own names at import, so patching faces alone misses it
     for mod in (faces, venkov):
-        for name in ("enumerate_facets", "in_same_belt"):
-            monkeypatch.setattr(mod, name, counting(name, getattr(faces, name)),
-                                raising=False)
+        monkeypatch.setattr(mod, "enumerate_facets",
+                            counting("enumerate_facets", faces.enumerate_facets))
     cg = gen_even_extremal(5)
     assert belt_distance(cg.base, *color_facets(cg))[0] == 3
     assert calls == {}
