@@ -360,6 +360,9 @@ def cmd_sweep(args):
                               seed=args.seed)
     except ValueError as exc:
         raise FileFormatError(str(exc))
+    except oracle.OracleBudgetError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     csv_text = sweep.report_csv(rep)
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -459,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--json", metavar="PATH")
     p.add_argument("--samples", type=int, default=200,
-                   help="oracle sample count for n = 7, 8")
+                   help="oracle sample count for n = 7, 8 (at most %d)"
+                   % sweep.ORACLE_SAMPLE_CAP)
     p.add_argument("--seed", type=int, default=20260815)
     p.set_defaults(fn=cmd_sweep)
 

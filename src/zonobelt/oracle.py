@@ -11,11 +11,19 @@ Each facet hyperplane is reached once, through its greedy basis: the rows
 picked by scanning the hyperplane's rows in index order and keeping each
 one independent of those kept so far.  A support reached twice means that
 invariant broke, and raises instead of being merged away.
+
+One kernel does every elimination.  A row is packed into one int with a
+signed field of `width` bits per column, field i holding entry i, so a
+row operation is a few big-int operations.  `_clear` takes one
+fraction-free (Bareiss) step, v -> (p*v - v[c]*r) // prev: by Sylvester's
+identity the division is exact and every entry stays a minor of the input
+rows.  `field_width` sizes the fields from the Hadamard bound on those
+minors, so no field can overflow.
 """
 
 from __future__ import annotations
 
-from math import comb, gcd
+from math import comb
 
 from .zgraph import ZGraph, dimension
 
@@ -39,80 +47,59 @@ def zone_matrix(g: ZGraph) -> list[tuple[int, ...]]:
     return rows
 
 
-def exact_rank(rows) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    width = len(m[0])
+def field_width(bound: int) -> int:
+    """Bits per signed field that hold every minor of the rows, from the
+    squared Hadamard bound: the product of the largest squared row norms,
+    as many as a minor has rows (at most one per column)."""
+    return (bound.bit_length() + 1) // 2 + 1
+
+
+def _bias(width: int, columns: int) -> int:
+    """Half the field range in each field: adding it makes every field of a
+    packed row nonnegative, so a field reads off without borrows."""
+    return (1 << width - 1) * (((1 << width * columns) - 1) // ((1 << width) - 1))
+
+
+def _clear(rows, r: int, prev: int, width: int, bias: int):
+    """One Bareiss step on packed rows: (rows cleared by r, r's pivot).
+
+    The pivot column c of r is its lowest nonzero field and p the entry
+    there; each v becomes (p*v - v[c]*r) // prev, where prev is the pivot
+    of the step before (1 for the first).
+    """
+    shift = ((r & -r).bit_length() - 1) // width * width
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    p = ((r + bias) >> shift & mask) - half
+    return [(p * v - (((v + bias) >> shift & mask) - half) * r) // prev for v in rows], p
+
+
+def packed_rank(rows, width: int, columns: int) -> int:
+    """Rank of packed rows with `columns` fields of `width` bits; the list
+    is consumed."""
+    bias = _bias(width, columns)
     rank = 0
     prev = 1
-    for col in range(width):
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            factor = m[r][col]
-            row = m[r]
-            top = m[rank]
-            for k in range(width):
-                row[k] = (pivot * row[k] - factor * top[k]) // prev
-        prev = pivot
-        rank += 1
-        if rank == len(m):
-            break
+    while rows:
+        r = rows.pop()
+        if r:
+            rows, prev = _clear(rows, r, prev, width, bias)
+            rank += 1
     return rank
 
 
-def _eliminate(v, row, c: int) -> list[int]:
-    """v with column c cleared by row, whose pivot column is c, gcd divided out."""
-    vc = v[c]
-    if not vc:
-        return v
-    p = row[c]
-    v = [p * x - vc * y for x, y in zip(v, row)]
-    g = gcd(*v)
-    return [x // g for x in v] if g > 1 else v
-
-
-class IntSpan:
-    """Growable integer row space with exact membership tests."""
-
-    def __init__(self):
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    def _reduce(self, v):
-        for row, c in zip(self.rows, self.pivots):
-            v = _eliminate(v, row, c)
-        return v
-
-    def contains(self, v) -> bool:
-        return not any(self._reduce(v))
-
-    def with_added(self, v):
-        """A new span extended by v, or None if v is already in it.
-
-        Stored rows are never mutated, so the child shares them.
-        """
-        r = self._reduce(v)
-        for c, x in enumerate(r):
-            if x:
-                s = IntSpan()
-                s.rows = self.rows + [r]
-                s.pivots = self.pivots + [c]
-                return s
-        return None
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+def exact_rank(rows) -> int:
+    """Rank over the rationals by fraction-free (Bareiss) elimination."""
+    rows = [tuple(r) for r in rows]
+    if not rows:
+        return 0
+    columns = len(rows[0])
+    bound = 1
+    for s in sorted((sum(x * x for x in r) for r in rows), reverse=True)[:columns]:
+        bound *= max(s, 1)
+    width = field_width(bound)
+    return packed_rank([sum(x << width * i for i, x in enumerate(r)) for r in rows],
+                       width, columns)
 
 
 def oracle_facets(g: ZGraph) -> list[frozenset]:
@@ -123,50 +110,47 @@ def oracle_facets(g: ZGraph) -> list[frozenset]:
     passes over is either inside the span built so far or outside it.  A
     basis is the greedy basis of its span exactly when no row passed over
     while outside ends up in the span, so a branch is cut as soon as one
-    does.  An outside row is kept as its residual modulo the span, and it
-    lies in the span extended by a new row exactly when one elimination
-    step against that row clears it.  The support of a leaf is the inside
-    rows, the chosen rows and the later rows the span contains.  A support
-    reached twice would mean the pruning is wrong, so it raises
+    does.  Every row not yet picked or passed over is carried as its
+    residual modulo the span, and one elimination step against a new row
+    takes all of them, and the outside rows, to the extended span: a row
+    lies in a span exactly when its residual is 0.  The support of a leaf
+    is the inside rows, the chosen rows and the later rows with residual 0.
+    A support reached twice would mean the pruning is wrong, so it raises
     RuntimeError instead of being merged.
     """
     d = dimension(g)
     if d < 2:
         raise ValueError("need dimension >= 2")
     edges = g.sorted_edges()
-    rows = zone_matrix(g)
+    m = len(edges)
     need = d - 1
-    if comb(len(rows), need) > SUBSET_CAP:
+    if comb(m, need) > SUBSET_CAP:
         raise OracleBudgetError(
-            "subset enumeration over C(%d,%d) exceeds cap" % (len(rows), need)
+            "subset enumeration over C(%d,%d) exceeds cap" % (m, need)
         )
-    m = len(rows)
+    width = field_width(1 << min(m, g.n))   # a zone row has squared norm 2
+    bias = _bias(width, g.n)
     found: set[frozenset] = set()
     inside: list[int] = []    # rows passed over inside the span, this branch
     chosen: list[int] = []
 
-    def extend(start: int, span: IntSpan, outside: list):
-        # outside: residuals modulo span of the rows passed over outside it,
-        # a fresh list per call
+    def extend(start: int, later: list, outside: list, prev: int):
+        # later[k - start]: residual of row k; outside: residuals of the rows
+        # passed over outside the span, a fresh list per call
         mark = len(inside)
         # range end: leave enough rows to still reach corank 1
-        for k in range(start, m - (need - span.rank) + 1):
-            child = span.with_added(rows[k])
-            if child is None:
+        for k in range(start, m - (need - len(chosen)) + 1):
+            r = later[k - start]
+            if not r:
                 inside.append(k)
                 continue
-            r, c = child.rows[-1], child.pivots[-1]
-            residuals = []
-            for res in outside:
-                res = _eliminate(res, r, c)
-                if not any(res):
-                    break   # not a greedy basis
-                residuals.append(res)
-            else:
-                if child.rank == need:
+            kept, p = _clear(outside, r, prev, width, bias)
+            if all(kept):   # else not a greedy basis
+                rest = _clear(later[k + 1 - start:], r, prev, width, bias)[0]
+                if len(chosen) + 1 == need:
                     support = frozenset(
                         edges[j] for j in inside + chosen + [k]
-                        + [j for j in range(k + 1, m) if child.contains(rows[j])]
+                        + [k + 1 + i for i, v in enumerate(rest) if not v]
                     )
                     if support in found:
                         raise RuntimeError(
@@ -175,12 +159,13 @@ def oracle_facets(g: ZGraph) -> list[frozenset]:
                     found.add(support)
                 else:
                     chosen.append(k)
-                    extend(k + 1, child, residuals)
+                    extend(k + 1, rest, kept, p)
                     chosen.pop()
             outside.append(r)
         del inside[mark:]
 
-    extend(0, IntSpan(), [])
+    rows = [(1 << width * i) - (1 << width * j) for i, j in edges]
+    extend(0, rows, [], 1)
     return sorted(found, key=lambda s: sorted(s))
 
 
@@ -196,10 +181,6 @@ def oracle_same_belt(g: ZGraph, s1: frozenset, s2: frozenset) -> bool:
     shared = s1 & s2
     if len(shared) < d - 2:
         return False
-    rows = []
-    for i, j in sorted(shared):
-        row = [0] * g.n
-        row[i] = 1
-        row[j] = -1
-        rows.append(row)
-    return exact_rank(rows) == d - 2
+    width = field_width(1 << min(len(shared), g.n))
+    rows = [(1 << width * i) - (1 << width * j) for i, j in shared]
+    return packed_rank(rows, width, g.n) == d - 2

@@ -19,6 +19,9 @@ EXHAUSTIVE_MAX_N = 8
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
 
 ALL_CHECKS = ("belt_bound", "dual_bound", "oracle_equiv", "leaves_iff", "belt_size")
+# oracle samples per level (n = 7, 8): minutes at 20 ms each for n = 8, and far
+# below the 1,866,256 connected labeled graphs that can be drawn at n = 7
+ORACLE_SAMPLE_CAP = 10_000
 
 
 def connected_levels(lo: int, hi: int):
@@ -205,6 +208,12 @@ def run_sweep(max_n: int, checks=ALL_CHECKS, oracle_samples: int = 200,
         raise ValueError("unknown checks: %s" % ", ".join(sorted(unknown)))
     if max_n < 4:
         raise ValueError("need max_n >= 4 (dimension at least 3)")
+    if oracle_samples < 0:
+        raise ValueError("need oracle_samples >= 0, got %d" % oracle_samples)
+    if oracle_samples > ORACLE_SAMPLE_CAP:
+        raise oracle.OracleBudgetError(
+            "%d oracle samples exceed cap %d" % (oracle_samples, ORACLE_SAMPLE_CAP)
+        )
     rows = []
     violations: list[str] = []
     levels = connected_levels(4, max_n)

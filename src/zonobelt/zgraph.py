@@ -176,56 +176,57 @@ def min_label_perm(n: int, code) -> tuple[int, tuple[int, ...]]:
     code[i][j] is a small int (0..3, 0 on the diagonal).  The key packs the
     cells (p0,p1), (p0,p2), (p1,p2), (p0,p3), ... two bits each, so placing
     one more vertex appends bits; branch-and-bound compares prefixes against
-    the best key found so far.  Returns (key, placement) with placement[k]
-    the original vertex in slot k.
+    the best key found so far.  Each node holds its unplaced vertices v as
+    sorted codes col << 4 | v, col being v's cells against the placed
+    vertices, and placing a vertex appends one cell to every col.  Returns
+    (key, placement) with placement[k] the original vertex in slot k.
     """
     if n == 1:
         return 0, (0,)
     total_bits = n * (n - 1)
     # interchangeable vertices: identical code rows away from each other
-    twin = [[False] * n for _ in range(n)]
+    rows = [sum(c << 2 * x for x, c in enumerate(code[v])) for v in range(n)]
+    twins = [0] * n
     for u in range(n):
         for w in range(u + 1, n):
-            if all(code[u][x] == code[w][x] for x in range(n) if x != u and x != w):
-                twin[u][w] = True
+            if not (rows[u] ^ rows[w]) & ~(3 << 2 * u | 3 << 2 * w):
+                twins[u] |= 1 << w
+                twins[w] |= 1 << u
+
+    # cell[v][u]: u's cell against v, shifted above u's 4-bit label
+    cell = [[c << 4 | u for u, c in enumerate(code[v])] for v in range(n)]
 
     best_key = None
     best_perm = None
     placed = []
 
-    def dfs(key: int, used: int):
+    def dfs(key: int, cands: list):
+        # cands: col << 4 | v for each unplaced vertex v, sorted
         nonlocal best_key, best_perm
         k = len(placed)
-        if k == n:
+        if not cands:
             if best_key is None or key < best_key:
                 best_key = key
                 best_perm = tuple(placed)
             return
-        cands = []
-        for v in range(n):
-            if used & (1 << v):
+        tried = 0
+        for e in cands:
+            v = e & 15
+            if tried & twins[v]:
+                tried |= 1 << v
                 continue
-            col = 0
-            for p in placed:
-                col = (col << 2) | code[p][v]
-            cands.append((col, v))
-        cands.sort()
-        tried = []
-        for col, v in cands:
-            if any(twin[min(u, v)][max(u, v)] for u in tried):
-                tried.append(v)
-                continue
-            tried.append(v)
-            new_key = (key << (2 * k)) | col
+            tried |= 1 << v
+            new_key = (key << (2 * k)) | e >> 4
             if best_key is not None:
                 shift = total_bits - (k + 1) * k
                 if new_key > (best_key >> shift):
                     break  # cands sorted: the rest are no better
+            row = cell[v]
             placed.append(v)
-            dfs(new_key, used | (1 << v))
+            dfs(new_key, sorted([f >> 4 << 6 | row[f & 15] for f in cands if f != e]))
             placed.pop()
 
-    dfs(0, 0)
+    dfs(0, list(range(n)))
     return best_key, best_perm
 
 

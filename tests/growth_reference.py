@@ -4,9 +4,66 @@ The library's `zgraph.grow_canonical` labels a candidate only when its new
 vertex is a non-cut vertex of least invariant.  This is the growth step
 without that filter, so the tests can check that the filter drops no class
 and changes no canonical form.
+
+`min_label_perm` is the labeling that rebuilds every unplaced vertex's
+column from the placed vertices at each node; the library's carries the
+columns down the recursion and must return the same (key, placement).
 """
 
 from zonobelt.zgraph import bits, canonical_label, relabel
+
+
+def min_label_perm(n: int, code) -> tuple[int, tuple[int, ...]]:
+    """Lexicographically minimal relabeling of a symmetric code matrix,
+    by branch and bound over placements; (key, placement)."""
+    if n == 1:
+        return 0, (0,)
+    total_bits = n * (n - 1)
+    # interchangeable vertices: identical code rows away from each other
+    twin = [[False] * n for _ in range(n)]
+    for u in range(n):
+        for w in range(u + 1, n):
+            if all(code[u][x] == code[w][x] for x in range(n) if x != u and x != w):
+                twin[u][w] = True
+
+    best_key = None
+    best_perm = None
+    placed = []
+
+    def dfs(key: int, used: int):
+        nonlocal best_key, best_perm
+        k = len(placed)
+        if k == n:
+            if best_key is None or key < best_key:
+                best_key = key
+                best_perm = tuple(placed)
+            return
+        cands = []
+        for v in range(n):
+            if used & (1 << v):
+                continue
+            col = 0
+            for p in placed:
+                col = (col << 2) | code[p][v]
+            cands.append((col, v))
+        cands.sort()
+        tried = []
+        for col, v in cands:
+            if any(twin[min(u, v)][max(u, v)] for u in tried):
+                tried.append(v)
+                continue
+            tried.append(v)
+            new_key = (key << (2 * k)) | col
+            if best_key is not None:
+                shift = total_bits - (k + 1) * k
+                if new_key > (best_key >> shift):
+                    break  # cands sorted: the rest are no better
+            placed.append(v)
+            dfs(new_key, used | (1 << v))
+            placed.pop()
+
+    dfs(0, 0)
+    return best_key, best_perm
 
 
 def grow_canonical(forms, k: int, masks) -> dict:

@@ -1,11 +1,15 @@
-"""Reference facet oracle: every basis of every hyperplane, deduplicated.
+"""Reference facet oracles on list rows, and the list-based span they use.
 
-This is the direct reading of "closed corank-1 row subsets": enumerate
-every independent (d-1)-subset of zone rows, take the closure of its span
-and keep the distinct closures.  It visits each hyperplane once per basis,
-C(|E|, d-1) subsets at worst, so it is only run on small or sparse graphs;
-``oracle.oracle_facets`` reaches each hyperplane once instead.  It keeps
-its own copy of the span arithmetic, so the two share only ``zone_matrix``.
+``oracle_facets`` is the direct reading of "closed corank-1 row subsets":
+enumerate every independent (d-1)-subset of zone rows, take the closure
+of its span and keep the distinct closures.  It visits each hyperplane
+once per basis, C(|E|, d-1) subsets at worst, so it is only run on small
+or sparse graphs.  ``oracle_facets_greedy`` is the greedy-basis walk that
+``oracle.oracle_facets`` runs on packed residuals, here re-reducing each
+row through the whole span on every visit; it is fast enough for dense
+graphs on 8 to 10 vertices.  ``IntSpan.rank`` is the reference for
+``oracle.exact_rank``.  All of it keeps its own span arithmetic, so it
+shares only ``zone_matrix`` with the library.
 """
 
 from math import gcd
@@ -79,6 +83,81 @@ def oracle_facets(g: ZGraph) -> list[frozenset]:
                 extend(k + 1, child)
 
     extend(0, IntSpan())
+    return sorted(found, key=lambda s: sorted(s))
+
+
+def span_rank(rows) -> int:
+    """Rank of integer rows, one IntSpan extension per independent row."""
+    span = IntSpan()
+    for row in rows:
+        span = span.with_added(row) or span
+    return span.rank
+
+
+def _eliminate(v, row, c: int) -> list[int]:
+    """v with column c cleared by row, whose pivot column is c, gcd divided out."""
+    vc = v[c]
+    if not vc:
+        return v
+    p = row[c]
+    v = [p * x - vc * y for x, y in zip(v, row)]
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def oracle_facets_greedy(g: ZGraph) -> list[frozenset]:
+    """Supports of all closed corank-1 row subsets, each reached once
+    through its greedy basis.
+
+    The backtracking picks rows in increasing index order.  A branch is cut
+    as soon as a row it passed over while outside the span falls into it;
+    each such row is kept as its residual modulo the span.  A support
+    reached twice raises RuntimeError.
+    """
+    d = dimension(g)
+    if d < 2:
+        raise ValueError("need dimension >= 2")
+    edges = g.sorted_edges()
+    rows = zone_matrix(g)
+    need = d - 1
+    m = len(rows)
+    found: set[frozenset] = set()
+    inside: list[int] = []
+    chosen: list[int] = []
+
+    def extend(start: int, span: IntSpan, outside: list):
+        mark = len(inside)
+        for k in range(start, m - (need - span.rank) + 1):
+            child = span.with_added(rows[k])
+            if child is None:
+                inside.append(k)
+                continue
+            r, c = child.rows[-1], child.pivots[-1]
+            residuals = []
+            for res in outside:
+                res = _eliminate(res, r, c)
+                if not any(res):
+                    break
+                residuals.append(res)
+            else:
+                if child.rank == need:
+                    support = frozenset(
+                        edges[j] for j in inside + chosen + [k]
+                        + [j for j in range(k + 1, m) if child.contains(rows[j])]
+                    )
+                    if support in found:
+                        raise RuntimeError(
+                            "oracle reached the support %r twice" % sorted(support)
+                        )
+                    found.add(support)
+                else:
+                    chosen.append(k)
+                    extend(k + 1, child, residuals)
+                    chosen.pop()
+            outside.append(r)
+        del inside[mark:]
+
+    extend(0, IntSpan(), [])
     return sorted(found, key=lambda s: sorted(s))
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from zonobelt import faces, oracle, symmetric
+from zonobelt import faces, oracle, sweep, symmetric
 from zonobelt.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -301,6 +301,20 @@ def test_oracle_verify_caps_same_belt_checks(tmp_path, capsys, monkeypatch):
     assert main(["oracle", "verify", write_graph(tmp_path, "g11.json", doc)]) == EXIT_INCONCLUSIVE
     out = capsys.readouterr().out
     assert "unverified" in out and "383250 same-belt checks" in out
+    assert calls == {"oracle_facets": 0, "oracle_same_belt": 0}
+
+
+def test_sweep_sample_count_fails_fast(capsys, monkeypatch):
+    # a negative count is a usage error; one above the cap is refused with
+    # the cap named, before any graph is checked
+    calls = count_oracle_calls(monkeypatch)
+    assert main(["sweep", "--max-n", "7", "--samples", "-3"]) == EXIT_USAGE
+    assert "oracle_samples >= 0" in capsys.readouterr().err
+    too_many = str(sweep.ORACLE_SAMPLE_CAP + 1)
+    assert main(["sweep", "--max-n", "7", "--samples", too_many]) == EXIT_INCONCLUSIVE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceed cap %d" % sweep.ORACLE_SAMPLE_CAP in captured.err
     assert calls == {"oracle_facets": 0, "oracle_same_belt": 0}
 
 

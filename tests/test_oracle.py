@@ -36,6 +36,39 @@ def test_exact_rank_small():
     assert exact_rank([[0, 0]]) == 0
 
 
+def random_matrix(rng, entry):
+    """Seeded integer rows on up to 16 columns, some of them integer
+    combinations of earlier rows so that the rank falls short."""
+    width = rng.randrange(1, 17)
+    rows = []
+    for _ in range(rng.randrange(1, 19)):
+        if len(rows) >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(rows, 2)
+            x, y = rng.randrange(-3, 4), rng.randrange(-3, 4)
+            rows.append([x * u + y * v for u, v in zip(a, b)])
+        else:
+            rows.append([entry() for _ in range(width)])
+    return rows
+
+
+def test_exact_rank_matches_reference_small_entries():
+    rng = random.Random(20261019)
+    for _ in range(400):
+        rows = random_matrix(rng, lambda: rng.randrange(-7, 8))
+        assert exact_rank(rows) == reference.span_rank(rows), rows
+
+
+def test_exact_rank_matches_reference_entries_near_2_40():
+    # the fields must widen far past the 10 bits zone rows need: every
+    # entry alone takes 42 signed bits
+    rng = random.Random(20261020)
+    big = 1 << 40
+    for _ in range(150):
+        rows = random_matrix(rng, lambda: rng.choice((1, -1)) * (big + rng.randrange(-99, 100)))
+        assert exact_rank(rows) == reference.span_rank(rows), rows
+    assert oracle.field_width(big * big) >= 42
+
+
 def test_rank_equals_dimension_random():
     rng = random.Random(31)
     for _ in range(200):
@@ -115,18 +148,30 @@ def test_random_sparse_graphs_8_to_10_match_reference():
         assert oracle_facets(g) == reference.oracle_facets(g), g
 
 
+def test_dense_graphs_8_to_10_match_greedy_reference():
+    # too many bases for the all-bases reference: the list-based greedy walk
+    # re-reduces every row through the whole span at each visit instead
+    rng = random.Random(20261019)
+    for k in range(6):
+        n = 8 + k % 3
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = ZGraph(n, [p for p in pairs if rng.random() < 0.6])
+        assert dimension(g) == n - 1 and len(g.edges) >= 2 * n
+        assert oracle_facets(g) == reference.oracle_facets_greedy(g), g
+
+
 def test_same_belt_shortcut_matches_reference(monkeypatch):
     # every facet pair of every connected graph on 3..6 vertices, and of
     # seeded 7-vertex graphs: fewer than d - 2 shared edges answer without
     # elimination, and every answer equals the reference's
     ranks = []
-    real = oracle.exact_rank
+    real = oracle.packed_rank
 
-    def counting(rows):
+    def counting(rows, width, columns):
         ranks.append(len(rows))
-        return real(rows)
+        return real(rows, width, columns)
 
-    monkeypatch.setattr(oracle, "exact_rank", counting)
+    monkeypatch.setattr(oracle, "packed_rank", counting)
     graphs = [g for n in range(3, 7) for g in enumerate_connected_graphs(n)]
     graphs += sample_connected_graphs(7, 12, seed=20261019)
     pairs = short = 0

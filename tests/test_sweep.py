@@ -201,6 +201,35 @@ def test_run_sweep_validates_args():
         run_sweep(3)
 
 
+def count_oracle_agrees(monkeypatch) -> list:
+    calls = []
+    real = sweep.oracle_agrees
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(sweep, "oracle_agrees", counting)
+    return calls
+
+
+def test_run_sweep_refuses_a_negative_sample_count(monkeypatch):
+    # a negative count used to skip the n = 7 oracle check silently
+    calls = count_oracle_agrees(monkeypatch)
+    monkeypatch.setattr(sweep, "connected_levels", lambda lo, hi: pytest.fail("graphs grown"))
+    with pytest.raises(ValueError, match="oracle_samples >= 0"):
+        run_sweep(7, oracle_samples=-3)
+    assert calls == []
+
+
+def test_run_sweep_caps_the_sample_count_before_any_check(monkeypatch):
+    calls = count_oracle_agrees(monkeypatch)
+    monkeypatch.setattr(sweep, "connected_levels", lambda lo, hi: pytest.fail("graphs grown"))
+    with pytest.raises(oracle.OracleBudgetError, match="cap %d" % sweep.ORACLE_SAMPLE_CAP):
+        run_sweep(7, oracle_samples=sweep.ORACLE_SAMPLE_CAP + 1)
+    assert calls == []
+
+
 def test_report_json_shape():
     rep = run_sweep(4, checks=("belt_bound",))
     doc = report_json(rep)

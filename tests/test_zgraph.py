@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 import growth_reference
+from zonobelt import sweep, symmetric, zgraph
 from zonobelt.zgraph import (
     PAIR,
     ZGraph,
@@ -231,6 +232,52 @@ def test_min_label_perm_relabel_invariant():
 
 def test_min_label_perm_single_vertex():
     assert min_label_perm(1, [[0]]) == (0, (0,))
+
+
+def labelings_of(monkeypatch, run) -> list:
+    """(n, code) of every labeling that run() asks for."""
+    seen = []
+    real = zgraph.min_label_perm
+
+    def recording(n, code):
+        seen.append((n, [list(row) for row in code]))
+        return real(n, code)
+
+    monkeypatch.setattr(zgraph, "min_label_perm", recording)
+    run()
+    monkeypatch.setattr(zgraph, "min_label_perm", real)
+    return seen
+
+
+def grow_free_trees():
+    symmetric.free_trees.cache_clear()   # grow every level under the recorder
+    symmetric.free_trees(10)
+
+
+@pytest.mark.parametrize("run, count", [
+    (lambda: list(sweep.connected_levels(1, 7)), 1305),
+    (lambda: [symmetric.enumerate_conjugate_classes(n) for n in range(2, 9)], None),
+    (grow_free_trees, None),
+], ids=["connected_levels", "conjugate_classes", "free_trees"])
+def test_min_label_perm_matches_reference_on_library_inputs(monkeypatch, run, count):
+    # the columns carried down the recursion give the same (key, placement)
+    # as columns rebuilt from the placed vertices at every node
+    seen = labelings_of(monkeypatch, run)
+    assert seen and count in (None, len(seen))
+    for n, code in seen:
+        assert min_label_perm(n, code) == growth_reference.min_label_perm(n, code), code
+
+
+def test_min_label_perm_matches_reference_on_random_codes():
+    rng = random.Random(20261019)
+    for _ in range(1000):
+        n = rng.randrange(1, 10)
+        code = [[0] * n for _ in range(n)]
+        weights = rng.choice(((1, 1, 1, 1), (6, 1, 1, 1), (1, 3, 0, 0)))
+        for i in range(n):
+            for j in range(i + 1, n):
+                code[i][j] = code[j][i] = rng.choices(range(4), weights)[0]
+        assert min_label_perm(n, code) == growth_reference.min_label_perm(n, code), code
 
 
 def test_canonical_label_codes_edge_classes():
