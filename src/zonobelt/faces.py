@@ -78,6 +78,30 @@ def connected_splits(g: ZGraph, side: int):
             stack.append((part | v, ext | new, ban | new))
 
 
+def connected_table(g: ZGraph) -> bytearray:
+    """table[m] is 1 exactly when m is a nonempty connected vertex set.
+
+    The extension/banned-set walk of `connected_splits`, started from every
+    vertex v at once, with every vertex below v banned: each connected set
+    is grown once, from its least vertex.
+    """
+    adj = g.adj
+    stack = []
+    for v in range(g.n):
+        below = (2 << v) - 1   # v and every vertex below it
+        stack.append((1 << v, adj[v] & ~below, adj[v] | below))
+    table = bytearray(1 << g.n)
+    while stack:
+        part, ext, ban = stack.pop()
+        table[part] = 1
+        while ext:
+            u = ext & -ext
+            ext ^= u
+            new = adj[u.bit_length() - 1] & ~ban
+            stack.append((part | u, ext | new, ban | new))
+    return table
+
+
 def enumerate_facets(g: ZGraph) -> list[FacetId]:
     """All ordered 2-partitions with both parts connected, sorted."""
     _require_connected(g)
@@ -104,27 +128,28 @@ def _core_merges(g: ZGraph):
 
     p, q, r are the parts of an unordered 3-partition with connected parts:
     p holds vertex 0 and q the least vertex outside p.  pq, pr and qr are
-    the merge bits connected_in(p|q), connected_in(p|r), connected_in(q|r);
+    the merge bits, 1 when p|q, p|r, q|r is connected and 0 otherwise;
     for connected parts x and y, x|y is connected exactly when an edge
     crosses between them, so the bits name the belt's members and its
-    crossing directions.
+    crossing directions.  Every connectivity answer is read from one
+    `connected_table`.
     """
     full = g.full_mask
-    conn = g.connected_in
+    conn = connected_table(g)
     rest0 = full ^ 1
     sub = rest0
     while True:
         p = sub | 1
         rest = full ^ p
-        if rest and conn(p):
+        if rest and conn[p]:
             low = rest & -rest
             rest2 = rest ^ low
             sub2 = rest2
             while True:
                 q = sub2 | low
                 r = rest ^ q
-                if r and conn(q) and conn(r):
-                    yield p, q, r, conn(p | q), conn(p | r), conn(q | r)
+                if r and conn[q] and conn[r]:
+                    yield p, q, r, conn[p | q], conn[p | r], conn[q | r]
                 if sub2 == 0:
                     break
                 sub2 = (sub2 - 1) & rest2

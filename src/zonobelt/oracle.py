@@ -2,15 +2,18 @@
 
 Everything here works on integer zone matrices (rows e_i - e_j, one per
 edge) with fraction-free elimination; no floating point.  Facets are
-recovered as closed corank-1 row subsets, belts as rank-(d-2) overlaps,
-independently of the connectivity reasoning in the other modules.  An
-overlap of fewer than d - 2 rows cannot reach that rank, so it is answered
-without elimination.
+recovered as closed corank-1 row subsets and codimension-2 faces as closed
+rank-(d-2) row subsets (flats), independently of the connectivity
+reasoning in the other modules.  Two facets share a belt exactly when
+their supports meet in a rank-(d-2) flat.
 
-Each facet hyperplane is reached once, through its greedy basis: the rows
-picked by scanning the hyperplane's rows in index order and keeping each
-one independent of those kept so far.  A support reached twice means that
-invariant broke, and raises instead of being merged away.
+One walk finds both (`oracle_facets`).  Each flat of rank d - 2 or d - 1
+is reached once, through its greedy basis: the rows picked by scanning the
+flat's rows in index order and keeping each one independent of those kept
+so far.  A support reached twice means that invariant broke, and raises
+instead of being merged away.  `oracle_same_belt` ranks the overlap of
+two given supports on its own; an overlap of fewer than d - 2 rows cannot
+reach that rank, so it is answered without elimination.
 
 One kernel does every elimination.  A row is packed into one int with a
 signed field of `width` bits per column, field i holding entry i, so a
@@ -102,7 +105,7 @@ def exact_rank(rows) -> int:
                        width, columns)
 
 
-def oracle_facets(g: ZGraph) -> list[frozenset]:
+def oracle_facets(g: ZGraph, flats: set | None = None) -> list[frozenset]:
     """Supports of all closed corank-1 row subsets, as edge sets.
 
     Each hyperplane is reached once, through its greedy basis.  The
@@ -113,9 +116,13 @@ def oracle_facets(g: ZGraph) -> list[frozenset]:
     does.  Every row not yet picked or passed over is carried as its
     residual modulo the span, and one elimination step against a new row
     takes all of them, and the outside rows, to the extended span: a row
-    lies in a span exactly when its residual is 0.  The support of a leaf
+    lies in a span exactly when its residual is 0.  The support of a node
     is the inside rows, the chosen rows and the later rows with residual 0.
-    A support reached twice would mean the pruning is wrong, so it raises
+
+    The walk passes through every closed rank-(d-2) flat on its way, at
+    the nodes of rank d - 2, and adds each support there to `flats`, when
+    given, as an edge-index bitmask (bit k for the k-th sorted edge).  A
+    support reached twice would mean the pruning is wrong, so it raises
     RuntimeError instead of being merged.
     """
     d = dimension(g)
@@ -130,43 +137,46 @@ def oracle_facets(g: ZGraph) -> list[frozenset]:
         )
     width = field_width(1 << min(m, g.n))   # a zone row has squared norm 2
     bias = _bias(width, g.n)
-    found: set[frozenset] = set()
-    inside: list[int] = []    # rows passed over inside the span, this branch
-    chosen: list[int] = []
+    found: set[int] = set()
+    # the only rank-0 flat is the closure of nothing: no zone row is 0
+    codim2: set[int] = {0} if d == 2 else set()
 
-    def extend(start: int, later: list, outside: list, prev: int):
+    def extend(start: int, later: list, outside: list, prev: int, held: int, rank: int):
         # later[k - start]: residual of row k; outside: residuals of the rows
-        # passed over outside the span, a fresh list per call
-        mark = len(inside)
-        # range end: leave enough rows to still reach corank 1
-        for k in range(start, m - (need - len(chosen)) + 1):
+        # passed over outside the span, a fresh list per call; held: bitmask
+        # of the rows chosen or passed over inside the span, this branch;
+        # rank: the span's rank once row k is chosen
+        # range end: leave enough rows to still reach rank d - 2
+        for k in range(start, min(m, m + 1 + rank - need)):
             r = later[k - start]
             if not r:
-                inside.append(k)
+                held |= 1 << k
                 continue
             kept, p = _clear(outside, r, prev, width, bias)
             if all(kept):   # else not a greedy basis
                 rest = _clear(later[k + 1 - start:], r, prev, width, bias)[0]
-                if len(chosen) + 1 == need:
-                    support = frozenset(
-                        edges[j] for j in inside + chosen + [k]
-                        + [k + 1 + i for i, v in enumerate(rest) if not v]
-                    )
-                    if support in found:
+                if rank >= need - 1:
+                    support = held | 1 << k
+                    for i, v in enumerate(rest, k + 1):
+                        if not v:
+                            support |= 1 << i
+                    seen = found if rank == need else codim2
+                    if support in seen:
                         raise RuntimeError(
-                            "oracle reached the support %r twice" % sorted(support)
+                            "oracle reached the support %r twice"
+                            % [edges[j] for j in range(m) if support >> j & 1]
                         )
-                    found.add(support)
-                else:
-                    chosen.append(k)
-                    extend(k + 1, rest, kept, p)
-                    chosen.pop()
+                    seen.add(support)
+                if rank < need:
+                    extend(k + 1, rest, kept, p, held | 1 << k, rank + 1)
             outside.append(r)
-        del inside[mark:]
 
     rows = [(1 << width * i) - (1 << width * j) for i, j in edges]
-    extend(0, rows, [], 1)
-    return sorted(found, key=lambda s: sorted(s))
+    extend(0, rows, [], 1, 0, 1)
+    if flats is not None:
+        flats |= codim2
+    supports = [frozenset(edges[j] for j in range(m) if s >> j & 1) for s in found]
+    return sorted(supports, key=lambda s: sorted(s))
 
 
 def oracle_same_belt(g: ZGraph, s1: frozenset, s2: frozenset) -> bool:

@@ -77,49 +77,36 @@ def sample_connected_graphs(n: int, count: int, seed: int) -> list[ZGraph]:
     return out
 
 
-def facet_support(g: ZGraph, pair) -> frozenset:
-    """Edges internal to the two parts of a facet pair."""
-    a, b = pair
-    return frozenset(
-        (i, j) for i, j in g.edges
-        if ((1 << i) | (1 << j)) & ~a == 0 or ((1 << i) | (1 << j)) & ~b == 0
-    )
-
-
-def oracle_belt_adjacency(g: ZGraph, supports: list) -> list[int]:
-    """The oracle's same-belt relation on facet supports, as bitmasks.
-
-    Bit j of entry i says whether supports[i] and supports[j] lie in a
-    common belt by `oracle.oracle_same_belt`.  That verdict is a rank test
-    on the shared edges alone: two facet hyperplanes meet in a flat, and
-    they share a belt iff that flat has rank d - 2.  So the oracle is asked
-    once per distinct intersection, keyed by its edge bitmask.
-    """
-    bit = {e: 1 << k for k, e in enumerate(g.sorted_edges())}
-    masks = [sum(bit[e] for e in s) for s in supports]
-    ranked = {}   # intersection edge bitmask -> same belt
-    adj = [0] * len(supports)
-    for i in range(len(supports)):
-        for j in range(i + 1, len(supports)):
-            flat = masks[i] & masks[j]
-            same = ranked.get(flat)
-            if same is None:
-                same = ranked[flat] = oracle.oracle_same_belt(g, supports[i], supports[j])
-            if same:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
+def _inner_edges(g: ZGraph) -> list[int]:
+    """inner[m]: the edges inside the vertex set m, as an edge-index bitmask
+    (bit k for the k-th sorted edge), for every m."""
+    star = [0] * g.n   # the edges at each vertex
+    for k, (i, j) in enumerate(g.sorted_edges()):
+        star[i] |= 1 << k
+        star[j] |= 1 << k
+    inner = [0] * (1 << g.n)
+    touch = [0] * (1 << g.n)   # the edges with an end in m
+    for m in range(1, 1 << g.n):
+        low = m & -m
+        at = star[low.bit_length() - 1]
+        inner[m] = inner[m ^ low] | at & touch[m ^ low]
+        touch[m] = touch[m ^ low] | at
+    return inner
 
 
 def oracle_agrees(g: ZGraph) -> bool:
-    """Facet sets and same-belt relations: partition calculus vs oracle.
+    """Facets, codimension-2 faces and belts: partition calculus vs oracle.
 
-    The same-belt relation of the partition calculus is the Venkov
-    adjacency of `faces.belt_adjacency`; the oracle's is
-    `oracle_belt_adjacency` over the same facet pairs.  Raises
-    oracle.OracleBudgetError before any oracle work when the same-belt
-    checks, one per two facet pairs, would exceed
-    oracle.SAME_BELT_PAIR_CAP.
+    Each side gives its supports as edge-index bitmasks.  The calculus
+    takes the edges inside the parts of each facet pair and of each core
+    of `faces._core_merges`; the oracle takes its closed corank-1 row sets
+    and the closed rank-(d-2) flats its facet walk passes through.  Two
+    facet hyperplanes meet in a flat, and share a belt iff that flat has
+    rank d - 2, so the oracle's same-belt relation is membership of the
+    supports' intersection in its flats; it must equal the Venkov
+    adjacency of `faces.belt_adjacency`.  Raises oracle.OracleBudgetError
+    before any oracle work when the same-belt checks, one per two facet
+    pairs, would exceed oracle.SAME_BELT_PAIR_CAP.
     """
     facets = faces.enumerate_facets(g)
     pairs = [f for f in facets if f[0] & 1]
@@ -129,11 +116,23 @@ def oracle_agrees(g: ZGraph) -> bool:
             "%d same-belt checks for %d facet pairs exceed cap %d"
             % (checks, len(pairs), oracle.SAME_BELT_PAIR_CAP)
         )
-    supports = [facet_support(g, f) for f in pairs]
-    if sorted(supports, key=sorted) != oracle.oracle_facets(g):
+    inner = _inner_edges(g)
+    supports = [inner[a] | inner[b] for a, b in pairs]
+    bit = {e: 1 << k for k, e in enumerate(g.sorted_edges())}
+    flats: set[int] = set()
+    found = [sum(bit[e] for e in s) for s in oracle.oracle_facets(g, flats)]
+    if sorted(found) != sorted(supports):
         return False
-    venkov_adj = faces.belt_adjacency(g, facets, dual=False)[0]
-    return oracle_belt_adjacency(g, supports) == venkov_adj
+    cores = [inner[p] | inner[q] | inner[r] for p, q, r, *_ in faces._core_merges(g)]
+    if len(cores) != len(flats) or set(cores) != flats:
+        return False
+    adj = [0] * len(supports)
+    for i, s in enumerate(supports):
+        for j in range(i + 1, len(supports)):
+            if (s & supports[j]) in flats:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj == faces.belt_adjacency(g, facets, dual=False)[0]
 
 
 @dataclass

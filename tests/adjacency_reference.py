@@ -7,7 +7,9 @@ by one BFS per source node, and belt distance by a BFS that scans every
 facet for each frontier node.  They are quadratic or worse, so the library
 derives the same objects from one walk over connected splits, one pass
 over the codimension-2 cores, and belt distance from generated neighbours,
-instead.
+instead.  The core pass itself is kept here as the scan that asked
+`connected_in` for every mask (`core_merges_scan`); the library reads a
+table of every connected set instead.
 """
 
 from zonobelt.faces import (
@@ -89,6 +91,37 @@ def enumerate_codim2(g: ZGraph) -> list[Belt]:
                 cores.add(tuple(sorted((a, b, c))))
             b = (b - 1) & rest
     return [belt_of(g, c) for c in sorted(cores, key=partition_key)]
+
+
+def core_merges_scan(g: ZGraph):
+    """`faces._core_merges` as a submask scan over `connected_in`.
+
+    Yields (p, q, r, pq, pr, qr) in the library's order: p runs down the
+    masks holding vertex 0, q down the masks of the rest holding its least
+    vertex, and every connectivity answer is one memoized `connected_in`.
+    """
+    full = g.full_mask
+    conn = g.connected_in
+    rest0 = full ^ 1
+    sub = rest0
+    while True:
+        p = sub | 1
+        rest = full ^ p
+        if rest and conn(p):
+            low = rest & -rest
+            rest2 = rest ^ low
+            sub2 = rest2
+            while True:
+                q = sub2 | low
+                r = rest ^ q
+                if r and conn(q) and conn(r):
+                    yield p, q, r, conn(p | q), conn(p | r), conn(q | r)
+                if sub2 == 0:
+                    break
+                sub2 = (sub2 - 1) & rest2
+        if sub == 0:
+            break
+        sub = (sub - 1) & rest0
 
 
 def facet_adjacent(g: ZGraph, f1, f2) -> bool:

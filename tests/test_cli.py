@@ -1,5 +1,6 @@
 """Command line behavior: parsing, exit codes, output formats."""
 
+import itertools
 import json
 import os
 import random
@@ -320,16 +321,30 @@ def test_sweep_sample_count_fails_fast(capsys, monkeypatch):
 
 def test_oracle_verify_pair_cap_boundary(tmp_path, capsys, monkeypatch):
     # K4 has 7 facet pairs, so 21 same-belt checks: a cap of 21 verifies it.
-    # The oracle ranks each of the 7 distinct intersections once.
+    # The checks are lookups in the flats of the one oracle walk, so the
+    # oracle ranks no pair.
     calls = count_oracle_calls(monkeypatch)
     f = write_graph(tmp_path, "k4.json", K4)
     monkeypatch.setattr(oracle, "SAME_BELT_PAIR_CAP", 21)
     assert main(["oracle", "verify", f]) == EXIT_OK
-    assert calls == {"oracle_facets": 1, "oracle_same_belt": 7}
+    assert calls == {"oracle_facets": 1, "oracle_same_belt": 0}
     monkeypatch.setattr(oracle, "SAME_BELT_PAIR_CAP", 20)
     assert main(["oracle", "verify", f]) == EXIT_INCONCLUSIVE
     assert "unverified" in capsys.readouterr().out
-    assert calls == {"oracle_facets": 1, "oracle_same_belt": 7}
+    assert calls == {"oracle_facets": 1, "oracle_same_belt": 0}
+
+
+def test_oracle_verify_reports_a_dropped_core(tmp_path, capsys, monkeypatch):
+    # the oracle's flats must match the cores one for one: a core pass that
+    # loses one is a mismatch, even with the Venkov adjacency left intact
+    g = ZGraph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
+    vadj, _ = faces.belt_adjacency(g, faces.enumerate_facets(g), dual=False)
+    real = faces._core_merges
+    monkeypatch.setattr(faces, "_core_merges", lambda g: itertools.islice(real(g), 1, None))
+    monkeypatch.setattr(faces, "belt_adjacency", lambda g, facets, **kw: (list(vadj), None))
+    doc = {"vertices": 4, "edges": [[i + 1, j + 1] for i, j in g.sorted_edges()]}
+    assert main(["oracle", "verify", write_graph(tmp_path, "g.json", doc)]) == EXIT_VIOLATION
+    assert capsys.readouterr().out == "oracle agreement: MISMATCH\n"
 
 
 def test_usage_errors(tmp_path, capsys):

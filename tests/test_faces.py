@@ -5,9 +5,11 @@ from itertools import permutations
 
 import pytest
 
-from adjacency_reference import enumerate_facets_scan, has_cross, in_same_belt
+from adjacency_reference import core_merges_scan, enumerate_facets_scan, has_cross, in_same_belt
+from zonobelt import faces
 from zonobelt.faces import (
     connected_splits,
+    connected_table,
     enumerate_codim2,
     enumerate_facets,
     unordered_pair,
@@ -15,7 +17,7 @@ from zonobelt.faces import (
 )
 from zonobelt.sweep import enumerate_connected_graphs
 from zonobelt.symmetric import gen_even_extremal, gen_odd_extremal
-from zonobelt.zgraph import ZGraph, bits, dimension, mask_of
+from zonobelt.zgraph import ZGraph, bits, dimension, mask_of, reach
 
 
 def path(n):
@@ -160,6 +162,41 @@ def test_connected_splits_match_submasks(n):
                     and ref_connected(edges, bits(c))
                     and ref_connected(edges, bits(side ^ c))]
             assert sorted(connected_splits(g, side)) == want
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_core_merges_match_scan_on_every_graph(n):
+    # the same (p, q, r, pq, pr, qr) sequence, order included, as the scan
+    # that asked connected_in about every mask
+    for g in enumerate_connected_graphs(n):
+        assert list(faces._core_merges(g)) == list(core_merges_scan(g)), g
+
+
+def test_core_merges_match_scan_on_seeded_graphs():
+    rng = random.Random(13)
+    for n in range(8, 13):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for p in (0.3, 0.6):
+            while True:
+                g = ZGraph(n, [e for e in pairs if rng.random() < p])
+                if dimension(g) == n - 1:
+                    break
+            assert list(faces._core_merges(g)) == list(core_merges_scan(g)), g
+
+
+def test_connected_table_matches_reach():
+    # every mask, the empty one included, of seeded graphs on 1..16
+    # vertices (connected or not) and of K16
+    rng = random.Random(17)
+    graphs = [complete(16)]
+    for n in range(1, 17):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        graphs += [ZGraph(n, [e for e in pairs if rng.random() < p]) for p in (0.15, 0.5)]
+    for g in graphs:
+        table = connected_table(g)
+        assert len(table) == 1 << g.n and table[0] == 0
+        want = [m for m in range(1, 1 << g.n) if reach(g.adj, m & -m, m) == m]
+        assert [m for m in range(1 << g.n) if table[m]] == want, g
 
 
 def test_cores_match_reference():

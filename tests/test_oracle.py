@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import adjacency_reference
 import oracle_reference as reference
 from zonobelt import oracle
 from zonobelt.oracle import (
@@ -184,3 +185,23 @@ def test_same_belt_shortcut_matches_reference(monkeypatch):
                 pairs += 1
                 short += len(s1 & s2) < dimension(g) - 2
     assert short > 0 and len(ranks) == pairs - short
+
+
+def core_supports(g):
+    """Edge-index bitmasks of the edges inside the parts of each core, from
+    the set-based reference belts."""
+    edges = g.sorted_edges()
+    return [sum(1 << k for k, (i, j) in enumerate(edges)
+                if any(part >> i & part >> j & 1 for part in belt.core))
+            for belt in adjacency_reference.enumerate_codim2(g)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_walk_flats_are_the_core_supports(n):
+    # the rank-(d-2) flats the facet walk passes through are the edge sets
+    # inside the parts of the codimension-2 cores, one flat per core
+    for g in enumerate_connected_graphs(n):
+        flats = set()
+        oracle_facets(g, flats)
+        cores = core_supports(g)
+        assert len(cores) == len(flats) and set(cores) == flats, g

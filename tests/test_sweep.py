@@ -1,5 +1,6 @@
 """Graph enumeration, sampling, and the campaign runner."""
 
+import itertools
 import random
 
 import pytest
@@ -113,58 +114,82 @@ def test_oracle_agrees_small():
         assert oracle_agrees(g)
 
 
+def edge_masks(g, supports):
+    """Edge sets as edge-index bitmasks, bit k for the k-th sorted edge."""
+    bit = {e: 1 << k for k, e in enumerate(g.sorted_edges())}
+    return [sum(bit[e] for e in s) for s in supports]
+
+
 def test_oracle_relation_matches_reference():
-    # one oracle call per distinct intersection answers every facet pair
-    # exactly as the reference, which ranks every pair by elimination
-    graphs = [g for n in range(4, 7) for g in enumerate_connected_graphs(n)]
+    # two supports share a belt iff their intersection is one of the flats
+    # the facet walk passed through, exactly as the reference ranks every
+    # pair by elimination
+    graphs = [g for n in range(3, 7) for g in enumerate_connected_graphs(n)]
     graphs += sample_connected_graphs(7, 12, seed=20261019)
     for g in graphs:
-        supports = oracle.oracle_facets(g)
-        adj = sweep.oracle_belt_adjacency(g, supports)
+        flats = set()
+        supports = oracle.oracle_facets(g, flats)
+        masks = edge_masks(g, supports)
+        same = set()
         for i, s1 in enumerate(supports):
-            assert not adj[i] >> i & 1
             for j in range(i + 1, len(supports)):
                 want = oracle_reference.oracle_same_belt(g, s1, supports[j])
-                assert bool(adj[i] >> j & 1) == bool(adj[j] >> i & 1) == want, (g, i, j)
+                assert ((masks[i] & masks[j]) in flats) == want, (g, i, j)
+                if want:
+                    same.add(masks[i] & masks[j])
+        assert same == flats, g   # and every flat is where two facets meet
 
 
-def _repeated_flat(g):
-    """(i, j, flat): the first Venkov pair whose intersection an earlier pair had."""
-    pairs = [f for f in faces.enumerate_facets(g) if f[0] & 1]
-    masks = [sweep.facet_support(g, f) for f in pairs]
-    seen = set()
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            flat = masks[i] & masks[j]
-            if flat in seen:
-                return i, j, flat
-            seen.add(flat)
-    raise AssertionError("no repeated intersection")
+G5 = ZGraph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4)])
 
 
 def test_oracle_agrees_catches_a_flipped_venkov_bit(monkeypatch):
-    g = ZGraph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4)])
-    assert oracle_agrees(g)
-    i, j, _ = _repeated_flat(g)
+    assert oracle_agrees(G5)
     real = faces.belt_adjacency
 
     def flipped(g, facets, **kw):
         vadj, dadj = real(g, facets, **kw)
-        vadj[i] ^= 1 << j
-        vadj[j] ^= 1 << i
+        vadj[0] ^= 1 << 1
+        vadj[1] ^= 1 << 0
         return vadj, dadj
 
     monkeypatch.setattr(faces, "belt_adjacency", flipped)
-    assert not oracle_agrees(g)
+    assert not oracle_agrees(G5)
 
 
 def test_oracle_agrees_catches_a_lying_oracle(monkeypatch):
-    g = ZGraph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4)])
-    _, _, flat = _repeated_flat(g)
-    real = oracle.oracle_same_belt
-    monkeypatch.setattr(oracle, "oracle_same_belt",
-                        lambda g, s1, s2: real(g, s1, s2) != (s1 & s2 == flat))
+    # the oracle's walk drops one flat, or adds one intersection of two
+    # facet supports that is not a flat
+    def drop(flats, masks):
+        flats.remove(min(flats))
+
+    def add(flats, masks):
+        flats.add(min(a & b for a in masks for b in masks if a != b and a & b not in flats))
+
+    real = oracle.oracle_facets
+    for lie in (drop, add):
+        def lying(g, flats=None):
+            supports = real(g, flats)
+            lie(flats, edge_masks(g, supports))
+            return supports
+
+        monkeypatch.setattr(oracle, "oracle_facets", lying)
+        assert not oracle_agrees(G5), lie.__name__
+
+
+def test_sweep_reports_a_dropped_core(monkeypatch):
+    # a core pass that loses one core, while belt_adjacency keeps answering
+    # from every core: only the check of the flats against the cores can tell
+    g = ZGraph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    assert oracle_agrees(g)
+    vadj, _ = faces.belt_adjacency(g, faces.enumerate_facets(g), dual=False)
+    real = faces._core_merges
+    monkeypatch.setattr(faces, "_core_merges", lambda g: itertools.islice(real(g), 1, None))
+    monkeypatch.setattr(faces, "belt_adjacency", lambda g, facets, **kw: (list(vadj), None))
     assert not oracle_agrees(g)
+    monkeypatch.setattr(sweep, "connected_levels", lambda lo, hi: iter([[g]]))
+    rep = run_sweep(4, checks=("oracle_equiv",))
+    assert rep.violations == ["n=4 [(0, 1), (0, 2), (1, 2), (2, 3)]: oracle mismatch"]
 
 
 def test_run_sweep_small():
