@@ -20,7 +20,7 @@ the faces with x, y incomparable link (x | y∪z) with (y | x∪z), and
 
 from __future__ import annotations
 
-from .faces import belt_adjacency, enumerate_facets, FacetId
+from .faces import belt_adjacency, facets_and_cores, FacetId
 from .venkov import VenkovGraph, diameter_witness
 from .zgraph import ZGraph, dimension
 
@@ -32,17 +32,17 @@ class DualGraph:
 
 
 def build_dual(g: ZGraph) -> DualGraph:
-    nodes = enumerate_facets(g)
-    _, adj = belt_adjacency(g, nodes, venkov=False)
+    nodes, cores = facets_and_cores(g)
+    _, adj = belt_adjacency(nodes, cores, venkov=False)
     return DualGraph(nodes, adj)
 
 
 def build_graphs(g: ZGraph) -> tuple[VenkovGraph, DualGraph]:
-    """Venkov and dual graph from one facet enumeration and one core pass."""
+    """Venkov and dual graph from one connectivity table and one core pass."""
     if g.n < 3:
         raise ValueError("need at least 3 vertices")
-    nodes = enumerate_facets(g)
-    vadj, dadj = belt_adjacency(g, nodes)
+    nodes, cores = facets_and_cores(g)
+    vadj, dadj = belt_adjacency(nodes, cores)
     return VenkovGraph([f for f in nodes if f[0] & 1], vadj), DualGraph(nodes, dadj)
 
 

@@ -4,12 +4,20 @@ A codimension-k face of the zonotope of a connected graph is an ordered
 partition of the vertex set into k+1 parts, each inducing a connected
 subgraph.  Facets are the 2-part case; a belt collects the 4 or 6 facets
 parallel to a codimension-2 face, whose core is the unordered 3-partition.
+
+Both are read off one table of the connected vertex sets of a graph
+(`connected_table`): a facet is a part a holding vertex 0 with a and V∖a
+connected, and the core pass (`_core_merges`) reads every connectivity
+answer from the same table, so `facets_and_cores` builds it once for
+both.  `connected_splits` grows the splits of one side into two connected
+parts without a table, for the belt neighbours of one facet pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import compress
+from operator import and_, attrgetter
 
 from .zgraph import ZGraph, components
 
@@ -21,12 +29,6 @@ FacetId = tuple[int, int]
 def unordered_pair(f: FacetId) -> FacetId:
     """Canonical representative of {A,B}: the part with vertex 0 first."""
     return f if f[0] & 1 else (f[1], f[0])
-
-
-def partition_key(parts: tuple[int, ...]):
-    """Deterministic sort key: (size of the part holding vertex 0, masks)."""
-    zero_part = next(p for p in parts if p & 1)
-    return (zero_part.bit_count(), parts)
 
 
 def validate_partition(g: ZGraph, parts) -> tuple[int, ...]:
@@ -104,15 +106,37 @@ def connected_table(g: ZGraph) -> bytearray:
 
 def enumerate_facets(g: ZGraph) -> list[FacetId]:
     """All ordered 2-partitions with both parts connected, sorted."""
-    _require_connected(g)
+    return facets_and_cores(g)[0]
+
+
+def facets_and_cores(g: ZGraph):
+    """(enumerate_facets(g), the `_core_merges` generator), from one
+    `connected_table`."""
+    conn = connected_table(g)
+    if not conn[g.full_mask]:
+        raise ValueError("graph must be connected")
     if g.n < 2:
         raise ValueError("need at least 2 vertices")
+    return _facets(g, conn), _core_merges(g, conn)
+
+
+def _facets(g: ZGraph, conn: bytearray) -> list[FacetId]:
+    """The facets read off conn = connected_table(g), sorted.
+
+    Partitions sort by the size of their part holding vertex 0, then by
+    their parts.  A part a holding vertex 0 names the facets (a, V∖a) and
+    (V∖a, a) when conn[a] and conn[V∖a], and a is the part holding vertex
+    0 of both, so facets sort by |a|, then by first part.
+    """
     full = g.full_mask
+    by_size = [[] for _ in range(g.n)]
+    # for odd a, V∖a = full - a: conn[1::2] pairs with conn[full - 1::-2]
+    for a in compress(range(1, full, 2), map(and_, conn[1::2], conn[full - 1::-2])):
+        by_size[a.bit_count()] += (a, full ^ a)
     out = []
-    for a in connected_splits(g, full):
-        out.append((a, full ^ a))
-        out.append((full ^ a, a))
-    out.sort(key=partition_key)
+    for firsts in by_size:
+        firsts.sort()
+        out += [(a, full ^ a) for a in firsts]
     return out
 
 
@@ -123,7 +147,7 @@ class Belt:
     directions: int                 # nonempty crossing-edge classes, 2 or 3
 
 
-def _core_merges(g: ZGraph):
+def _core_merges(g: ZGraph, conn: bytearray):
     """Yield (p, q, r, pq, pr, qr) once per codimension-2 core.
 
     p, q, r are the parts of an unordered 3-partition with connected parts:
@@ -131,11 +155,10 @@ def _core_merges(g: ZGraph):
     the merge bits, 1 when p|q, p|r, q|r is connected and 0 otherwise;
     for connected parts x and y, x|y is connected exactly when an edge
     crosses between them, so the bits name the belt's members and its
-    crossing directions.  Every connectivity answer is read from one
-    `connected_table`.
+    crossing directions.  Every connectivity answer is read from
+    conn = connected_table(g).
     """
     full = g.full_mask
-    conn = connected_table(g)
     rest0 = full ^ 1
     sub = rest0
     while True:
@@ -170,7 +193,7 @@ def enumerate_codim2(g: ZGraph) -> list[Belt]:
     part = {}
     facet = {}
     belts = []
-    for p, q, r, pq, pr, qr in _core_merges(g):
+    for p, q, r, pq, pr, qr in _core_merges(g, connected_table(g)):
         p, q, r = part.setdefault(p, p), part.setdefault(q, q), part.setdefault(r, r)
         members = []
         # with the core ascending (a, b, c) the merges run a|b, a|c, b|c,
@@ -181,7 +204,8 @@ def enumerate_codim2(g: ZGraph) -> list[Belt]:
                 members.append(facet.setdefault(merged, (merged, rest)))
                 members.append(facet.setdefault(rest, (rest, merged)))
         belts.append(Belt(tuple(sorted((p, q, r))), tuple(members), pq + pr + qr))
-    # partition_key order from two stable sorts whose keys allocate nothing
+    # sorted like the facets, by the size of the part holding vertex 0 and
+    # then by the parts, from two stable sorts whose keys allocate nothing
     belts.sort(key=attrgetter("core"))
     belts.sort(key=_zero_part_size)
     return belts
@@ -192,14 +216,15 @@ def _zero_part_size(belt: Belt) -> int:
     return (a if a & 1 else b if b & 1 else c).bit_count()
 
 
-def belt_adjacency(g: ZGraph, facets: list[FacetId], venkov: bool = True,
+def belt_adjacency(facets: list[FacetId], cores, venkov: bool = True,
                    dual: bool = True):
     """Venkov and dual adjacency bitmasks from one pass over the cores.
 
-    facets is enumerate_facets(g).  The Venkov nodes are the facets whose
-    first part holds vertex 0, in that order; the dual nodes are all the
-    facets.  Returns (venkov_adj, dual_adj), with None for a graph not
-    asked for.
+    facets and cores are the pair `facets_and_cores(g)` returns, the cores
+    as that generator or as a list of what it yields.  The Venkov nodes
+    are the facets whose first part holds vertex 0, in that order; the
+    dual nodes are all the facets.  Returns (venkov_adj, dual_adj), with
+    None for a graph not asked for.
 
     A belt's 2 or 3 facet pairs form a Venkov clique.  Its 4 or 6 facets
     form a dual cycle, one edge per codimension-2 face; writing [x] for
@@ -207,7 +232,6 @@ def belt_adjacency(g: ZGraph, facets: list[FacetId], venkov: bool = True,
     parts all touch is [p] [pq] [q] [qr] [r] [pr], and when x and y share
     no edge (z touching both) it is [x] [xz] [yz] [y].
     """
-    full = g.full_mask
     vadj = dadj = None
     if venkov:
         vnode = {f[0]: i for i, f in enumerate(f for f in facets if f[0] & 1)}
@@ -215,7 +239,7 @@ def belt_adjacency(g: ZGraph, facets: list[FacetId], venkov: bool = True,
     if dual:
         dnode = {f[0]: i for i, f in enumerate(facets)}
         dadj = [0] * len(facets)
-    for p, q, r, pq, pr, qr in _core_merges(g):
+    for p, q, r, pq, pr, qr in cores:
         if venkov:
             # p holds vertex 0, so a pair is keyed by its part containing p
             ids = [vnode[m] for m, ok in ((p | q, pq), (p | r, pr), (p, qr)) if ok]

@@ -105,8 +105,9 @@ def exact_rank(rows) -> int:
                        width, columns)
 
 
-def oracle_facets(g: ZGraph, flats: set | None = None) -> list[frozenset]:
-    """Supports of all closed corank-1 row subsets, as edge sets.
+def oracle_facets(g: ZGraph, flats: set | None = None) -> list[int]:
+    """Supports of all closed corank-1 row subsets, ascending, each as an
+    edge-index bitmask (bit k for the k-th sorted edge).
 
     Each hyperplane is reached once, through its greedy basis.  The
     backtracking picks rows in increasing index order, and every row it
@@ -121,9 +122,9 @@ def oracle_facets(g: ZGraph, flats: set | None = None) -> list[frozenset]:
 
     The walk passes through every closed rank-(d-2) flat on its way, at
     the nodes of rank d - 2, and adds each support there to `flats`, when
-    given, as an edge-index bitmask (bit k for the k-th sorted edge).  A
-    support reached twice would mean the pruning is wrong, so it raises
-    RuntimeError instead of being merged.
+    given, as a bitmask of the same kind.  A support reached twice would
+    mean the pruning is wrong, so it raises RuntimeError instead of being
+    merged.
     """
     d = dimension(g)
     if d < 2:
@@ -175,8 +176,7 @@ def oracle_facets(g: ZGraph, flats: set | None = None) -> list[frozenset]:
     extend(0, rows, [], 1, 0, 1)
     if flats is not None:
         flats |= codim2
-    supports = [frozenset(edges[j] for j in range(m) if s >> j & 1) for s in found]
-    return sorted(supports, key=lambda s: sorted(s))
+    return sorted(found)
 
 
 def oracle_same_belt(g: ZGraph, s1: frozenset, s2: frozenset) -> bool:

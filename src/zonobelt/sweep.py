@@ -11,7 +11,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from . import dual, faces, oracle, symmetric, venkov
+from . import faces, oracle, symmetric, venkov
 from .zgraph import ZGraph, dimension, grow_canonical
 
 EXHAUSTIVE_MAX_N = 8
@@ -98,17 +98,19 @@ def oracle_agrees(g: ZGraph) -> bool:
     """Facets, codimension-2 faces and belts: partition calculus vs oracle.
 
     Each side gives its supports as edge-index bitmasks.  The calculus
-    takes the edges inside the parts of each facet pair and of each core
-    of `faces._core_merges`; the oracle takes its closed corank-1 row sets
-    and the closed rank-(d-2) flats its facet walk passes through.  Two
-    facet hyperplanes meet in a flat, and share a belt iff that flat has
-    rank d - 2, so the oracle's same-belt relation is membership of the
-    supports' intersection in its flats; it must equal the Venkov
-    adjacency of `faces.belt_adjacency`.  Raises oracle.OracleBudgetError
-    before any oracle work when the same-belt checks, one per two facet
-    pairs, would exceed oracle.SAME_BELT_PAIR_CAP.
+    takes the edges inside the parts of each facet pair and of each core,
+    with the facets and one list of the cores read off one connectivity
+    table (`faces.facets_and_cores`); the oracle takes its closed corank-1
+    row sets and the closed rank-(d-2) flats its facet walk passes
+    through.  Two facet hyperplanes meet in a flat, and share a belt iff
+    that flat has rank d - 2, so the oracle's same-belt relation is
+    membership of the supports' intersection in its flats; it must equal
+    the Venkov adjacency `faces.belt_adjacency` builds from the same core
+    list.  Raises oracle.OracleBudgetError before any oracle work when the
+    same-belt checks, one per two facet pairs, would exceed
+    oracle.SAME_BELT_PAIR_CAP.
     """
-    facets = faces.enumerate_facets(g)
+    facets, cores = faces.facets_and_cores(g)
     pairs = [f for f in facets if f[0] & 1]
     checks = len(pairs) * (len(pairs) - 1) // 2
     if checks > oracle.SAME_BELT_PAIR_CAP:
@@ -118,13 +120,12 @@ def oracle_agrees(g: ZGraph) -> bool:
         )
     inner = _inner_edges(g)
     supports = [inner[a] | inner[b] for a, b in pairs]
-    bit = {e: 1 << k for k, e in enumerate(g.sorted_edges())}
     flats: set[int] = set()
-    found = [sum(bit[e] for e in s) for s in oracle.oracle_facets(g, flats)]
-    if sorted(found) != sorted(supports):
+    if oracle.oracle_facets(g, flats) != sorted(supports):
         return False
-    cores = [inner[p] | inner[q] | inner[r] for p, q, r, *_ in faces._core_merges(g)]
-    if len(cores) != len(flats) or set(cores) != flats:
+    cores = list(cores)
+    core_flats = [inner[p] | inner[q] | inner[r] for p, q, r, *_ in cores]
+    if len(core_flats) != len(flats) or set(core_flats) != flats:
         return False
     adj = [0] * len(supports)
     for i, s in enumerate(supports):
@@ -132,7 +133,7 @@ def oracle_agrees(g: ZGraph) -> bool:
             if (s & supports[j]) in flats:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return adj == faces.belt_adjacency(g, facets, dual=False)[0]
+    return adj == faces.belt_adjacency(facets, cores, dual=False)[0]
 
 
 @dataclass
@@ -162,8 +163,11 @@ class SweepReport:
 def _check_graph(g: ZGraph, checks, row: SweepRow, violations: list):
     d = dimension(g)
     label = "n=%d %r" % (g.n, g.sorted_edges())
-    vg, dg = dual.build_graphs(g)
-    belt = venkov.diameter_witness(vg.adj)[0]
+    # one core list feeds the adjacency and the belt_size check
+    facets, cores = faces.facets_and_cores(g)
+    cores = list(cores)
+    vadj, dadj = faces.belt_adjacency(facets, cores)
+    belt = venkov.diameter_witness(vadj)[0]
     if belt > row.max_belt_diameter:
         row.max_belt_diameter = belt
         row.witness = g.sorted_edges()
@@ -174,7 +178,7 @@ def _check_graph(g: ZGraph, checks, row: SweepRow, violations: list):
             violations.append("%s: belt diameter %d > 2" % (label, belt))
         if d >= 7 and belt > 3:
             violations.append("%s: belt diameter %d > 3" % (label, belt))
-    dd = venkov.diameter_witness(dg.adj)[0]  # reported for every row, checked on demand
+    dd = venkov.diameter_witness(dadj)[0]  # reported for every row, checked on demand
     row.max_dual_diameter = max(row.max_dual_diameter, dd)
     if "dual_bound" in checks:
         if dd > belt + 1:
@@ -190,7 +194,7 @@ def _check_graph(g: ZGraph, checks, row: SweepRow, violations: list):
         for m in range(1, 1 << g.n):
             low = m & -m
             near[m] = near[m ^ low] | g.adj[low.bit_length() - 1]
-        for p, q, r, pq, pr, qr in faces._core_merges(g):
+        for p, q, r, pq, pr, qr in cores:
             size = 2 * (pq + pr + qr)
             dirs = bool(near[p] & q) + bool(near[p] & r) + bool(near[q] & r)
             if size not in (4, 6) or dirs not in (2, 3):

@@ -4,7 +4,8 @@ Two facet pairs share a belt exactly when they are members of the belt of
 one codimension-2 core, and every belt's 2 or 3 pairs are mutually
 adjacent.  So the adjacency is built from one pass over the cores
 (faces.belt_adjacency), joining each belt's pairs into a clique, rather
-than by testing every pair of facets.
+than by testing every pair of facets; the nodes and the cores are read off
+one table of the graph's connected vertex sets (faces.facets_and_cores).
 
 Diameters grow every node's BFS ball at once: ball_1(i) is i with its
 neighbours, and ball_{k+1}(i) joins ball_k(j) over i and its neighbours j,
@@ -14,15 +15,14 @@ unit of diameter, each at most one OR per adjacent pair, instead of one
 BFS per source.
 
 A belt distance needs neither: belt_neighbors generates a node's
-neighbours from the splits of each part into two connected parts, with the
-walk that lists the facets (faces.connected_splits) run on each part
-instead of on the whole vertex set, so belt_distance never lists the
-facets.
+neighbours from the splits of each part into two connected parts
+(faces.connected_splits), so belt_distance never lists the facets nor
+builds a table of the connected sets of the whole vertex set.
 """
 
 from __future__ import annotations
 
-from .faces import FacetId, belt_adjacency, connected_splits, enumerate_facets
+from .faces import FacetId, belt_adjacency, connected_splits, facets_and_cores
 from .faces import _require_connected, unordered_pair, validate_partition
 from .zgraph import ZGraph, bits
 
@@ -38,8 +38,8 @@ class VenkovGraph:
 def build_venkov(g: ZGraph) -> VenkovGraph:
     if g.n < 3:
         raise ValueError("need at least 3 vertices")
-    facets = enumerate_facets(g)
-    adj, _ = belt_adjacency(g, facets, dual=False)
+    facets, cores = facets_and_cores(g)
+    adj, _ = belt_adjacency(facets, cores, dual=False)
     return VenkovGraph([f for f in facets if f[0] & 1], adj)
 
 
@@ -84,8 +84,8 @@ def belt_neighbors(g: ZGraph, a: int) -> list[int]:
     C, rest = P∖C and the other side O are connected, and V∖C = O ∪ rest is
     connected, which holds exactly when rest touches O.
 
-    So each side P is split into two connected parts (connected_splits,
-    the walk that also lists the facets), and either part is a neighbour
+    So each side P is split into two connected parts (connected_splits),
+    and either part is a neighbour
     when the other touches O.  O is connected when {a, V∖a} is a facet
     pair; for any other 2-partition a side is skipped when O is not, so the
     list still holds the facet pairs that share a belt with it.

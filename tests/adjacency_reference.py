@@ -5,21 +5,27 @@ every vertex mask, belts built core by core with an explicit crossing-edge
 test, Venkov and dual adjacency tested for every pair of facets, diameters
 by one BFS per source node, and belt distance by a BFS that scans every
 facet for each frontier node.  They are quadratic or worse, so the library
-derives the same objects from one walk over connected splits, one pass
-over the codimension-2 cores, and belt distance from generated neighbours,
-instead.  The core pass itself is kept here as the scan that asked
-`connected_in` for every mask (`core_merges_scan`); the library reads a
-table of every connected set instead.
+derives the same objects from one table of the connected vertex sets, one
+pass over the codimension-2 cores, and belt distance from generated
+neighbours, instead.  The core pass itself is kept here as the scan that
+asked `connected_in` for every mask (`core_merges_scan`); the library reads
+the table instead.  `partition_key` is the order the library's facet and
+belt lists must follow, which it reaches without building the key.
 """
 
 from zonobelt.faces import (
     Belt,
     enumerate_facets,
-    partition_key,
     unordered_pair,
     validate_partition,
 )
 from zonobelt.zgraph import ZGraph, bits
+
+
+def partition_key(parts: tuple[int, ...]):
+    """Deterministic sort key: (size of the part holding vertex 0, masks)."""
+    zero_part = next(p for p in parts if p & 1)
+    return (zero_part.bit_count(), parts)
 
 
 def enumerate_facets_scan(g: ZGraph):

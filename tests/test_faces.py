@@ -164,12 +164,38 @@ def test_connected_splits_match_submasks(n):
             assert sorted(connected_splits(g, side)) == want
 
 
+def split_walk_matches_facets(g):
+    # the split walk over the whole vertex set yields each Venkov node, the
+    # part of a facet pair holding vertex 0, exactly once
+    want = [a for a, _ in enumerate_facets(g) if a & 1]
+    assert sorted(connected_splits(g, g.full_mask)) == sorted(want), g
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_connected_splits_of_the_vertex_set_are_the_venkov_nodes(n):
+    for g in enumerate_connected_graphs(n):
+        split_walk_matches_facets(g)
+
+
+def test_connected_splits_of_the_vertex_set_on_seeded_graphs():
+    rng = random.Random(19)
+    for n in range(8, 17):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for p in (0.2, 0.3, 0.5, 0.7):
+            while True:
+                g = ZGraph(n, [e for e in pairs if rng.random() < p])
+                if dimension(g) == n - 1:
+                    break
+            split_walk_matches_facets(g)
+
+
 @pytest.mark.parametrize("n", range(3, 8))
 def test_core_merges_match_scan_on_every_graph(n):
     # the same (p, q, r, pq, pr, qr) sequence, order included, as the scan
     # that asked connected_in about every mask
     for g in enumerate_connected_graphs(n):
-        assert list(faces._core_merges(g)) == list(core_merges_scan(g)), g
+        cores = faces._core_merges(g, connected_table(g))
+        assert list(cores) == list(core_merges_scan(g)), g
 
 
 def test_core_merges_match_scan_on_seeded_graphs():
@@ -181,7 +207,8 @@ def test_core_merges_match_scan_on_seeded_graphs():
                 g = ZGraph(n, [e for e in pairs if rng.random() < p])
                 if dimension(g) == n - 1:
                     break
-            assert list(faces._core_merges(g)) == list(core_merges_scan(g)), g
+            cores = faces._core_merges(g, connected_table(g))
+            assert list(cores) == list(core_merges_scan(g)), g
 
 
 def test_connected_table_matches_reach():

@@ -26,6 +26,13 @@ def complete(n):
     return ZGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def edge_masks(g, supports):
+    """Edge sets as edge-index bitmasks (bit k for the k-th sorted edge),
+    ascending, as oracle_facets returns its supports."""
+    bit = {e: 1 << k for k, e in enumerate(g.sorted_edges())}
+    return sorted(sum(bit[e] for e in s) for s in supports)
+
+
 def test_zone_matrix_entries():
     rows = zone_matrix(path(3))
     assert [list(r) for r in rows] == [[1, -1, 0], [0, 1, -1]]
@@ -80,12 +87,8 @@ def test_rank_equals_dimension_random():
 
 
 def test_oracle_facets_path():
-    got = oracle_facets(path(4))
-    assert got == [
-        frozenset({(0, 1), (1, 2)}),
-        frozenset({(0, 1), (2, 3)}),
-        frozenset({(1, 2), (2, 3)}),
-    ]
+    # edges (0, 1), (1, 2), (2, 3) are bits 0, 1, 2
+    assert oracle_facets(path(4)) == [0b011, 0b101, 0b110]
 
 
 def test_oracle_facets_k4_count():
@@ -93,13 +96,9 @@ def test_oracle_facets_k4_count():
 
 
 def test_oracle_facets_star():
+    # edges (0, 1), (0, 2), (0, 3) are bits 0, 1, 2
     g = ZGraph(4, [(0, 1), (0, 2), (0, 3)])
-    got = oracle_facets(g)
-    assert got == [
-        frozenset({(0, 1), (0, 2)}),
-        frozenset({(0, 1), (0, 3)}),
-        frozenset({(0, 2), (0, 3)}),
-    ]
+    assert oracle_facets(g) == [0b011, 0b101, 0b110]
 
 
 def test_oracle_same_belt_path():
@@ -126,7 +125,7 @@ def test_budget_cap():
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_every_connected_graph_matches_reference(n):
     for g in enumerate_connected_graphs(n):
-        assert oracle_facets(g) == reference.oracle_facets(g), g
+        assert oracle_facets(g) == edge_masks(g, reference.oracle_facets(g)), g
 
 
 def sparse_connected(rng, n, extra):
@@ -146,7 +145,7 @@ def test_random_sparse_graphs_8_to_10_match_reference():
         n = 8 + k % 3
         g = sparse_connected(rng, n, rng.randrange(5))
         assert len(g.edges) <= n + 4 and dimension(g) == n - 1
-        assert oracle_facets(g) == reference.oracle_facets(g), g
+        assert oracle_facets(g) == edge_masks(g, reference.oracle_facets(g)), g
 
 
 def test_dense_graphs_8_to_10_match_greedy_reference():
@@ -158,7 +157,7 @@ def test_dense_graphs_8_to_10_match_greedy_reference():
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         g = ZGraph(n, [p for p in pairs if rng.random() < 0.6])
         assert dimension(g) == n - 1 and len(g.edges) >= 2 * n
-        assert oracle_facets(g) == reference.oracle_facets_greedy(g), g
+        assert oracle_facets(g) == edge_masks(g, reference.oracle_facets_greedy(g)), g
 
 
 def test_same_belt_shortcut_matches_reference(monkeypatch):
@@ -177,7 +176,9 @@ def test_same_belt_shortcut_matches_reference(monkeypatch):
     graphs += sample_connected_graphs(7, 12, seed=20261019)
     pairs = short = 0
     for g in graphs:
-        supports = oracle_facets(g)
+        edges = g.sorted_edges()
+        supports = [frozenset(e for k, e in enumerate(edges) if m >> k & 1)
+                    for m in oracle_facets(g)]
         for i, s1 in enumerate(supports):
             for s2 in supports[i + 1:]:
                 got = oracle_same_belt(g, s1, s2)

@@ -7,7 +7,7 @@ import pytest
 
 import growth_reference
 import oracle_reference
-from zonobelt import dual, faces, oracle, sweep, zgraph
+from zonobelt import faces, oracle, sweep, venkov, zgraph
 from zonobelt.sweep import (
     CONNECTED_COUNTS,
     CSV_HEADER,
@@ -114,10 +114,10 @@ def test_oracle_agrees_small():
         assert oracle_agrees(g)
 
 
-def edge_masks(g, supports):
-    """Edge sets as edge-index bitmasks, bit k for the k-th sorted edge."""
-    bit = {e: 1 << k for k, e in enumerate(g.sorted_edges())}
-    return [sum(bit[e] for e in s) for s in supports]
+def edge_sets(g, masks):
+    """Edge-index bitmasks, bit k for the k-th sorted edge, as edge sets."""
+    edges = g.sorted_edges()
+    return [frozenset(e for k, e in enumerate(edges) if m >> k & 1) for m in masks]
 
 
 def test_oracle_relation_matches_reference():
@@ -128,8 +128,8 @@ def test_oracle_relation_matches_reference():
     graphs += sample_connected_graphs(7, 12, seed=20261019)
     for g in graphs:
         flats = set()
-        supports = oracle.oracle_facets(g, flats)
-        masks = edge_masks(g, supports)
+        masks = oracle.oracle_facets(g, flats)
+        supports = edge_sets(g, masks)
         same = set()
         for i, s1 in enumerate(supports):
             for j in range(i + 1, len(supports)):
@@ -147,8 +147,8 @@ def test_oracle_agrees_catches_a_flipped_venkov_bit(monkeypatch):
     assert oracle_agrees(G5)
     real = faces.belt_adjacency
 
-    def flipped(g, facets, **kw):
-        vadj, dadj = real(g, facets, **kw)
+    def flipped(facets, cores, **kw):
+        vadj, dadj = real(facets, cores, **kw)
         vadj[0] ^= 1 << 1
         vadj[1] ^= 1 << 0
         return vadj, dadj
@@ -170,7 +170,7 @@ def test_oracle_agrees_catches_a_lying_oracle(monkeypatch):
     for lie in (drop, add):
         def lying(g, flats=None):
             supports = real(g, flats)
-            lie(flats, edge_masks(g, supports))
+            lie(flats, supports)
             return supports
 
         monkeypatch.setattr(oracle, "oracle_facets", lying)
@@ -182,10 +182,15 @@ def test_sweep_reports_a_dropped_core(monkeypatch):
     # from every core: only the check of the flats against the cores can tell
     g = ZGraph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     assert oracle_agrees(g)
-    vadj, _ = faces.belt_adjacency(g, faces.enumerate_facets(g), dual=False)
+    facets, cores = faces.facets_and_cores(g)
+    cores = list(cores)
+    vadj, dadj = faces.belt_adjacency(facets, cores)
     real = faces._core_merges
-    monkeypatch.setattr(faces, "_core_merges", lambda g: itertools.islice(real(g), 1, None))
-    monkeypatch.setattr(faces, "belt_adjacency", lambda g, facets, **kw: (list(vadj), None))
+    monkeypatch.setattr(faces, "_core_merges",
+                        lambda g, conn: itertools.islice(real(g, conn), 1, None))
+    monkeypatch.setattr(faces, "belt_adjacency",
+                        lambda facets, cores, **kw: (list(vadj), list(dadj)))
+    assert list(faces.facets_and_cores(g)[1]) == cores[1:]
     assert not oracle_agrees(g)
     monkeypatch.setattr(sweep, "connected_levels", lambda lo, hi: iter([[g]]))
     rep = run_sweep(4, checks=("oracle_equiv",))
@@ -210,13 +215,43 @@ def test_belt_size_check_reads_crossings_from_edges(monkeypatch):
     # on the path 0-1-2-3 the core {0},{1},{2,3} has two crossing directions,
     # so merge bits claiming six members must be reported
     path = ZGraph(4, [(0, 1), (1, 2), (2, 3)])
-    graphs = dual.build_graphs(path)   # built from the true merges
+    vadj, dadj = faces.belt_adjacency(*faces.facets_and_cores(path))   # the true merges
     lying = (0b0001, 0b0010, 0b1100, True, True, True)
     monkeypatch.setattr(sweep, "connected_levels", lambda lo, hi: iter([[path]]))
-    monkeypatch.setattr(dual, "build_graphs", lambda g: graphs)
-    monkeypatch.setattr(faces, "_core_merges", lambda g: iter([lying]))
+    monkeypatch.setattr(faces, "belt_adjacency", lambda facets, cores, **kw: (vadj, dadj))
+    monkeypatch.setattr(faces, "_core_merges", lambda g, conn: iter([lying]))
     rep = run_sweep(4, checks=("belt_size",))
     assert rep.violations == ["n=4 [(0, 1), (1, 2), (2, 3)]: size 6 with 2 directions"]
+
+
+def test_run_sweep_builds_one_table_and_one_core_pass_per_graph(monkeypatch):
+    # 139 graphs on 4..6 vertices, each checked once by the sweep and once
+    # by the oracle: one connectivity table and one core pass apiece, and
+    # the facets never come from the split walk over the whole vertex set
+    calls = {"_core_merges": 0, "connected_table": 0}
+    for name in calls:
+        real = getattr(faces, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(faces, name, counting)
+    sides = []
+    real_splits = faces.connected_splits
+
+    def splits(g, side):
+        sides.append(side == g.full_mask)
+        return real_splits(g, side)
+
+    # venkov binds its own name: belt distances in the leaves check use it
+    monkeypatch.setattr(faces, "connected_splits", splits)
+    monkeypatch.setattr(venkov, "connected_splits", splits)
+    rep = run_sweep(6)
+    assert rep.ok and sum(r.instances for r in rep.rows) == 139
+    assert calls["_core_merges"] == 278
+    assert calls["connected_table"] <= 278
+    assert sides and not any(sides)
 
 
 def test_run_sweep_validates_args():

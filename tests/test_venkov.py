@@ -273,10 +273,12 @@ def test_belt_distance_scans_no_facets(monkeypatch):
             return fn(*args)
         return wrapper
 
-    # venkov binds its own names at import, so patching faces alone misses it
+    # venkov binds its own names at import, so patching faces alone misses it;
+    # the facets are listed only off a table of every connected vertex set
     for mod in (faces, venkov):
-        monkeypatch.setattr(mod, "enumerate_facets",
-                            counting("enumerate_facets", faces.enumerate_facets))
+        for name in ("enumerate_facets", "facets_and_cores", "connected_table"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counting(name, getattr(faces, name)))
     cg = gen_even_extremal(5)
     assert belt_distance(cg.base, *color_facets(cg))[0] == 3
     assert calls == {}
