@@ -16,12 +16,19 @@ which x-y and y-z carry crossing edges, the face x < y < z lies in
 (x | y∪z) and (x∪y | z).  When x and y share no edge (so both cross z),
 the faces with x, y incomparable link (x | y∪z) with (y | x∪z), and
 (y∪z | x) with (x∪z | y).
+
+Each such cycle is closed under σ: x → −x, which swaps every facet with
+its opposite, so σ is an automorphism of the dual graph and the Venkov
+graph is its quotient by σ.  `dual_diameter` therefore grows balls for
+only half of the facets, one per opposite pair, and mirrors the rest
+(venkov.diameters); `check_diameter_bound` grows both graphs in full,
+because it reports a witness pair for each.
 """
 
 from __future__ import annotations
 
 from .faces import belt_adjacency, facets_and_cores, FacetId
-from .venkov import VenkovGraph, diameter_witness
+from .venkov import VenkovGraph, diameter_witness, diameters
 from .zgraph import ZGraph, dimension
 
 
@@ -50,7 +57,7 @@ def dual_diameter(g: ZGraph) -> int:
     if g.n < 3 or dimension(g) < 2:
         raise ValueError("need a connected graph of dimension >= 2")
     try:
-        return diameter_witness(build_dual(g).adj)[0]
+        return diameters(*facets_and_cores(g))[1]
     except RuntimeError:
         raise RuntimeError("dual graph disconnected: adjacency model violated")
 

@@ -216,6 +216,26 @@ def _zero_part_size(belt: Belt) -> int:
     return (a if a & 1 else b if b & 1 else c).bit_count()
 
 
+def dual_cycle(p: int, q: int, r: int, pq: int, pr: int, qr: int) -> tuple[int, ...]:
+    """The first parts of a belt's 4 or 6 facets, in dual-cycle order.
+
+    The arguments are one tuple `_core_merges` yields.  The facets of a
+    belt form a cycle of the dual graph, one edge per codimension-2 face;
+    writing [x] for (x | rest) and [xy] for (x∪y | rest), the cycle of a
+    core whose three parts all touch is [p] [pq] [q] [qr] [r] [pr], and
+    when x and y share no edge (z touching both) it is [x] [xz] [yz] [y].
+    The cycle is closed under x → −x: its second half is the opposites of
+    its first half, in the same order.
+    """
+    if pq and pr and qr:
+        return (p, p | q, q, q | r, r, p | r)
+    if not pq:
+        return (p, p | r, q | r, q)
+    if not pr:
+        return (p, p | q, r | q, r)
+    return (q, q | p, r | p, r)
+
+
 def belt_adjacency(facets: list[FacetId], cores, venkov: bool = True,
                    dual: bool = True):
     """Venkov and dual adjacency bitmasks from one pass over the cores.
@@ -226,11 +246,8 @@ def belt_adjacency(facets: list[FacetId], cores, venkov: bool = True,
     dual nodes are all the facets.  Returns (venkov_adj, dual_adj), with
     None for a graph not asked for.
 
-    A belt's 2 or 3 facet pairs form a Venkov clique.  Its 4 or 6 facets
-    form a dual cycle, one edge per codimension-2 face; writing [x] for
-    (x | rest) and [xy] for (x∪y | rest), the cycle of a core whose three
-    parts all touch is [p] [pq] [q] [qr] [r] [pr], and when x and y share
-    no edge (z touching both) it is [x] [xz] [yz] [y].
+    A belt's 2 or 3 facet pairs form a Venkov clique, and its 4 or 6
+    facets the dual cycle `dual_cycle` names.
     """
     vadj = dadj = None
     if venkov:
@@ -249,15 +266,7 @@ def belt_adjacency(facets: list[FacetId], cores, venkov: bool = True,
             for i in ids:
                 vadj[i] |= clique ^ (1 << i)
         if dual:
-            if pq and pr and qr:
-                cycle = (p, p | q, q, q | r, r, p | r)
-            elif not pq:
-                cycle = (p, p | r, q | r, q)
-            elif not pr:
-                cycle = (p, p | q, r | q, r)
-            else:
-                cycle = (q, q | p, r | p, r)
-            ids = [dnode[m] for m in cycle]
+            ids = [dnode[m] for m in dual_cycle(p, q, r, pq, pr, qr)]
             for i, j in zip(ids, ids[1:] + ids[:1]):
                 dadj[i] |= 1 << j
                 dadj[j] |= 1 << i

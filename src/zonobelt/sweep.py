@@ -162,45 +162,45 @@ class SweepReport:
 
 def _check_graph(g: ZGraph, checks, row: SweepRow, violations: list):
     d = dimension(g)
-    label = "n=%d %r" % (g.n, g.sorted_edges())
-    # one core list feeds the adjacency and the belt_size check
+    # one core list feeds the diameters and the belt_size check
     facets, cores = faces.facets_and_cores(g)
     cores = list(cores)
-    vadj, dadj = faces.belt_adjacency(facets, cores)
-    belt = venkov.diameter_witness(vadj)[0]
+    belt, dd = venkov.diameters(facets, cores)
     if belt > row.max_belt_diameter:
         row.max_belt_diameter = belt
         row.witness = g.sorted_edges()
+    found = []
     if "belt_bound" in checks:
         if belt > d - 1:
-            violations.append("%s: belt diameter %d > d-1" % (label, belt))
+            found.append("belt diameter %d > d-1" % belt)
         if 3 <= d <= 6 and belt > 2:
-            violations.append("%s: belt diameter %d > 2" % (label, belt))
+            found.append("belt diameter %d > 2" % belt)
         if d >= 7 and belt > 3:
-            violations.append("%s: belt diameter %d > 3" % (label, belt))
-    dd = venkov.diameter_witness(dadj)[0]  # reported for every row, checked on demand
-    row.max_dual_diameter = max(row.max_dual_diameter, dd)
+            found.append("belt diameter %d > 3" % belt)
+    row.max_dual_diameter = max(row.max_dual_diameter, dd)  # reported for every row
     if "dual_bound" in checks:
         if dd > belt + 1:
-            violations.append("%s: dual %d > belt %d + 1" % (label, dd, belt))
+            found.append("dual %d > belt %d + 1" % (dd, belt))
         if d <= 6 and dd > 3:
-            violations.append("%s: dual diameter %d > 3" % (label, dd))
+            found.append("dual diameter %d > 3" % dd)
         if d >= 7 and dd > 4:
-            violations.append("%s: dual diameter %d > 4" % (label, dd))
+            found.append("dual diameter %d > 4" % dd)
     if "belt_size" in checks:
         # directions are read off the edges, not off the merge bits:
         # near[m] is the neighbourhood of the vertex set m
-        near = [0] * (1 << g.n)
-        for m in range(1, 1 << g.n):
-            low = m & -m
-            near[m] = near[m ^ low] | g.adj[low.bit_length() - 1]
+        near = [0]
+        for v in range(g.n):
+            near += [x | g.adj[v] for x in near]
         for p, q, r, pq, pr, qr in cores:
             size = 2 * (pq + pr + qr)
             dirs = bool(near[p] & q) + bool(near[p] & r) + bool(near[q] & r)
             if size not in (4, 6) or dirs not in (2, 3):
-                violations.append("%s: belt size %d/dirs %d" % (label, size, dirs))
+                found.append("belt size %d/dirs %d" % (size, dirs))
             elif (size == 6) != (dirs == 3):
-                violations.append("%s: size %d with %d directions" % (label, size, dirs))
+                found.append("size %d with %d directions" % (size, dirs))
+    if found:
+        label = "n=%d %r" % (g.n, g.sorted_edges())
+        violations += ["%s: %s" % (label, v) for v in found]
 
 
 def run_sweep(max_n: int, checks=ALL_CHECKS, oracle_samples: int = 200,

@@ -14,6 +14,15 @@ first k at which its ball is full.  The whole graph takes one round per
 unit of diameter, each at most one OR per adjacent pair, instead of one
 BFS per source.
 
+The Venkov graph is the dual graph divided by the central symmetry
+σ: x → −x, which maps each facet to its opposite: a belt's dual cycle is
+closed under it and collapses onto the belt's Venkov clique.  So a
+Venkov ball is the projection of the dual ball around either facet of
+the pair, and σ makes half of the dual balls mirror images of the other
+half.  `diameters` therefore grows the balls of one facet per pair over
+the dual graph and reads both diameters off them; `diameter_witness`
+stays for the callers that report a witness pair.
+
 A belt distance needs neither: belt_neighbors generates a node's
 neighbours from the splits of each part into two connected parts
 (faces.connected_splits), so belt_distance never lists the facets nor
@@ -22,7 +31,7 @@ builds a table of the connected sets of the whole vertex set.
 
 from __future__ import annotations
 
-from .faces import FacetId, belt_adjacency, connected_splits, facets_and_cores
+from .faces import FacetId, belt_adjacency, connected_splits, dual_cycle, facets_and_cores
 from .faces import _require_connected, unordered_pair, validate_partition
 from .zgraph import ZGraph, bits
 
@@ -74,6 +83,64 @@ def diameter_witness(adj: list[int]) -> tuple[int, tuple[int, int]]:
             ball[i] = b
         active = [i for i in active if ball[i] != full]
     return diameter, pair
+
+
+def diameters(facets: list[FacetId], cores) -> tuple[int, int]:
+    """(belt diameter, dual diameter) from one ball growth over the dual graph.
+
+    facets and cores are the pair `facets_and_cores(g)` returns.  Node i is
+    the i-th facet pair in Venkov order, with its part holding vertex 0
+    first, and node i + N is its opposite.  x → −x maps node i to i + N and
+    is an automorphism of the dual graph, so only the balls of i < N grow;
+    the ball of i + N is the mirror image, its two halves of N bits
+    swapped.  A belt's dual cycle collapses onto its Venkov clique, so the
+    Venkov ball of radius k around pair i is the projection of the dual
+    ball of radius k around either of its facets: pair i's eccentricity is
+    the first k at which the ball reaches every pair.  Balls and neighbour
+    lists sit in lists indexed by each facet's first part, a vertex mask,
+    with no node dictionary.  Raises RuntimeError when disconnected.
+    """
+    pairs = [a for a, _ in facets if a & 1]
+    n = len(pairs)
+    full = facets[0][0] | facets[0][1]
+    ball = [0] * (full + 1)     # the facet (m, V∖m)'s ball, over node bits
+    near = [None] * (full + 1)  # the first parts of its dual neighbours
+    for i, a in enumerate(pairs):
+        ball[a] = 1 << i
+        ball[full ^ a] = 1 << (i + n)
+        near[a] = []
+        near[full ^ a] = []
+    for core in cores:
+        cycle = dual_cycle(*core)
+        at = cycle[-1]
+        for m in cycle:
+            near[at].append(m)
+            near[m].append(at)
+            at = m
+    low = (1 << n) - 1
+    done = (1 << 2 * n) - 1
+    active = pairs
+    belt = 1 if n > 1 else 0
+    dual = 0
+    while active:
+        dual += 1
+        grown = []
+        for a in active:
+            b = ball[a]
+            for m in near[a]:
+                b |= ball[m]
+                if b == done:
+                    break
+            grown.append(b)
+        for a, b in zip(active, grown):
+            if b == ball[a]:
+                raise RuntimeError("graph is disconnected")
+            ball[a] = b
+            ball[full ^ a] = b >> n | (b & low) << n
+            if (b | b >> n) & low != low:
+                belt = dual + 1
+        active = [a for a in active if ball[a] != done]
+    return belt, dual
 
 
 def belt_neighbors(g: ZGraph, a: int) -> list[int]:
@@ -168,4 +235,6 @@ def belt_distance(g: ZGraph, f1: FacetId, f2: FacetId):
 
 
 def belt_diameter(g: ZGraph) -> int:
-    return diameter_witness(build_venkov(g).adj)[0]
+    if g.n < 3:
+        raise ValueError("need at least 3 vertices")
+    return diameters(*facets_and_cores(g))[0]

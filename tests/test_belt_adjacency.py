@@ -4,7 +4,12 @@ against the pairwise and per-source-BFS references.
 Every connected graph on 3..7 vertices (up to isomorphism) and 24 seeded
 random connected graphs on 8..10 vertices must give the same belts, the
 same node order, the same adjacency bitmasks, the same diameters and the
-same witness pairs.
+same witness pairs.  `venkov.diameters` grows dual balls only for one
+facet of each pair, mirrors them by x → −x, and reads the belt diameter
+off their projections; it must give both reference diameters on those
+graphs and on the odd and even family witnesses.  That rests on the
+Venkov graph being the dual graph divided by x → −x, which is checked on
+its own for every graph with n ≤ 7.
 """
 
 import random
@@ -12,7 +17,7 @@ import random
 import pytest
 
 import adjacency_reference as ref
-from zonobelt import dual, faces, venkov
+from zonobelt import dual, faces, symmetric, venkov
 from zonobelt.sweep import enumerate_connected_graphs
 from zonobelt.zgraph import ZGraph, dimension
 
@@ -48,6 +53,7 @@ def assert_matches_reference(g):
     ddiam, (di, dj) = ref.diameter_witness(dadj)
     assert venkov.diameter_witness(vadj) == (belt, (bi, bj))
     assert venkov.diameter_witness(dadj) == (ddiam, (di, dj))
+    assert venkov.diameters(*faces.facets_and_cores(g)) == (belt, ddiam)
     assert venkov.belt_diameter(g) == belt
     assert dual.dual_diameter(g) == ddiam
     assert dual.check_diameter_bound(g) == {
@@ -70,6 +76,33 @@ def test_random_graphs_8_to_10_match_reference():
     assert {g.n for g in graphs} == {8, 9, 10}
     for g in graphs:
         assert_matches_reference(g)
+
+
+@pytest.mark.parametrize("cg", [symmetric.gen_odd_extremal(n) for n in (3, 4)]
+                         + [symmetric.gen_even_extremal(n) for n in (3, 4)],
+                         ids=lambda cg: "d%d" % (cg.base.n - 1))
+def test_diameters_match_reference_on_family_witnesses(cg):
+    g = cg.base
+    belt = ref.diameter_witness(ref.build_venkov(g)[1])[0]
+    ddiam = ref.diameter_witness(ref.build_dual(g)[1])[0]
+    assert venkov.diameters(*faces.facets_and_cores(g)) == (belt, ddiam)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_venkov_graph_is_the_antipodal_quotient_of_the_dual(n):
+    # pair i's Venkov neighbours are the pairs of the dual neighbours of
+    # either of its facets, i itself never among them
+    for g in enumerate_connected_graphs(n):
+        facets, cores = faces.facets_and_cores(g)
+        vadj, dadj = faces.belt_adjacency(facets, list(cores))
+        pair = {a: i for i, (a, _) in enumerate(f for f in facets if f[0] & 1)}
+        for j, f in enumerate(facets):
+            i = pair[faces.unordered_pair(f)[0]]
+            quotient = 0
+            for k in range(len(facets)):
+                if dadj[j] >> k & 1:
+                    quotient |= 1 << pair[faces.unordered_pair(facets[k])[0]]
+            assert quotient == vadj[i], (g.sorted_edges(), f)
 
 
 def test_ball_growth_matches_bfs_on_random_adjacency():

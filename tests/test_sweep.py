@@ -215,13 +215,48 @@ def test_belt_size_check_reads_crossings_from_edges(monkeypatch):
     # on the path 0-1-2-3 the core {0},{1},{2,3} has two crossing directions,
     # so merge bits claiming six members must be reported
     path = ZGraph(4, [(0, 1), (1, 2), (2, 3)])
-    vadj, dadj = faces.belt_adjacency(*faces.facets_and_cores(path))   # the true merges
+    true = venkov.diameters(*faces.facets_and_cores(path))   # from the true merges
     lying = (0b0001, 0b0010, 0b1100, True, True, True)
     monkeypatch.setattr(sweep, "connected_levels", lambda lo, hi: iter([[path]]))
-    monkeypatch.setattr(faces, "belt_adjacency", lambda facets, cores, **kw: (vadj, dadj))
+    monkeypatch.setattr(venkov, "diameters", lambda facets, cores: true)
     monkeypatch.setattr(faces, "_core_merges", lambda g, conn: iter([lying]))
     rep = run_sweep(4, checks=("belt_size",))
     assert rep.violations == ["n=4 [(0, 1), (1, 2), (2, 3)]: size 6 with 2 directions"]
+
+
+def test_every_violation_kind_keeps_its_wording(monkeypatch):
+    # each kind forced once, by diameters out of bound or by lying merge
+    # bits: every violation carries the graph's label, a clean graph none
+    path4 = ZGraph(4, [(0, 1), (1, 2), (2, 3)])
+    path8 = ZGraph(8, [(i, i + 1) for i in range(7)])
+    lying = [(0b0001, 0b0010, 0b1100, 1, 1, 1), (0b0001, 0b0010, 0b1100, 0, 0, 0)]
+
+    def forced(g, diameters, cores=None):
+        monkeypatch.setattr(venkov, "diameters", lambda facets, cores: diameters)
+        if cores is not None:
+            monkeypatch.setattr(faces, "_core_merges", lambda g, conn: iter(cores))
+        found = []
+        sweep._check_graph(g, sweep.ALL_CHECKS, sweep.SweepRow(d=g.n - 1), found)
+        monkeypatch.undo()
+        return found
+
+    assert forced(path4, (2, 3)) == []
+    assert forced(path4, (3, 5)) == [
+        "n=4 [(0, 1), (1, 2), (2, 3)]: belt diameter 3 > d-1",
+        "n=4 [(0, 1), (1, 2), (2, 3)]: belt diameter 3 > 2",
+        "n=4 [(0, 1), (1, 2), (2, 3)]: dual 5 > belt 3 + 1",
+        "n=4 [(0, 1), (1, 2), (2, 3)]: dual diameter 5 > 3",
+    ]
+    edges8 = "n=8 [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]"
+    assert forced(path8, (4, 6)) == [
+        edges8 + ": belt diameter 4 > 3",
+        edges8 + ": dual 6 > belt 4 + 1",
+        edges8 + ": dual diameter 6 > 4",
+    ]
+    assert forced(path4, (2, 3), lying) == [
+        "n=4 [(0, 1), (1, 2), (2, 3)]: size 6 with 2 directions",
+        "n=4 [(0, 1), (1, 2), (2, 3)]: belt size 0/dirs 2",
+    ]
 
 
 def test_run_sweep_builds_one_table_and_one_core_pass_per_graph(monkeypatch):
