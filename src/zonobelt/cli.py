@@ -171,14 +171,9 @@ def cmd_belts(args):
 
 def cmd_venkov(args):
     g = base_of(load_graph(args.file))
-    vg = venkov.build_venkov(g)
-    labels = [facet_str(f) for f in vg.nodes]
-    edges = [
-        (i, j)
-        for i in range(len(vg.nodes))
-        for j in bits(vg.adj[i])
-        if i < j
-    ]
+    nodes, adj = venkov.build_venkov(g)
+    labels = [facet_str(f) for f in nodes]
+    edges = [(i, j) for i in range(len(nodes)) for j in bits(adj[i]) if i < j]
     if args.dot:
         print("graph venkov {")
         for lab in labels:

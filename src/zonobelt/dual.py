@@ -11,46 +11,26 @@ consistent only when no edge joins them.
 That definition is not evaluated pair by pair.  Every codimension-2 face
 lies in exactly two facets, both in the belt of its core {x, y, z}, so the
 belt's 4 or 6 facets form a cycle and the edges come from one pass over
-the cores (faces.belt_adjacency).  For an ordering (x, y, z) of a core in
-which x-y and y-z carry crossing edges, the face x < y < z lies in
-(x | y∪z) and (x∪y | z).  When x and y share no edge (so both cross z),
-the faces with x, y incomparable link (x | y∪z) with (y | x∪z), and
-(y∪z | x) with (x∪z | y).
+the cores (faces.dual_cycle, walked by faces.dual_neighbours).  For an
+ordering (x, y, z) of a core in which x-y and y-z carry crossing edges,
+the face x < y < z lies in (x | y∪z) and (x∪y | z).  When x and y share
+no edge (so both cross z), the faces with x, y incomparable link
+(x | y∪z) with (y | x∪z), and (y∪z | x) with (x∪z | y).
 
 Each such cycle is closed under σ: x → −x, which swaps every facet with
 its opposite, so σ is an automorphism of the dual graph and the Venkov
 graph is its quotient by σ.  `dual_diameter` therefore grows balls for
 only half of the facets, one per opposite pair, and mirrors the rest
-(venkov.diameters); `check_diameter_bound` grows both graphs in full,
-because it reports a witness pair for each.
+(venkov.diameters).  `check_diameter_bound` reports a witness pair for
+each graph, so it takes both adjacencies from faces.belt_adjacency and
+grows every node's ball in each (venkov.diameter_witness).
 """
 
 from __future__ import annotations
 
-from .faces import belt_adjacency, facets_and_cores, FacetId
-from .venkov import VenkovGraph, diameter_witness, diameters
+from .faces import belt_adjacency, facets_and_cores
+from .venkov import diameter_witness, diameters
 from .zgraph import ZGraph, dimension
-
-
-class DualGraph:
-    def __init__(self, nodes: list[FacetId], adj: list[int]):
-        self.nodes = nodes
-        self.adj = adj
-
-
-def build_dual(g: ZGraph) -> DualGraph:
-    nodes, cores = facets_and_cores(g)
-    _, adj = belt_adjacency(nodes, cores, venkov=False)
-    return DualGraph(nodes, adj)
-
-
-def build_graphs(g: ZGraph) -> tuple[VenkovGraph, DualGraph]:
-    """Venkov and dual graph from one connectivity table and one core pass."""
-    if g.n < 3:
-        raise ValueError("need at least 3 vertices")
-    nodes, cores = facets_and_cores(g)
-    vadj, dadj = belt_adjacency(nodes, cores)
-    return VenkovGraph([f for f in nodes if f[0] & 1], vadj), DualGraph(nodes, dadj)
 
 
 def dual_diameter(g: ZGraph) -> int:
@@ -64,13 +44,17 @@ def dual_diameter(g: ZGraph) -> int:
 
 def check_diameter_bound(g: ZGraph) -> dict:
     """Compute both diameters and test dual <= belt + 1, with witnesses."""
-    vg, dg = build_graphs(g)
-    belt, (bi, bj) = diameter_witness(vg.adj)
-    dual, (di, dj) = diameter_witness(dg.adj)
+    if g.n < 3:
+        raise ValueError("need at least 3 vertices")
+    facets, cores = facets_and_cores(g)
+    vadj, dadj = belt_adjacency(facets, cores)
+    pairs = [f for f in facets if f[0] & 1]
+    belt, (bi, bj) = diameter_witness(vadj)
+    dual, (di, dj) = diameter_witness(dadj)
     return {
         "belt_diameter": belt,
-        "belt_witness": (vg.nodes[bi], vg.nodes[bj]),
+        "belt_witness": (pairs[bi], pairs[bj]),
         "dual_diameter": dual,
-        "dual_witness": (dg.nodes[di], dg.nodes[dj]),
+        "dual_witness": (facets[di], facets[dj]),
         "bound_holds": dual <= belt + 1,
     }

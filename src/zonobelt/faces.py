@@ -11,6 +11,10 @@ connected, and the core pass (`_core_merges`) reads every connectivity
 answer from the same table, so `facets_and_cores` builds it once for
 both.  `connected_splits` grows the splits of one side into two connected
 parts without a table, for the belt neighbours of one facet pair.
+
+`dual_neighbours` walks each belt's dual cycle once and lists every
+facet's dual neighbours by first part; `belt_adjacency` and
+`venkov.diameters` read both graphs on the facets off that table.
 """
 
 from __future__ import annotations
@@ -236,39 +240,60 @@ def dual_cycle(p: int, q: int, r: int, pq: int, pr: int, qr: int) -> tuple[int, 
     return (q, q | p, r | p, r)
 
 
-def belt_adjacency(facets: list[FacetId], cores, venkov: bool = True,
-                   dual: bool = True):
-    """Venkov and dual adjacency bitmasks from one pass over the cores.
+def dual_neighbours(facets: list[FacetId], cores) -> list:
+    """The dual graph as lists indexed by vertex mask, with no node indices.
 
     facets and cores are the pair `facets_and_cores(g)` returns, the cores
-    as that generator or as a list of what it yields.  The Venkov nodes
-    are the facets whose first part holds vertex 0, in that order; the
-    dual nodes are all the facets.  Returns (venkov_adj, dual_adj), with
-    None for a graph not asked for.
-
-    A belt's 2 or 3 facet pairs form a Venkov clique, and its 4 or 6
-    facets the dual cycle `dual_cycle` names.
+    as that generator or as a list of what it yields.  near[m] lists the
+    first parts of the dual neighbours of the facet (m, V∖m), one per
+    codimension-2 face it holds, read off each belt's `dual_cycle`; a mask
+    that is no facet's first part holds None.
     """
-    vadj = dadj = None
-    if venkov:
-        vnode = {f[0]: i for i, f in enumerate(f for f in facets if f[0] & 1)}
-        vadj = [0] * len(vnode)
-    if dual:
-        dnode = {f[0]: i for i, f in enumerate(facets)}
-        dadj = [0] * len(facets)
-    for p, q, r, pq, pr, qr in cores:
-        if venkov:
-            # p holds vertex 0, so a pair is keyed by its part containing p
-            ids = [vnode[m] for m, ok in ((p | q, pq), (p | r, pr), (p, qr)) if ok]
-            clique = 0
-            for i in ids:
-                clique |= 1 << i
-            for i in ids:
-                vadj[i] |= clique ^ (1 << i)
-        if dual:
-            ids = [dnode[m] for m in dual_cycle(p, q, r, pq, pr, qr)]
-            for i, j in zip(ids, ids[1:] + ids[:1]):
-                dadj[i] |= 1 << j
-                dadj[j] |= 1 << i
-    return vadj, dadj
+    full = facets[0][0] | facets[0][1]
+    near = [None] * (full + 1)
+    for a, _ in facets:
+        near[a] = []
+    for core in cores:
+        cycle = dual_cycle(*core)
+        at = cycle[-1]
+        for m in cycle:
+            near[at].append(m)
+            near[m].append(at)
+            at = m
+    return near
 
+
+def belt_adjacency(facets: list[FacetId], cores):
+    """(venkov_adj, dual_adj) bitmasks, read off `dual_neighbours`.
+
+    facets and cores are as for `dual_neighbours`.  The dual nodes are
+    the facets in order; the Venkov nodes are the facet pairs, named by
+    the facets whose first part holds vertex 0, in order.  Node bits sit
+    in lists indexed by first part: a facet's dual bit, and its pair's
+    Venkov bit, shared with its opposite.  The Venkov graph is the dual
+    graph divided by x → −x, so pair i's row is the quotient of the dual
+    row of its facet: the pairs of that facet's dual neighbours.
+    """
+    near = dual_neighbours(facets, cores)
+    dbit = [0] * len(near)
+    vbit = [0] * len(near)
+    full = len(near) - 1
+    pairs = []
+    for i, (a, _) in enumerate(facets):
+        dbit[a] = 1 << i
+        if a & 1:
+            vbit[a] = vbit[full ^ a] = 1 << len(pairs)
+            pairs.append(a)
+
+    def rows(bit, firsts):
+        # OR, not sum: a facet of a 4-cycle [x] [xz] [yz] [y] neighbours
+        # both facets of the pair {y, xz}
+        out = []
+        for a in firsts:
+            row = 0
+            for m in near[a]:
+                row |= bit[m]
+            out.append(row)
+        return out
+
+    return rows(vbit, pairs), rows(dbit, [a for a, _ in facets])

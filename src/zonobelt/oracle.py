@@ -40,16 +40,6 @@ class OracleBudgetError(Exception):
     """Raised when the oracle's work would exceed one of its caps."""
 
 
-def zone_matrix(g: ZGraph) -> list[tuple[int, ...]]:
-    rows = []
-    for i, j in g.sorted_edges():
-        row = [0] * g.n
-        row[i] = 1
-        row[j] = -1
-        rows.append(tuple(row))
-    return rows
-
-
 def field_width(bound: int) -> int:
     """Bits per signed field that hold every minor of the rows, from the
     squared Hadamard bound: the product of the largest squared row norms,
@@ -89,20 +79,6 @@ def packed_rank(rows, width: int, columns: int) -> int:
             rows, prev = _clear(rows, r, prev, width, bias)
             rank += 1
     return rank
-
-
-def exact_rank(rows) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    rows = [tuple(r) for r in rows]
-    if not rows:
-        return 0
-    columns = len(rows[0])
-    bound = 1
-    for s in sorted((sum(x * x for x in r) for r in rows), reverse=True)[:columns]:
-        bound *= max(s, 1)
-    width = field_width(bound)
-    return packed_rank([sum(x << width * i for i, x in enumerate(r)) for r in rows],
-                       width, columns)
 
 
 def oracle_facets(g: ZGraph, flats: set | None = None) -> list[int]:

@@ -105,8 +105,9 @@ def oracle_agrees(g: ZGraph) -> bool:
     through.  Two facet hyperplanes meet in a flat, and share a belt iff
     that flat has rank d - 2, so the oracle's same-belt relation is
     membership of the supports' intersection in its flats; it must equal
-    the Venkov adjacency `faces.belt_adjacency` builds from the same core
-    list.  Raises oracle.OracleBudgetError before any oracle work when the
+    the Venkov adjacency `faces.belt_adjacency` reads off the dual cycles
+    of the same core list, as the quotient of the dual graph by x → −x.
+    Raises oracle.OracleBudgetError before any oracle work when the
     same-belt checks, one per two facet pairs, would exceed
     oracle.SAME_BELT_PAIR_CAP.
     """
@@ -133,7 +134,7 @@ def oracle_agrees(g: ZGraph) -> bool:
             if (s & supports[j]) in flats:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return adj == faces.belt_adjacency(facets, cores, dual=False)[0]
+    return adj == faces.belt_adjacency(facets, cores)[0]
 
 
 @dataclass

@@ -2,10 +2,13 @@
 
 Two facet pairs share a belt exactly when they are members of the belt of
 one codimension-2 core, and every belt's 2 or 3 pairs are mutually
-adjacent.  So the adjacency is built from one pass over the cores
-(faces.belt_adjacency), joining each belt's pairs into a clique, rather
-than by testing every pair of facets; the nodes and the cores are read off
-one table of the graph's connected vertex sets (faces.facets_and_cores).
+adjacent.  So the adjacency is read off the cores rather than by testing
+every pair of facets: each belt's 4 or 6 facets form a dual cycle, and
+the Venkov graph is the dual graph divided by x → −x, so pair i's
+neighbours are the pairs of its facet's dual neighbours
+(faces.belt_adjacency, over the table faces.dual_neighbours writes).  The
+nodes and the cores are read off one table of the graph's connected
+vertex sets (faces.facets_and_cores).
 
 Diameters grow every node's BFS ball at once: ball_1(i) is i with its
 neighbours, and ball_{k+1}(i) joins ball_k(j) over i and its neighbours j,
@@ -14,14 +17,14 @@ first k at which its ball is full.  The whole graph takes one round per
 unit of diameter, each at most one OR per adjacent pair, instead of one
 BFS per source.
 
-The Venkov graph is the dual graph divided by the central symmetry
-σ: x → −x, which maps each facet to its opposite: a belt's dual cycle is
-closed under it and collapses onto the belt's Venkov clique.  So a
-Venkov ball is the projection of the dual ball around either facet of
-the pair, and σ makes half of the dual balls mirror images of the other
-half.  `diameters` therefore grows the balls of one facet per pair over
-the dual graph and reads both diameters off them; `diameter_witness`
-stays for the callers that report a witness pair.
+The central symmetry σ: x → −x maps each facet to its opposite; a
+belt's dual cycle is closed under it and collapses onto the belt's Venkov
+clique.  So a Venkov ball is the projection of the dual ball around
+either facet of the pair, and σ makes half of the dual balls mirror
+images of the other half.  `diameters` therefore grows the balls of one
+facet per pair over the dual neighbour table and reads both diameters
+off them; `diameter_witness` stays for dual.check_diameter_bound, which
+reports a witness pair for each graph.
 
 A belt distance needs neither: belt_neighbors generates a node's
 neighbours from the splits of each part into two connected parts
@@ -31,25 +34,18 @@ builds a table of the connected sets of the whole vertex set.
 
 from __future__ import annotations
 
-from .faces import FacetId, belt_adjacency, connected_splits, dual_cycle, facets_and_cores
+from .faces import FacetId, belt_adjacency, connected_splits, dual_neighbours, facets_and_cores
 from .faces import _require_connected, unordered_pair, validate_partition
 from .zgraph import ZGraph, bits
 
 
-class VenkovGraph:
-    """Nodes are unordered facet pairs (stored with vertex 0's part first)."""
-
-    def __init__(self, nodes: list[FacetId], adj: list[int]):
-        self.nodes = nodes
-        self.adj = adj                      # bitmask over node indices
-
-
-def build_venkov(g: ZGraph) -> VenkovGraph:
+def build_venkov(g: ZGraph) -> tuple[list[FacetId], list[int]]:
+    """(nodes, adjacency): the facet pairs, vertex 0's part first, and their
+    Venkov adjacency bitmasks."""
     if g.n < 3:
         raise ValueError("need at least 3 vertices")
     facets, cores = facets_and_cores(g)
-    adj, _ = belt_adjacency(facets, cores, dual=False)
-    return VenkovGraph([f for f in facets if f[0] & 1], adj)
+    return [f for f in facets if f[0] & 1], belt_adjacency(facets, cores)[0]
 
 
 def diameter_witness(adj: list[int]) -> tuple[int, tuple[int, int]]:
@@ -96,27 +92,19 @@ def diameters(facets: list[FacetId], cores) -> tuple[int, int]:
     swapped.  A belt's dual cycle collapses onto its Venkov clique, so the
     Venkov ball of radius k around pair i is the projection of the dual
     ball of radius k around either of its facets: pair i's eccentricity is
-    the first k at which the ball reaches every pair.  Balls and neighbour
-    lists sit in lists indexed by each facet's first part, a vertex mask,
-    with no node dictionary.  Raises RuntimeError when disconnected.
+    the first k at which the ball reaches every pair.  Balls sit in a list
+    indexed by each facet's first part, a vertex mask, like the neighbour
+    lists of `faces.dual_neighbours`.  Raises RuntimeError when
+    disconnected.
     """
     pairs = [a for a, _ in facets if a & 1]
     n = len(pairs)
-    full = facets[0][0] | facets[0][1]
-    ball = [0] * (full + 1)     # the facet (m, V∖m)'s ball, over node bits
-    near = [None] * (full + 1)  # the first parts of its dual neighbours
+    near = dual_neighbours(facets, cores)
+    full = len(near) - 1
+    ball = [0] * len(near)      # the facet (m, V∖m)'s ball, over node bits
     for i, a in enumerate(pairs):
         ball[a] = 1 << i
         ball[full ^ a] = 1 << (i + n)
-        near[a] = []
-        near[full ^ a] = []
-    for core in cores:
-        cycle = dual_cycle(*core)
-        at = cycle[-1]
-        for m in cycle:
-            near[at].append(m)
-            near[m].append(at)
-            at = m
     low = (1 << n) - 1
     done = (1 << 2 * n) - 1
     active = pairs

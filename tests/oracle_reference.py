@@ -7,15 +7,38 @@ once per basis, C(|E|, d-1) subsets at worst, so it is only run on small
 or sparse graphs.  ``oracle_facets_greedy`` is the greedy-basis walk that
 ``oracle.oracle_facets`` runs on packed residuals, here re-reducing each
 row through the whole span on every visit; it is fast enough for dense
-graphs on 8 to 10 vertices.  ``IntSpan.rank`` is the reference for
-``oracle.exact_rank``.  All of it keeps its own span arithmetic, so it
-shares only ``zone_matrix`` with the library.
+graphs on 8 to 10 vertices.  ``span_rank`` is the reference for
+``oracle.packed_rank`` on list rows that ``pack`` packs.  All of it keeps
+its own span arithmetic and its own zone matrix.
 """
 
 from math import gcd
 
-from zonobelt.oracle import zone_matrix
+from zonobelt.oracle import field_width
 from zonobelt.zgraph import ZGraph, dimension
+
+
+def zone_matrix(g: ZGraph) -> list[tuple[int, ...]]:
+    """One row e_i - e_j per edge (i, j), edges sorted."""
+    rows = []
+    for i, j in g.sorted_edges():
+        row = [0] * g.n
+        row[i] = 1
+        row[j] = -1
+        rows.append(tuple(row))
+    return rows
+
+
+def pack(rows) -> tuple[list[int], int, int]:
+    """(packed rows, width, columns) of integer list rows, the arguments of
+    ``oracle.packed_rank``: field i of a packed row holds entry i, and the
+    width holds the Hadamard bound of the rows' minors."""
+    columns = len(rows[0]) if rows else 0
+    bound = 1
+    for s in sorted((sum(x * x for x in r) for r in rows), reverse=True)[:columns]:
+        bound *= max(s, 1)
+    width = field_width(bound)
+    return [sum(x << width * i for i, x in enumerate(r)) for r in rows], width, columns
 
 
 class IntSpan:

@@ -4,9 +4,11 @@ against the pairwise and per-source-BFS references.
 Every connected graph on 3..7 vertices (up to isomorphism) and 24 seeded
 random connected graphs on 8..10 vertices must give the same belts, the
 same node order, the same adjacency bitmasks, the same diameters and the
-same witness pairs.  `venkov.diameters` grows dual balls only for one
+same witness pairs.  `faces.belt_adjacency` builds both graphs from one
+dual-neighbour table, the Venkov rows as quotients of dual rows, and
+`venkov.diameters` grows dual balls over the same table only for one
 facet of each pair, mirrors them by x → −x, and reads the belt diameter
-off their projections; it must give both reference diameters on those
+off their projections; both must match the pairwise references on those
 graphs and on the odd and even family witnesses.  That rests on the
 Venkov graph being the dual graph divided by x → −x, which is checked on
 its own for every graph with n ≤ 7.
@@ -36,18 +38,24 @@ def random_connected(count, seed):
     return out
 
 
+def assert_adjacency_matches_reference(g):
+    """The flag-free belt_adjacency gives the pairwise reference graphs;
+    returns them as (vnodes, vadj, dnodes, dadj)."""
+    vnodes, vadj = ref.build_venkov(g)
+    dnodes, dadj = ref.build_dual(g)
+    facets, cores = faces.facets_and_cores(g)
+    assert facets == dnodes
+    assert [f for f in facets if f[0] & 1] == vnodes
+    assert faces.belt_adjacency(facets, cores) == (vadj, dadj)
+    return vnodes, vadj, dnodes, dadj
+
+
 def assert_matches_reference(g):
     belts = faces.enumerate_codim2(g)
     assert belts == ref.enumerate_codim2(g)
 
-    vnodes, vadj = ref.build_venkov(g)
-    dnodes, dadj = ref.build_dual(g)
-    vg = venkov.build_venkov(g)
-    dg = dual.build_dual(g)
-    assert (vg.nodes, vg.adj) == (vnodes, vadj)
-    assert (dg.nodes, dg.adj) == (dnodes, dadj)
-    vg2, dg2 = dual.build_graphs(g)
-    assert (vg2.nodes, vg2.adj, dg2.nodes, dg2.adj) == (vnodes, vadj, dnodes, dadj)
+    vnodes, vadj, dnodes, dadj = assert_adjacency_matches_reference(g)
+    assert venkov.build_venkov(g) == (vnodes, vadj)
 
     belt, (bi, bj) = ref.diameter_witness(vadj)
     ddiam, (di, dj) = ref.diameter_witness(dadj)
@@ -83,8 +91,9 @@ def test_random_graphs_8_to_10_match_reference():
                          ids=lambda cg: "d%d" % (cg.base.n - 1))
 def test_diameters_match_reference_on_family_witnesses(cg):
     g = cg.base
-    belt = ref.diameter_witness(ref.build_venkov(g)[1])[0]
-    ddiam = ref.diameter_witness(ref.build_dual(g)[1])[0]
+    _, vadj, _, dadj = assert_adjacency_matches_reference(g)
+    belt = ref.diameter_witness(vadj)[0]
+    ddiam = ref.diameter_witness(dadj)[0]
     assert venkov.diameters(*faces.facets_and_cores(g)) == (belt, ddiam)
 
 

@@ -5,10 +5,16 @@ import random
 import pytest
 
 from adjacency_reference import facet_adjacent, in_same_belt, opposite
-from zonobelt.dual import build_dual, check_diameter_bound, dual_diameter
-from zonobelt.faces import enumerate_codim2, enumerate_facets
+from zonobelt.dual import check_diameter_bound, dual_diameter
+from zonobelt.faces import belt_adjacency, enumerate_codim2, enumerate_facets, facets_and_cores
 from zonobelt.venkov import belt_diameter
 from zonobelt.zgraph import ZGraph
+
+
+def dual_graph(g):
+    """(facets, dual adjacency) from the library's builder."""
+    facets, cores = facets_and_cores(g)
+    return facets, belt_adjacency(facets, cores)[1]
 
 
 def path(n):
@@ -32,13 +38,13 @@ def connected_random_graphs(n, count, seed, p=0.6):
 
 def test_cube_dual_is_octahedron():
     # the path-graph zonotope on 4 vertices is the cube
-    dg = build_dual(path(4))
-    assert len(dg.nodes) == 6
-    assert all(adj.bit_count() == 4 for adj in dg.adj)
+    nodes, adj = dual_graph(path(4))
+    assert len(nodes) == 6
+    assert all(row.bit_count() == 4 for row in adj)
     # opposite facets are the unique non-neighbors
-    for idx, f in enumerate(dg.nodes):
-        opp = dg.nodes.index(opposite(f))
-        assert not dg.adj[idx] >> opp & 1
+    for idx, f in enumerate(nodes):
+        opp = nodes.index(opposite(f))
+        assert not adj[idx] >> opp & 1
     assert dual_diameter(path(4)) == 2
 
 
@@ -68,12 +74,12 @@ def test_facet_adjacent_crossing_condition():
 def test_adjacent_facets_share_exactly_one_belt():
     for g in connected_random_graphs(5, 25, seed=21):
         belts = enumerate_codim2(g)
-        dg = build_dual(g)
-        for i, f1 in enumerate(dg.nodes):
-            for j in range(i + 1, len(dg.nodes)):
-                if not dg.adj[i] >> j & 1:
+        nodes, adj = dual_graph(g)
+        for i, f1 in enumerate(nodes):
+            for j in range(i + 1, len(nodes)):
+                if not adj[i] >> j & 1:
                     continue
-                f2 = dg.nodes[j]
+                f2 = nodes[j]
                 shared = [
                     b for b in belts
                     if f1 in b.members and f2 in b.members

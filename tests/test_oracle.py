@@ -7,13 +7,7 @@ import pytest
 import adjacency_reference
 import oracle_reference as reference
 from zonobelt import oracle
-from zonobelt.oracle import (
-    OracleBudgetError,
-    exact_rank,
-    oracle_facets,
-    oracle_same_belt,
-    zone_matrix,
-)
+from zonobelt.oracle import OracleBudgetError, oracle_facets, oracle_same_belt, packed_rank
 from zonobelt.sweep import enumerate_connected_graphs, sample_connected_graphs
 from zonobelt.zgraph import ZGraph, dimension
 
@@ -34,14 +28,18 @@ def edge_masks(g, supports):
 
 
 def test_zone_matrix_entries():
-    rows = zone_matrix(path(3))
+    rows = reference.zone_matrix(path(3))
     assert [list(r) for r in rows] == [[1, -1, 0], [0, 1, -1]]
 
 
-def test_exact_rank_small():
-    assert exact_rank([[1, -1, 0], [0, 1, -1], [1, 0, -1]]) == 2
-    assert exact_rank([]) == 0
-    assert exact_rank([[0, 0]]) == 0
+def rank(rows) -> int:
+    return packed_rank(*reference.pack(rows))
+
+
+def test_packed_rank_small():
+    assert rank([[1, -1, 0], [0, 1, -1], [1, 0, -1]]) == 2
+    assert rank([]) == 0
+    assert rank([[0, 0]]) == 0
 
 
 def random_matrix(rng, entry):
@@ -59,21 +57,21 @@ def random_matrix(rng, entry):
     return rows
 
 
-def test_exact_rank_matches_reference_small_entries():
+def test_packed_rank_matches_reference_small_entries():
     rng = random.Random(20261019)
     for _ in range(400):
         rows = random_matrix(rng, lambda: rng.randrange(-7, 8))
-        assert exact_rank(rows) == reference.span_rank(rows), rows
+        assert rank(rows) == reference.span_rank(rows), rows
 
 
-def test_exact_rank_matches_reference_entries_near_2_40():
+def test_packed_rank_matches_reference_entries_near_2_40():
     # the fields must widen far past the 10 bits zone rows need: every
     # entry alone takes 42 signed bits
     rng = random.Random(20261020)
     big = 1 << 40
     for _ in range(150):
         rows = random_matrix(rng, lambda: rng.choice((1, -1)) * (big + rng.randrange(-99, 100)))
-        assert exact_rank(rows) == reference.span_rank(rows), rows
+        assert rank(rows) == reference.span_rank(rows), rows
     assert oracle.field_width(big * big) >= 42
 
 
@@ -83,7 +81,7 @@ def test_rank_equals_dimension_random():
         n = rng.randrange(2, 9)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         g = ZGraph(n, [p for p in pairs if rng.random() < 0.5])
-        assert exact_rank(zone_matrix(g)) == dimension(g)
+        assert rank(reference.zone_matrix(g)) == dimension(g)
 
 
 def test_oracle_facets_path():

@@ -147,8 +147,8 @@ def test_oracle_agrees_catches_a_flipped_venkov_bit(monkeypatch):
     assert oracle_agrees(G5)
     real = faces.belt_adjacency
 
-    def flipped(facets, cores, **kw):
-        vadj, dadj = real(facets, cores, **kw)
+    def flipped(facets, cores):
+        vadj, dadj = real(facets, cores)
         vadj[0] ^= 1 << 1
         vadj[1] ^= 1 << 0
         return vadj, dadj
@@ -189,7 +189,7 @@ def test_sweep_reports_a_dropped_core(monkeypatch):
     monkeypatch.setattr(faces, "_core_merges",
                         lambda g, conn: itertools.islice(real(g, conn), 1, None))
     monkeypatch.setattr(faces, "belt_adjacency",
-                        lambda facets, cores, **kw: (list(vadj), list(dadj)))
+                        lambda facets, cores: (list(vadj), list(dadj)))
     assert list(faces.facets_and_cores(g)[1]) == cores[1:]
     assert not oracle_agrees(g)
     monkeypatch.setattr(sweep, "connected_levels", lambda lo, hi: iter([[g]]))

@@ -39,16 +39,16 @@ def complete(n):
 
 
 def test_path4_venkov_is_triangle():
-    vg = build_venkov(path(4))
-    assert [unordered_pair(f) for f in vg.nodes] == vg.nodes
-    assert len(vg.nodes) == 3
-    assert vg.adj == [0b110, 0b101, 0b011]
+    nodes, adj = build_venkov(path(4))
+    assert [unordered_pair(f) for f in nodes] == nodes
+    assert len(nodes) == 3
+    assert adj == [0b110, 0b101, 0b011]
 
 
 def test_triangle_venkov_complete():
-    vg = build_venkov(complete(3))
-    assert len(vg.nodes) == 3
-    assert all(adj.bit_count() == 2 for adj in vg.adj)
+    nodes, adj = build_venkov(complete(3))
+    assert len(nodes) == 3
+    assert all(row.bit_count() == 2 for row in adj)
 
 
 def test_belt_diameters():
@@ -122,12 +122,12 @@ def test_belt_distance_agrees_with_bfs_on_full_graph():
     while done < 25:
         g = ZGraph(5, [p for p in pairs5 if rng.random() < 0.6])
         try:
-            vg = build_venkov(g)
+            nodes, adj = build_venkov(g)
         except ValueError:
             continue
         done += 1
         dist = {}
-        for i in range(len(vg.nodes)):
+        for i in range(len(nodes)):
             seen = {i: 0}
             frontier = [i]
             depth = 0
@@ -135,27 +135,27 @@ def test_belt_distance_agrees_with_bfs_on_full_graph():
                 depth += 1
                 nxt = []
                 for u in frontier:
-                    for w in range(len(vg.nodes)):
-                        if vg.adj[u] >> w & 1 and w not in seen:
+                    for w in range(len(nodes)):
+                        if adj[u] >> w & 1 and w not in seen:
                             seen[w] = depth
                             nxt.append(w)
                 frontier = nxt
             dist[i] = seen
-        for i in range(len(vg.nodes)):
-            for j in range(len(vg.nodes)):
-                got, route = belt_distance(g, vg.nodes[i], vg.nodes[j])
+        for i in range(len(nodes)):
+            for j in range(len(nodes)):
+                got, route = belt_distance(g, nodes[i], nodes[j])
                 assert got == dist[i][j]
                 assert len(route) == got + 1
 
 
 def test_eccentricity_and_witness():
-    vg = build_venkov(complete(4))
-    eccs = [eccentricity(vg.adj, i) for i in range(len(vg.nodes))]
+    nodes, adj = build_venkov(complete(4))
+    eccs = [eccentricity(adj, i) for i in range(len(nodes))]
     assert max(eccs) == 2
-    diam, (u, v) = diameter_witness(vg.adj)
+    diam, (u, v) = diameter_witness(adj)
     assert diam == 2
-    assert eccentricity(vg.adj, u) == 2
-    far, node = farthest(vg.adj, u)
+    assert eccentricity(adj, u) == 2
+    far, node = farthest(adj, u)
     assert far == 2
 
 
@@ -196,10 +196,10 @@ def test_belt_distance_matches_reference_on_every_query(n):
 def test_belt_distance_matches_reference_on_seeded_graphs():
     rng = random.Random(71)
     for g in seeded_graphs(range(7, 13), 2, 70):
-        vg = build_venkov(g)
-        _, (i, j) = diameter_witness(vg.adj)
-        queries = [(vg.nodes[i], vg.nodes[j])]
-        queries += [rng.sample(vg.nodes, 2) for _ in range(8)]
+        nodes, adj = build_venkov(g)
+        _, (i, j) = diameter_witness(adj)
+        queries = [(nodes[i], nodes[j])]
+        queries += [rng.sample(nodes, 2) for _ in range(8)]
         for f1, f2 in queries:
             if rng.random() < 0.5:
                 f2 = f2[::-1]
