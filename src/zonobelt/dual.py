@@ -21,14 +21,14 @@ Each such cycle is closed under σ: x → −x, which swaps every facet with
 its opposite, so σ is an automorphism of the dual graph and the Venkov
 graph is its quotient by σ.  `dual_diameter` therefore grows balls for
 only half of the facets, one per opposite pair, and mirrors the rest
-(venkov.diameters).  `check_diameter_bound` reports a witness pair for
-each graph, so it takes both adjacencies from faces.belt_adjacency and
-grows every node's ball in each (venkov.diameter_witness).
+(venkov.diameters).  `check_diameter_bound` reports witness pairs, so it
+grows every node's ball (venkov.diameter_witness) in both adjacencies,
+read off one table of dual neighbours.
 """
 
 from __future__ import annotations
 
-from .faces import belt_adjacency, facets_and_cores
+from .faces import FacetId, belt_adjacency, dual_neighbours, facets_and_cores, neighbour_rows
 from .venkov import diameter_witness, diameters
 from .zgraph import ZGraph, dimension
 
@@ -42,12 +42,21 @@ def dual_diameter(g: ZGraph) -> int:
         raise RuntimeError("dual graph disconnected: adjacency model violated")
 
 
+def dual_adjacency(facets: list[FacetId], near: list) -> list[int]:
+    """Dual adjacency bitmasks of the facets, read off faces.dual_neighbours."""
+    bit = [0] * len(near)
+    for i, (a, _) in enumerate(facets):
+        bit[a] = 1 << i
+    return neighbour_rows(near, bit, [a for a, _ in facets])
+
+
 def check_diameter_bound(g: ZGraph) -> dict:
     """Compute both diameters and test dual <= belt + 1, with witnesses."""
     if g.n < 3:
         raise ValueError("need at least 3 vertices")
     facets, cores = facets_and_cores(g)
-    vadj, dadj = belt_adjacency(facets, cores)
+    near = dual_neighbours(facets, cores)
+    vadj, dadj = belt_adjacency(facets, near), dual_adjacency(facets, near)
     pairs = [f for f in facets if f[0] & 1]
     belt, (bi, bj) = diameter_witness(vadj)
     dual, (di, dj) = diameter_witness(dadj)

@@ -13,8 +13,9 @@ both.  `connected_splits` grows the splits of one side into two connected
 parts without a table, for the belt neighbours of one facet pair.
 
 `dual_neighbours` walks each belt's dual cycle once and lists every
-facet's dual neighbours by first part; `belt_adjacency` and
-`venkov.diameters` read both graphs on the facets off that table.
+facet's dual neighbours by first part; `belt_adjacency` reads the Venkov
+graph off that table, `dual.dual_adjacency` the dual graph and
+`venkov.diameters` both diameters.
 """
 
 from __future__ import annotations
@@ -263,37 +264,27 @@ def dual_neighbours(facets: list[FacetId], cores) -> list:
     return near
 
 
-def belt_adjacency(facets: list[FacetId], cores):
-    """(venkov_adj, dual_adj) bitmasks, read off `dual_neighbours`.
-
-    facets and cores are as for `dual_neighbours`.  The dual nodes are
-    the facets in order; the Venkov nodes are the facet pairs, named by
-    the facets whose first part holds vertex 0, in order.  Node bits sit
-    in lists indexed by first part: a facet's dual bit, and its pair's
-    Venkov bit, shared with its opposite.  The Venkov graph is the dual
-    graph divided by x → −x, so pair i's row is the quotient of the dual
-    row of its facet: the pairs of that facet's dual neighbours.
-    """
-    near = dual_neighbours(facets, cores)
-    dbit = [0] * len(near)
-    vbit = [0] * len(near)
+def belt_adjacency(facets: list[FacetId], near: list) -> list[int]:
+    """Venkov adjacency bitmasks of the facet pairs (vertex 0's part first),
+    read off near = `dual_neighbours`: the Venkov graph is the dual graph
+    divided by x → −x, so a pair's row ORs the pair bits of its facet's
+    dual neighbours, and both facets of a pair share its bit."""
     full = len(near) - 1
-    pairs = []
-    for i, (a, _) in enumerate(facets):
-        dbit[a] = 1 << i
-        if a & 1:
-            vbit[a] = vbit[full ^ a] = 1 << len(pairs)
-            pairs.append(a)
+    bit = [0] * len(near)
+    pairs = [a for a, _ in facets if a & 1]
+    for i, a in enumerate(pairs):
+        bit[a] = bit[full ^ a] = 1 << i
+    return neighbour_rows(near, bit, pairs)
 
-    def rows(bit, firsts):
-        # OR, not sum: a facet of a 4-cycle [x] [xz] [yz] [y] neighbours
-        # both facets of the pair {y, xz}
-        out = []
-        for a in firsts:
-            row = 0
-            for m in near[a]:
-                row |= bit[m]
-            out.append(row)
-        return out
 
-    return rows(vbit, pairs), rows(dbit, [a for a, _ in facets])
+def neighbour_rows(near: list, bit: list, firsts) -> list[int]:
+    """Row i ORs bit[m] over the first parts m in near[firsts[i]]."""
+    # OR, not sum: a facet of a 4-cycle [x] [xz] [yz] [y] neighbours both
+    # facets of the pair {y, xz}
+    out = []
+    for a in firsts:
+        row = 0
+        for m in near[a]:
+            row |= bit[m]
+        out.append(row)
+    return out

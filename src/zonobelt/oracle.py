@@ -10,10 +10,22 @@ their supports meet in a rank-(d-2) flat.
 One walk finds both (`oracle_facets`).  Each flat of rank d - 2 or d - 1
 is reached once, through its greedy basis: the rows picked by scanning the
 flat's rows in index order and keeping each one independent of those kept
-so far.  A support reached twice means that invariant broke, and raises
-instead of being merged away.  `oracle_same_belt` ranks the overlap of
-two given supports on its own; an overlap of fewer than d - 2 rows cannot
-reach that rank, so it is answered without elimination.
+so far.  The rows outside a node's span fall into parallel classes, and
+only a class's lowest row can extend a greedy basis, taking the whole
+class in, so the walk picks classes in the order of their lowest rows.
+One elimination step carries the other classes to the child's span: those
+that become parallel merge, and those parallel to a passed-over class are
+dropped, as no greedy branch can take them in.  A node's support is its
+parent's span and the picked class.  A support reached twice means that
+invariant broke, and raises instead of being merged away.
+
+The class key is the residual up to sign: the zone matrix is a graph's
+incidence matrix, hence totally unimodular, so every residual entry is a
+minor in {-1, 0, 1} and parallel residuals are equal or opposite.  A key
+that kept two parallel classes apart below rank d - 1 would leave a zero
+residual at the next step, which raises too.  `oracle_same_belt` ranks
+the overlap of two given supports on its own; an overlap of fewer than
+d - 2 rows cannot reach that rank, so it is answered without elimination.
 
 One kernel does every elimination.  A row is packed into one int with a
 signed field of `width` bits per column, field i holding entry i, so a
@@ -83,24 +95,9 @@ def packed_rank(rows, width: int, columns: int) -> int:
 
 def oracle_facets(g: ZGraph, flats: set | None = None) -> list[int]:
     """Supports of all closed corank-1 row subsets, ascending, each as an
-    edge-index bitmask (bit k for the k-th sorted edge).
-
-    Each hyperplane is reached once, through its greedy basis.  The
-    backtracking picks rows in increasing index order, and every row it
-    passes over is either inside the span built so far or outside it.  A
-    basis is the greedy basis of its span exactly when no row passed over
-    while outside ends up in the span, so a branch is cut as soon as one
-    does.  Every row not yet picked or passed over is carried as its
-    residual modulo the span, and one elimination step against a new row
-    takes all of them, and the outside rows, to the extended span: a row
-    lies in a span exactly when its residual is 0.  The support of a node
-    is the inside rows, the chosen rows and the later rows with residual 0.
-
-    The walk passes through every closed rank-(d-2) flat on its way, at
-    the nodes of rank d - 2, and adds each support there to `flats`, when
-    given, as a bitmask of the same kind.  A support reached twice would
-    mean the pruning is wrong, so it raises RuntimeError instead of being
-    merged.
+    edge-index bitmask (bit k for the k-th sorted edge), from the class
+    walk of the module docstring.  The support of each closed rank-(d-2)
+    flat the walk passes through goes into `flats`, when given, likewise.
     """
     d = dimension(g)
     if d < 2:
@@ -118,38 +115,38 @@ def oracle_facets(g: ZGraph, flats: set | None = None) -> list[int]:
     # the only rank-0 flat is the closure of nothing: no zone row is 0
     codim2: set[int] = {0} if d == 2 else set()
 
-    def extend(start: int, later: list, outside: list, prev: int, held: int, rank: int):
-        # later[k - start]: residual of row k; outside: residuals of the rows
-        # passed over outside the span, a fresh list per call; held: bitmask
-        # of the rows chosen or passed over inside the span, this branch;
-        # rank: the span's rank once row k is chosen
-        # range end: leave enough rows to still reach rank d - 2
-        for k in range(start, min(m, m + 1 + rank - need)):
-            r = later[k - start]
-            if not r:
-                held |= 1 << k
+    def extend(res: list, masks: list, outside: list, prev: int, held: int, rank: int):
+        # res[t], masks[t]: residual and row bitmask of class t, in the order
+        # of their lowest rows, none parallel to another or to a passed-over
+        # class; outside: residuals of the classes passed over; held: bitmask
+        # of the rows in the span; rank: the span's rank once a class is picked
+        for t, r in enumerate(res):
+            support = held | masks[t]
+            if rank >= need - 1:
+                seen = found if rank == need else codim2
+                if support in seen:
+                    raise RuntimeError(
+                        "oracle reached the support %r twice"
+                        % [edges[j] for j in range(m) if support >> j & 1]
+                    )
+                seen.add(support)
+            # a child needs need - 1 - rank later classes to reach rank d - 2
+            if rank == need or len(res) - t <= max(1, need - 1 - rank):
                 continue
-            kept, p = _clear(outside, r, prev, width, bias)
-            if all(kept):   # else not a greedy basis
-                rest = _clear(later[k + 1 - start:], r, prev, width, bias)[0]
-                if rank >= need - 1:
-                    support = held | 1 << k
-                    for i, v in enumerate(rest, k + 1):
-                        if not v:
-                            support |= 1 << i
-                    seen = found if rank == need else codim2
-                    if support in seen:
-                        raise RuntimeError(
-                            "oracle reached the support %r twice"
-                            % [edges[j] for j in range(m) if support >> j & 1]
-                        )
-                    seen.add(support)
-                if rank < need:
-                    extend(k + 1, rest, kept, p, held | 1 << k, rank + 1)
-            outside.append(r)
+            # one step takes the other classes to the child's span; abs() keys
+            split = len(outside) + t
+            rows, p = _clear(outside + res[:t] + res[t + 1:], r, prev, width, bias)
+            passed = set(map(abs, rows[:split]))
+            later: dict[int, int] = {}
+            for v, mask in zip(map(abs, rows[split:]), masks[t + 1:]):
+                if v not in passed:
+                    later[v] = later.get(v, 0) | mask
+            if 0 in passed or 0 in later:
+                raise RuntimeError("oracle kept two parallel classes apart")
+            extend(list(later), list(later.values()), list(passed), p, support, rank + 1)
 
     rows = [(1 << width * i) - (1 << width * j) for i, j in edges]
-    extend(0, rows, [], 1, 0, 1)
+    extend(rows, [1 << k for k in range(m)], [], 1, 0, 1)
     if flats is not None:
         flats |= codim2
     return sorted(found)

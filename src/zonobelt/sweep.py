@@ -134,7 +134,7 @@ def oracle_agrees(g: ZGraph) -> bool:
             if (s & supports[j]) in flats:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return adj == faces.belt_adjacency(facets, cores)[0]
+    return adj == faces.belt_adjacency(facets, faces.dual_neighbours(facets, cores))
 
 
 @dataclass

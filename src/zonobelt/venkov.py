@@ -45,7 +45,7 @@ def build_venkov(g: ZGraph) -> tuple[list[FacetId], list[int]]:
     if g.n < 3:
         raise ValueError("need at least 3 vertices")
     facets, cores = facets_and_cores(g)
-    return [f for f in facets if f[0] & 1], belt_adjacency(facets, cores)[0]
+    return [f for f in facets if f[0] & 1], belt_adjacency(facets, dual_neighbours(facets, cores))
 
 
 def diameter_witness(adj: list[int]) -> tuple[int, tuple[int, int]]:

@@ -4,10 +4,11 @@
 enumerate every independent (d-1)-subset of zone rows, take the closure
 of its span and keep the distinct closures.  It visits each hyperplane
 once per basis, C(|E|, d-1) subsets at worst, so it is only run on small
-or sparse graphs.  ``oracle_facets_greedy`` is the greedy-basis walk that
-``oracle.oracle_facets`` runs on packed residuals, here re-reducing each
-row through the whole span on every visit; it is fast enough for dense
-graphs on 8 to 10 vertices.  ``span_rank`` is the reference for
+or sparse graphs.  ``oracle_facets_greedy`` reaches each hyperplane
+through its greedy basis row by row, as ``oracle.oracle_facets`` did
+before it walked parallel classes, re-reducing each row through the whole
+span on every visit; it is fast enough for dense graphs on 8 to 10
+vertices.  ``span_rank`` is the reference for
 ``oracle.packed_rank`` on list rows that ``pack`` packs.  All of it keeps
 its own span arithmetic and its own zone matrix.
 """

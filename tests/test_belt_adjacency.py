@@ -4,8 +4,9 @@ against the pairwise and per-source-BFS references.
 Every connected graph on 3..7 vertices (up to isomorphism) and 24 seeded
 random connected graphs on 8..10 vertices must give the same belts, the
 same node order, the same adjacency bitmasks, the same diameters and the
-same witness pairs.  `faces.belt_adjacency` builds both graphs from one
-dual-neighbour table, the Venkov rows as quotients of dual rows, and
+same witness pairs.  `faces.belt_adjacency` and `dual.dual_adjacency`
+read the two graphs off one dual-neighbour table, the Venkov rows as
+quotients of dual rows, and
 `venkov.diameters` grows dual balls over the same table only for one
 facet of each pair, mirrors them by x → −x, and reads the belt diameter
 off their projections; both must match the pairwise references on those
@@ -39,14 +40,16 @@ def random_connected(count, seed):
 
 
 def assert_adjacency_matches_reference(g):
-    """The flag-free belt_adjacency gives the pairwise reference graphs;
-    returns them as (vnodes, vadj, dnodes, dadj)."""
+    """belt_adjacency and dual_adjacency give the pairwise reference
+    graphs; returns them as (vnodes, vadj, dnodes, dadj)."""
     vnodes, vadj = ref.build_venkov(g)
     dnodes, dadj = ref.build_dual(g)
     facets, cores = faces.facets_and_cores(g)
     assert facets == dnodes
     assert [f for f in facets if f[0] & 1] == vnodes
-    assert faces.belt_adjacency(facets, cores) == (vadj, dadj)
+    near = faces.dual_neighbours(facets, cores)
+    assert faces.belt_adjacency(facets, near) == vadj
+    assert dual.dual_adjacency(facets, near) == dadj
     return vnodes, vadj, dnodes, dadj
 
 
@@ -103,7 +106,8 @@ def test_venkov_graph_is_the_antipodal_quotient_of_the_dual(n):
     # either of its facets, i itself never among them
     for g in enumerate_connected_graphs(n):
         facets, cores = faces.facets_and_cores(g)
-        vadj, dadj = faces.belt_adjacency(facets, list(cores))
+        near = faces.dual_neighbours(facets, cores)
+        vadj, dadj = faces.belt_adjacency(facets, near), dual.dual_adjacency(facets, near)
         pair = {a: i for i, (a, _) in enumerate(f for f in facets if f[0] & 1)}
         for j, f in enumerate(facets):
             i = pair[faces.unordered_pair(f)[0]]

@@ -340,11 +340,11 @@ def test_oracle_verify_reports_a_dropped_core(tmp_path, capsys, monkeypatch):
     g = ZGraph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
     facets, cores = faces.facets_and_cores(g)
     cores = list(cores)
-    vadj, dadj = faces.belt_adjacency(facets, cores)
+    vadj = faces.belt_adjacency(facets, faces.dual_neighbours(facets, cores))
     real = faces._core_merges
     monkeypatch.setattr(faces, "_core_merges",
                         lambda g, conn: itertools.islice(real(g, conn), 1, None))
-    monkeypatch.setattr(faces, "belt_adjacency", lambda facets, cores: (list(vadj), list(dadj)))
+    monkeypatch.setattr(faces, "belt_adjacency", lambda facets, near: list(vadj))
     assert list(faces.facets_and_cores(g)[1]) == cores[1:]
     doc = {"vertices": 4, "edges": [[i + 1, j + 1] for i, j in g.sorted_edges()]}
     assert main(["oracle", "verify", write_graph(tmp_path, "g.json", doc)]) == EXIT_VIOLATION

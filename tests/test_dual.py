@@ -5,8 +5,8 @@ import random
 import pytest
 
 from adjacency_reference import facet_adjacent, in_same_belt, opposite
-from zonobelt.dual import check_diameter_bound, dual_diameter
-from zonobelt.faces import belt_adjacency, enumerate_codim2, enumerate_facets, facets_and_cores
+from zonobelt.dual import check_diameter_bound, dual_adjacency, dual_diameter
+from zonobelt.faces import dual_neighbours, enumerate_codim2, enumerate_facets, facets_and_cores
 from zonobelt.venkov import belt_diameter
 from zonobelt.zgraph import ZGraph
 
@@ -14,7 +14,7 @@ from zonobelt.zgraph import ZGraph
 def dual_graph(g):
     """(facets, dual adjacency) from the library's builder."""
     facets, cores = facets_and_cores(g)
-    return facets, belt_adjacency(facets, cores)[1]
+    return facets, dual_adjacency(facets, dual_neighbours(facets, cores))
 
 
 def path(n):

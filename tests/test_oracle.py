@@ -148,14 +148,57 @@ def test_random_sparse_graphs_8_to_10_match_reference():
 
 def test_dense_graphs_8_to_10_match_greedy_reference():
     # too many bases for the all-bases reference: the list-based greedy walk
-    # re-reduces every row through the whole span at each visit instead
+    # re-reduces every row through the whole span at each visit instead.
+    # Dense graphs, K8 and K9 above all, have the largest parallel classes;
+    # the flats the class walk passes through must be the core supports
     rng = random.Random(20261019)
+    graphs = [complete(8), complete(9)]
     for k in range(6):
         n = 8 + k % 3
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        g = ZGraph(n, [p for p in pairs if rng.random() < 0.6])
+        graphs.append(ZGraph(n, [p for p in pairs if rng.random() < 0.6]))
+    for g in graphs:
+        n = g.n
         assert dimension(g) == n - 1 and len(g.edges) >= 2 * n
-        assert oracle_facets(g) == edge_masks(g, reference.oracle_facets_greedy(g)), g
+        flats = set()
+        assert oracle_facets(g, flats) == edge_masks(g, reference.oracle_facets_greedy(g)), g
+        cores = core_supports(g)
+        assert len(cores) == len(flats) and set(cores) == flats, g
+
+
+def stirling2(n, k):
+    """Partitions of an n-set into k blocks."""
+    row = [1] + [0] * k
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_clear_calls_on_complete_graphs_within_the_flats(monkeypatch, n):
+    # the flats of rank 1..d-2 of K_n are its partitions into n-1..3 blocks,
+    # 20,890 at n = 9; the class walk takes at most one step per flat it
+    # passes through, where the row-by-row greedy walk made 189,456 steps
+    calls = []
+    real = oracle._clear
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_clear", counting)
+    flats = set()
+    assert len(oracle_facets(complete(n), flats)) == 2 ** (n - 1) - 1
+    assert len(flats) == stirling2(n, 3)
+    assert len(calls) <= sum(stirling2(n, k) for k in range(3, n))
+
+
+def test_a_key_that_keeps_parallel_classes_apart_raises(monkeypatch):
+    # a signed key keeps opposite residuals in two classes; clearing one
+    # by the other leaves a zero residual, which the walk refuses
+    monkeypatch.setattr(oracle, "abs", lambda v: v, raising=False)
+    with pytest.raises(RuntimeError, match="parallel classes apart"):
+        oracle_facets(complete(5))
 
 
 def test_same_belt_shortcut_matches_reference(monkeypatch):

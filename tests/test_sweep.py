@@ -147,11 +147,11 @@ def test_oracle_agrees_catches_a_flipped_venkov_bit(monkeypatch):
     assert oracle_agrees(G5)
     real = faces.belt_adjacency
 
-    def flipped(facets, cores):
-        vadj, dadj = real(facets, cores)
+    def flipped(facets, near):
+        vadj = real(facets, near)
         vadj[0] ^= 1 << 1
         vadj[1] ^= 1 << 0
-        return vadj, dadj
+        return vadj
 
     monkeypatch.setattr(faces, "belt_adjacency", flipped)
     assert not oracle_agrees(G5)
@@ -184,12 +184,11 @@ def test_sweep_reports_a_dropped_core(monkeypatch):
     assert oracle_agrees(g)
     facets, cores = faces.facets_and_cores(g)
     cores = list(cores)
-    vadj, dadj = faces.belt_adjacency(facets, cores)
+    vadj = faces.belt_adjacency(facets, faces.dual_neighbours(facets, cores))
     real = faces._core_merges
     monkeypatch.setattr(faces, "_core_merges",
                         lambda g, conn: itertools.islice(real(g, conn), 1, None))
-    monkeypatch.setattr(faces, "belt_adjacency",
-                        lambda facets, cores: (list(vadj), list(dadj)))
+    monkeypatch.setattr(faces, "belt_adjacency", lambda facets, near: list(vadj))
     assert list(faces.facets_and_cores(g)[1]) == cores[1:]
     assert not oracle_agrees(g)
     monkeypatch.setattr(sweep, "connected_levels", lambda lo, hi: iter([[g]]))
