@@ -205,7 +205,7 @@ def _check_graph(g: ZGraph, checks, row: SweepRow, violations: list):
 
 
 def run_sweep(max_n: int, checks=ALL_CHECKS, oracle_samples: int = 200,
-              seed: int = 20260815, progress=None) -> SweepReport:
+              seed: int = 20260815) -> SweepReport:
     checks = tuple(checks)
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
@@ -248,8 +248,6 @@ def run_sweep(max_n: int, checks=ALL_CHECKS, oracle_samples: int = 200,
                     )
         row.runtime = time.monotonic() - start
         rows.append(row)
-        if progress:
-            progress(row)
     return SweepReport(
         max_n=max_n,
         checks=checks,

@@ -58,16 +58,6 @@ class ColoredZGraph:
         self.red = red
         self.blue = blue
 
-    def subgraph(self, color: str) -> ZGraph:
-        return ZGraph(self.base.n, self.red if color == "red" else self.blue)
-
-    def degree(self, v: int, color: str) -> int:
-        edges = self.red if color == "red" else self.blue
-        return sum(1 for e in edges if v in e)
-
-    def swapped(self) -> "ColoredZGraph":
-        return ColoredZGraph(self.base, self.blue, self.red)
-
     def __repr__(self):
         return "ColoredZGraph(n=%d, red=%r, blue=%r)" % (
             self.base.n,
@@ -76,79 +66,88 @@ class ColoredZGraph:
         )
 
 
+def _conjugacy(cg: ColoredZGraph):
+    """(reasons it is not conjugate, red components, blue components)."""
+    n = cg.base.n
+    reasons = []
+    if dimension(cg.base) != n - 1:
+        reasons.append("base graph is not connected")
+    edges = {"red": cg.red, "blue": cg.blue}
+    comps = {color: components(ZGraph(n, edges[color])) for color in edges}
+    for color in edges:
+        if len(edges[color]) != n - 2:
+            reasons.append("%s edge count %d != %d" % (color, len(edges[color]), n - 2))
+    for color in edges:
+        if len(comps[color]) != 2:
+            reasons.append("%s subgraph has %d components, want 2" % (color, len(comps[color])))
+    for color, other in (("red", "blue"), ("blue", "red")):
+        if len(comps[other]) == 2:
+            c1 = comps[other][0]
+            for i, j in sorted(edges[color]):
+                if bool(c1 >> i & 1) == bool(c1 >> j & 1):
+                    reasons.append("%s edge (%d,%d) inside a %s component" % (color, i, j, other))
+    return reasons, tuple(comps["red"]), tuple(comps["blue"])
+
+
 def check_conjugate(cg: ColoredZGraph):
     """(is conjugate, reasons why not)."""
-    g = cg.base
-    n = g.n
-    reasons = []
-    if dimension(g) != n - 1:
-        reasons.append("base graph is not connected")
-    for color, edges in (("red", cg.red), ("blue", cg.blue)):
-        if len(edges) != n - 2:
-            reasons.append("%s edge count %d != %d" % (color, len(edges), n - 2))
-    red_comps = components(ZGraph(n, cg.red))
-    blue_comps = components(ZGraph(n, cg.blue))
-    if len(red_comps) != 2:
-        reasons.append("red subgraph has %d components, want 2" % len(red_comps))
-    if len(blue_comps) != 2:
-        reasons.append("blue subgraph has %d components, want 2" % len(blue_comps))
-    if len(blue_comps) == 2:
-        b1 = blue_comps[0]
-        for i, j in sorted(cg.red):
-            if bool(b1 >> i & 1) == bool(b1 >> j & 1):
-                reasons.append("red edge (%d,%d) inside a blue component" % (i, j))
-    if len(red_comps) == 2:
-        r1 = red_comps[0]
-        for i, j in sorted(cg.blue):
-            if bool(r1 >> i & 1) == bool(r1 >> j & 1):
-                reasons.append("blue edge (%d,%d) inside a red component" % (i, j))
+    reasons = _conjugacy(cg)[0]
     return (not reasons, reasons)
 
 
-def _require_conjugate(cg: ColoredZGraph):
-    ok, reasons = check_conjugate(cg)
-    if not ok:
+def _conjugate_facets(cg: ColoredZGraph):
+    """The red and blue facets of a conjugate coloring; ValueError otherwise."""
+    reasons, fr, fb = _conjugacy(cg)
+    if reasons:
         raise ValueError("not conjugate: " + "; ".join(reasons))
+    return fr, fb
+
+
+def _common_leaf(cg: ColoredZGraph):
+    return min(set(_leaves(cg.red)).intersection(_leaves(cg.blue)), default=None)
 
 
 def find_common_leaf(cg: ColoredZGraph):
-    """A vertex of degree 1 in both colors, or None."""
-    _require_conjugate(cg)
-    for v in range(cg.base.n):
-        if cg.degree(v, "red") == 1 and cg.degree(v, "blue") == 1:
-            return v
-    return None
+    """The least vertex of degree 1 in both colors, or None."""
+    _conjugate_facets(cg)
+    return _common_leaf(cg)
 
 
 def color_facets(cg: ColoredZGraph):
     """The red facet {R1,R2} and the blue facet {B1,B2}."""
-    r1, r2 = components(ZGraph(cg.base.n, cg.red))
-    b1, b2 = components(ZGraph(cg.base.n, cg.blue))
+    _, (r1, r2), (b1, b2) = _conjugacy(cg)
     return (r1, r2), (b1, b2)
 
 
 def red_blue_distance(cg: ColoredZGraph) -> int:
-    _require_conjugate(cg)
-    fr, fb = color_facets(cg)
-    return venkov.belt_distance(cg.base, fr, fb)[0]
+    return venkov.belt_distance(cg.base, *_conjugate_facets(cg))[0]
+
+
+def _two_coloring(adj, start: int):
+    """(start's side, other side) of start's component, or None on an odd cycle.
+
+    Grows BFS layers as `zgraph.reach` grows its sets, on alternate sides.
+    A layer's neighbours on its own side lie in it and close an odd cycle.
+    """
+    sides = [start, 0]
+    frontier, k = start, 0
+    while frontier:
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            m ^= low
+            nxt |= adj[low.bit_length() - 1]
+        if nxt & sides[k]:
+            return None
+        k ^= 1
+        frontier = nxt & ~sides[k]
+        sides[k] |= frontier
+    return sides[0], sides[1]
 
 
 def is_bipartite(g: ZGraph) -> bool:
-    color = {}
-    for start in range(g.n):
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in bits(g.adj[u]):
-                if v not in color:
-                    color[v] = 1 - color[u]
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
+    return all(_two_coloring(g.adj, c & -c) is not None for c in components(g))
 
 
 @dataclass
@@ -163,19 +162,12 @@ class SymmetryReport:
 
 
 def build_report(cg: ColoredZGraph) -> SymmetryReport:
-    ok, reasons = check_conjugate(cg)
-    if not ok:
-        return SymmetryReport(False, reasons, None, None, is_bipartite(cg.base), None, None)
-    fr, fb = color_facets(cg)
-    return SymmetryReport(
-        True,
-        [],
-        find_common_leaf(cg),
-        red_blue_distance(cg),
-        is_bipartite(cg.base),
-        fr,
-        fb,
-    )
+    reasons, fr, fb = _conjugacy(cg)
+    bipartite = is_bipartite(cg.base)
+    if reasons:
+        return SymmetryReport(False, reasons, None, None, bipartite, None, None)
+    return SymmetryReport(True, [], _common_leaf(cg), venkov.belt_distance(cg.base, fr, fb)[0],
+                          bipartite, fr, fb)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +186,27 @@ def _remap_mask(mask: int, relabel: list[int]) -> int:
     return out
 
 
+def _deletions(g: ZGraph, f1, f2):
+    """g less each edge the reduction may drop, in its order of preference.
+
+    Keeping the edge's part connected keeps every component whole.
+    """
+    for x, y in (f1, f2):
+        for i, j in g.sorted_edges():
+            e = (1 << i) | (1 << j)
+            part = x if e & ~x == 0 else y if e & ~y == 0 else 0
+            if part:
+                g2 = delete_edge(g, i, j)
+                if g2.connected_in(part):
+                    yield g2
+    dim = dimension(g)
+    for i, j in g.sorted_edges():
+        if not (_internal(f1, i, j) or _internal(f2, i, j)):
+            g2 = delete_edge(g, i, j)
+            if dimension(g2) == dim:
+                yield g2
+
+
 def reduce_to_symmetric(g: ZGraph, f1, f2):
     """Shrink g until f1's and f2's internal edges form a conjugate pair.
 
@@ -209,38 +222,16 @@ def reduce_to_symmetric(g: ZGraph, f1, f2):
     a, b = f1
     c, d = f2
     while True:
-        shared = [e for e in g.sorted_edges()
-                  if _internal((a, b), *e) and _internal((c, d), *e)]
+        shared = next((e for e in g.sorted_edges()
+                       if _internal((a, b), *e) and _internal((c, d), *e)), None)
         if shared:
-            i, j = shared[0]
-            g, m = contract_map(g, i, j)
+            g, m = contract_map(g, *shared)
             a, b, c, d = (_remap_mask(x, m) for x in (a, b, c, d))
             continue
-        changed = False
-        for part_pair, own in (((a, b), (a, b)), ((c, d), (c, d))):
-            for i, j in g.sorted_edges():
-                if not _internal(part_pair, i, j):
-                    continue
-                part = own[0] if ((1 << i) | (1 << j)) & ~own[0] == 0 else own[1]
-                g2 = delete_edge(g, i, j)
-                if g2.connected_in(part) and dimension(g2) == dimension(g):
-                    g = g2
-                    changed = True
-                    break
-            if changed:
-                break
-        if changed:
-            continue
-        for i, j in g.sorted_edges():
-            if _internal((a, b), i, j) or _internal((c, d), i, j):
-                continue
-            g2 = delete_edge(g, i, j)
-            if dimension(g2) == dimension(g):
-                g = g2
-                changed = True
-                break
-        if not changed:
+        g2 = next(_deletions(g, (a, b), (c, d)), None)
+        if g2 is None:
             break
+        g = g2
     red = [e for e in g.sorted_edges() if _internal((a, b), *e)]
     blue = [e for e in g.sorted_edges() if _internal((c, d), *e)]
     cg = ColoredZGraph(g, red, blue)
@@ -273,25 +264,6 @@ def permutahedron_graph(d: int) -> ZGraph:
         raise ValueError("need d >= 1")
     n = d + 1
     return ZGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def _tree_bipartition(n: int, edges, comp_mask: int) -> tuple[int, int]:
-    """Bipartition classes of a tree component, root class first."""
-    adj = [0] * n
-    for i, j in edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    root = comp_mask & -comp_mask
-    side = {root.bit_length() - 1: 0}
-    stack = [root.bit_length() - 1]
-    while stack:
-        u = stack.pop()
-        for v in bits(adj[u] & comp_mask):
-            if v not in side:
-                side[v] = 1 - side[u]
-                stack.append(v)
-    zero = mask_of(v for v, s in side.items() if s == 0)
-    return zero, comp_mask ^ zero
 
 
 def _leaves(edges) -> list[int]:
@@ -393,12 +365,11 @@ def cross_completions(n: int, forest_edges, forbid_common_leaf=False):
     the completion, so no vertex is a leaf in both.
     """
     forest_edges = sorted(_norm_edges(forest_edges))
-    comps = components(ZGraph(n, forest_edges))
+    forest = ZGraph(n, forest_edges)
+    comps = components(forest)
     if len(comps) != 2:
         raise ValueError("need a 2-component spanning forest")
-    t1, t2 = comps
-    p, q = _tree_bipartition(n, forest_edges, t1)
-    s, t = _tree_bipartition(n, forest_edges, t2)
+    (p, q), (s, t) = (_two_coloring(forest.adj, c & -c) for c in comps)
     min_deg = dict.fromkeys(_leaves(forest_edges), 2) if forbid_common_leaf else None
     for b1x, b1y, b2x, b2y in ((p, s, q, t), (p, t, q, s)):
         if b1x | b1y == 0 or b2x | b2y == 0:
@@ -454,6 +425,20 @@ def enumerate_conjugate_classes(n: int) -> list[ColoredZGraph]:
     return [seen[k] for k in sorted(seen)]
 
 
+def _check_leaf_free(cg: ColoredZGraph) -> ColoredZGraph:
+    """cg, once checked conjugate, leaf-free and at distance 3; RuntimeError otherwise."""
+    reasons, fr, fb = _conjugacy(cg)
+    if reasons:
+        raise RuntimeError("completion not conjugate: %s" % reasons)
+    leaf = _common_leaf(cg)
+    if leaf is not None:
+        raise RuntimeError("completion has a common leaf at vertex %d" % (leaf + 1))
+    dist = venkov.belt_distance(cg.base, fr, fb)[0]
+    if dist != 3:
+        raise RuntimeError("leaf-free completion at distance %d" % dist)
+    return cg
+
+
 def _leaf_free_completion(n: int, blue_edges) -> ColoredZGraph | None:
     """The first red completion of a blue 2-forest with no common leaf, or None.
 
@@ -464,17 +449,8 @@ def _leaf_free_completion(n: int, blue_edges) -> ColoredZGraph | None:
     red = next(cross_completions(n, blue_edges, forbid_common_leaf=True), None)
     if red is None:
         return None
-    cg = ColoredZGraph(ZGraph(n, tuple(red) + tuple(blue_edges)), red, blue_edges)
-    ok, reasons = check_conjugate(cg)
-    if not ok:
-        raise RuntimeError("completion not conjugate: %s" % reasons)
-    leaf = find_common_leaf(cg)
-    if leaf is not None:
-        raise RuntimeError("completion has a common leaf at vertex %d" % (leaf + 1))
-    dist = red_blue_distance(cg)
-    if dist != 3:
-        raise RuntimeError("leaf-free completion at distance %d" % dist)
-    return cg
+    return _check_leaf_free(ColoredZGraph(ZGraph(n, tuple(red) + tuple(blue_edges)),
+                                          red, blue_edges))
 
 
 def _family_witness(n: int, blue) -> ColoredZGraph:
@@ -542,6 +518,9 @@ class SearchResult:
 
 class _Budget:
     def __init__(self, seconds=None, max_nodes=None):
+        for name, value in (("budget", seconds), ("max_nodes", max_nodes)):
+            if value is not None and value < 0:
+                raise ValueError("need %s >= 0, got %r" % (name, value))
         self.t0 = time.monotonic()
         self.seconds = seconds
         self.max_nodes = max_nodes
@@ -617,11 +596,10 @@ def _d8_score(g: ZGraph) -> int:
 def _reduces_leaf_free(g: ZGraph, f1, f2) -> bool:
     """Does the pair reduce to a conjugate coloring at distance 3 with no common leaf?"""
     try:
-        cg, _, _ = reduce_to_symmetric(g, f1, f2)
-    except RuntimeError:   # the reduction stopped short of a conjugate pair
+        _check_leaf_free(reduce_to_symmetric(g, f1, f2)[0])
+    except RuntimeError:   # no conjugate image, or one that breaks the leaf criterion
         return False
-    return (check_conjugate(cg)[0] and find_common_leaf(cg) is None
-            and red_blue_distance(cg) == 3)
+    return True
 
 
 def search_d8_nonsymmetric(budget_seconds=3600.0, max_nodes=None, seed=1) -> SearchResult:
@@ -665,10 +643,7 @@ def search_d8_nonsymmetric(budget_seconds=3600.0, max_nodes=None, seed=1) -> Sea
             order = list(pairs)
             rng.shuffle(order)
             for e in order:
-                if e in g.edges:
-                    h = ZGraph(9, g.edges - {e})
-                else:
-                    h = ZGraph(9, g.edges | {e})
+                h = ZGraph(9, g.edges ^ {e})
                 s = _d8_score(h)
                 if best is None or s < best[0]:
                     best = (s, h)

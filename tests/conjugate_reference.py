@@ -6,25 +6,148 @@ decoding) and every labeled conjugate coloring instead, so the tests can
 check the isomorph-free paths against them.  The library's extremal search
 completes only the forests its leaf-count bound admits; the three-regime
 search kept here reaches the same answers by other routes.
+
+The library checks a coloring in one conjugacy pass, 2-colors by bitmask
+BFS layers and reads common leaves off each color's leaf list; the
+dictionary searches, the degree scan and the reduction with its dimension
+test per deletion kept here are the versions it replaced.
 """
 
 from itertools import product
 
 from adjacency_reference import in_same_belt
-from zonobelt.faces import enumerate_facets
+from zonobelt.faces import enumerate_facets, validate_partition
 from zonobelt.symmetric import (
     D8_X1,
     D8_X2,
     D8_Y1,
     D8_Y2,
     ColoredZGraph,
+    check_conjugate,
     cross_completions,
     enumerate_conjugate_classes,
-    find_common_leaf,
     free_trees,
     red_blue_distance,
 )
-from zonobelt.zgraph import ZGraph, bits, canonical_label, relabel
+from zonobelt.zgraph import (
+    ZGraph,
+    bits,
+    canonical_label,
+    contract_map,
+    delete_edge,
+    dimension,
+    mask_of,
+    relabel,
+)
+
+
+def is_bipartite(g: ZGraph) -> bool:
+    """No odd cycle, by a dictionary DFS over every vertex."""
+    color = {}
+    for start in range(g.n):
+        if start in color:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in bits(g.adj[u]):
+                if v not in color:
+                    color[v] = 1 - color[u]
+                    stack.append(v)
+                elif color[v] == color[u]:
+                    return False
+    return True
+
+
+def tree_bipartition(n: int, edges, comp_mask: int) -> tuple[int, int]:
+    """Bipartition classes of a tree component, root class first."""
+    adj = [0] * n
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    root = comp_mask & -comp_mask
+    side = {root.bit_length() - 1: 0}
+    stack = [root.bit_length() - 1]
+    while stack:
+        u = stack.pop()
+        for v in bits(adj[u] & comp_mask):
+            if v not in side:
+                side[v] = 1 - side[u]
+                stack.append(v)
+    zero = mask_of(v for v, s in side.items() if s == 0)
+    return zero, comp_mask ^ zero
+
+
+def find_common_leaf(cg: ColoredZGraph):
+    """The least vertex of degree 1 in both colors, by a degree scan, or None."""
+    ok, reasons = check_conjugate(cg)
+    if not ok:
+        raise ValueError("not conjugate: " + "; ".join(reasons))
+    for v in range(cg.base.n):
+        if (sum(1 for e in cg.red if v in e) == 1
+                and sum(1 for e in cg.blue if v in e) == 1):
+            return v
+    return None
+
+
+def _internal(mask_pair, i, j) -> bool:
+    e = (1 << i) | (1 << j)
+    return e & ~mask_pair[0] == 0 or e & ~mask_pair[1] == 0
+
+
+def _remap_mask(mask: int, relabel_map: list[int]) -> int:
+    return mask_of(relabel_map[v] for v in bits(mask))
+
+
+def reduce_to_symmetric(g: ZGraph, f1, f2):
+    """The reduction with a dimension test after each part-connected deletion."""
+    validate_partition(g, f1)
+    validate_partition(g, f2)
+    if {f1[0], f1[1]} == {f2[0], f2[1]}:
+        raise ValueError("facet pairs must be distinct")
+    a, b = f1
+    c, d = f2
+    while True:
+        shared = [e for e in g.sorted_edges()
+                  if _internal((a, b), *e) and _internal((c, d), *e)]
+        if shared:
+            i, j = shared[0]
+            g, m = contract_map(g, i, j)
+            a, b, c, d = (_remap_mask(x, m) for x in (a, b, c, d))
+            continue
+        changed = False
+        for part_pair, own in (((a, b), (a, b)), ((c, d), (c, d))):
+            for i, j in g.sorted_edges():
+                if not _internal(part_pair, i, j):
+                    continue
+                part = own[0] if ((1 << i) | (1 << j)) & ~own[0] == 0 else own[1]
+                g2 = delete_edge(g, i, j)
+                if g2.connected_in(part) and dimension(g2) == dimension(g):
+                    g = g2
+                    changed = True
+                    break
+            if changed:
+                break
+        if changed:
+            continue
+        for i, j in g.sorted_edges():
+            if _internal((a, b), i, j) or _internal((c, d), i, j):
+                continue
+            g2 = delete_edge(g, i, j)
+            if dimension(g2) == dimension(g):
+                g = g2
+                changed = True
+                break
+        if not changed:
+            break
+    red = [e for e in g.sorted_edges() if _internal((a, b), *e)]
+    blue = [e for e in g.sorted_edges() if _internal((c, d), *e)]
+    cg = ColoredZGraph(g, red, blue)
+    ok, reasons = check_conjugate(cg)
+    if not ok:
+        raise RuntimeError("reduction did not reach a conjugate pair: %s" % reasons)
+    return cg, (a, b), (c, d)
 
 
 def labeled_trees(vertices: tuple[int, ...]):

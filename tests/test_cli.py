@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from zonobelt import faces, oracle, sweep, symmetric
+from zonobelt import faces, oracle, sweep, symmetric, venkov
 from zonobelt.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -201,6 +201,25 @@ def test_symmetric_check_exit_codes(tmp_path, capsys):
     assert main(["symmetric", "distance", bad]) == EXIT_USAGE
 
 
+def test_symmetric_output_matches_golden(tmp_path, capsys):
+    # the CI golden: check and distance on a common-leaf, a leaf-free and a
+    # non-conjugate coloring, with the reasons in order and the exit codes
+    data = Path(__file__).parent / "data"
+    files = {"nonconjugate_n5": str(data / "nonconjugate_n5.json")}
+    for name, args in (("k2dm1_d5", ["k2dm1", "--d", "5"]),
+                       ("odd_n3", ["odd-extremal", "--n", "3"])):
+        files[name] = str(tmp_path / (name + ".json"))
+        assert main(["generate", *args, "--out", files[name]]) == EXIT_OK
+    capsys.readouterr()
+    got = []
+    for name in ("k2dm1_d5", "odd_n3", "nonconjugate_n5"):
+        for mode in ("check", "distance"):
+            code = main(["symmetric", mode, files[name]])
+            cap = capsys.readouterr()
+            got.append("== %s %s\n%s%sexit: %d\n" % (name, mode, cap.out, cap.err, code))
+    assert "".join(got) == (data / "symmetric_checks.txt").read_text()
+
+
 def test_generate_to_file(tmp_path, capsys):
     out = tmp_path / "g.json"
     code = main(["generate", "k2dm1", "--d", "5", "--out", str(out)])
@@ -246,6 +265,18 @@ def test_search_extremal_cli(capsys):
 def test_search_d8_budget_cli(capsys):
     assert main(["search", "d8", "--max-nodes", "1"]) == EXIT_INCONCLUSIVE
     assert "status: inconclusive" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("what", [["extremal", "--d", "5"], ["d8"]], ids=["extremal", "d8"])
+@pytest.mark.parametrize("limit", [["--max-nodes", "-1"], ["--budget", "-1"]],
+                         ids=["max-nodes", "budget"])
+def test_search_rejects_negative_budgets(capsys, what, limit):
+    # d = 5 has a definite "none" that needs no work, yet a negative budget
+    # must not read as exhausted
+    assert main(["search", *what, *limit]) == EXIT_USAGE
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err.startswith("error: ") and ">= 0" in cap.err
+    assert main(["search", *what, limit[0], "0"]) in (EXIT_OK, EXIT_INCONCLUSIVE)
 
 
 def test_sweep_cli(tmp_path, capsys):
@@ -406,7 +437,7 @@ def _no_leaf_floor(monkeypatch):
 
 def _distance_two(monkeypatch):
     # every coloring reads as belt distance 2
-    monkeypatch.setattr(symmetric, "red_blue_distance", lambda cg: 2)
+    monkeypatch.setattr(venkov, "belt_distance", lambda g, f1, f2: (2, [f1, f2]))
 
 
 @pytest.mark.parametrize("breakage", [_no_leaf_floor, _distance_two])

@@ -8,6 +8,7 @@ import pytest
 
 import growth_reference
 from adjacency_reference import in_same_belt
+import conjugate_reference
 from conjugate_reference import (
     bipartite_trees_reference,
     d8_common_neighbors_reference,
@@ -15,6 +16,7 @@ from conjugate_reference import (
     free_trees_by_pruefer,
     red_forest_reps,
     search_extremal_reference,
+    tree_bipartition,
 )
 from zonobelt import faces, symmetric, venkov, zgraph
 from zonobelt.faces import enumerate_facets
@@ -42,12 +44,17 @@ from zonobelt.symmetric import (
     search_d8_nonsymmetric,
     search_extremal,
 )
+from zonobelt.sweep import enumerate_connected_graphs
 from zonobelt.venkov import belt_distance
 from zonobelt.zgraph import ZGraph, bits, dimension, mask_of
 
 
 def path(n):
     return ZGraph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def swapped(cg):
+    return ColoredZGraph(cg.base, cg.blue, cg.red)
 
 
 # set-based reference conjugacy check, independent of the library's
@@ -97,7 +104,7 @@ def test_colorings_share_the_graph_edge_objects():
     blue = [(0, 3), (2, 1)]
     cg = ColoredZGraph(ZGraph(4, red + blue), [(0, 1), (2, 3)], blue)
     other = ColoredZGraph(ZGraph(4, [(3, 2), (1, 2), (1, 0), (3, 0)]), red, blue)
-    for a, b in ((cg, other), (cg.swapped(), other.swapped())):
+    for a, b in ((cg, other), (swapped(cg), swapped(other))):
         for e in a.red | a.blue:
             assert any(e is f for f in b.base.edges)
             assert any(e is f for f in a.base.edges)
@@ -162,7 +169,7 @@ def test_colored_key_invariance():
         blue = [(relab[i], relab[j]) for i, j in cg.blue]
         moved = ColoredZGraph(ZGraph(n, red + blue), red, blue)
         assert colored_key(moved) == key
-        assert colored_key(moved.swapped()) == key
+        assert colored_key(swapped(moved)) == key
 
 
 def test_free_trees_counts():
@@ -336,6 +343,51 @@ def test_is_bipartite():
     assert not is_bipartite(ZGraph(3, [(0, 1), (1, 2), (0, 2)]))
 
 
+def test_is_bipartite_matches_reference_on_every_connected_graph():
+    for n in range(1, 8):
+        for g in enumerate_connected_graphs(n):
+            assert is_bipartite(g) == conjugate_reference.is_bipartite(g), g
+
+
+def test_is_bipartite_matches_reference_on_seeded_graphs():
+    # random bipartite graphs, half of them with one edge inside a side;
+    # sparse ones fall apart, so later components get checked too
+    rng = random.Random(71)
+    verdicts = Counter()
+    for _ in range(300):
+        n = rng.randint(8, 12)
+        side = [rng.random() < 0.5 for _ in range(n)]
+        p = rng.choice((0.15, 0.3, 0.5))
+        edges = {(i, j) for i in range(n) for j in range(i + 1, n)
+                 if side[i] != side[j] and rng.random() < p}
+        if rng.random() < 0.5:
+            edges.add(rng.choice([(i, j) for i in range(n) for j in range(i + 1, n)
+                                  if side[i] == side[j]]))
+        g = ZGraph(n, edges)
+        want = conjugate_reference.is_bipartite(g)
+        assert is_bipartite(g) == want, g
+        verdicts[want, len(zgraph.components(g)) > 1] += 1
+    assert min(verdicts.values()) >= 20, verdicts
+
+
+def test_two_coloring_matches_tree_bipartition_on_every_forest():
+    # the classes, root class first, that cross_completions pairs up
+    for n in range(2, 10):
+        for forest in red_forest_reps(n):
+            g = ZGraph(n, forest)
+            for comp in zgraph.components(g):
+                assert (symmetric._two_coloring(g.adj, comp & -comp)
+                        == tree_bipartition(n, forest, comp)), (forest, comp)
+
+
+def test_common_leaf_matches_degree_scan():
+    for n in range(4, 9):
+        for cg in enumerate_conjugate_classes(n):
+            assert find_common_leaf(cg) == conjugate_reference.find_common_leaf(cg)
+    for cg in enumerate_conjugate(5):
+        assert find_common_leaf(cg) == conjugate_reference.find_common_leaf(cg)
+
+
 def test_reduce_to_symmetric_identity_case():
     # an already conjugate pair reduces to itself
     cg0 = gen_k2dm1(4)
@@ -373,6 +425,35 @@ def test_reduce_to_symmetric_random_invariants():
         assert {i2[0], i2[1]} == {fb[0], fb[1]}
         assert red_blue_distance(cg) >= before
         done += 1
+
+
+def _reduction_or_error(reduce, g, f1, f2):
+    try:
+        cg, i1, i2 = reduce(g, f1, f2)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return cg.base.n, sorted(cg.red), sorted(cg.blue), i1, i2
+
+
+def test_reduction_matches_reference_on_seeded_pairs():
+    rng = random.Random(63)
+    cases = 0
+    for n in range(4, 9):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        graphs = 0
+        while graphs < 60:
+            g = ZGraph(n, [p for p in pairs if rng.random() < rng.choice((0.4, 0.6, 0.8))])
+            fs = enumerate_facets(g) if g.connected_in(g.full_mask) else []
+            if len(fs) < 2:
+                continue
+            graphs += 1
+            for _ in range(5):
+                f1, f2 = rng.sample(fs, 2)
+                assert (_reduction_or_error(reduce_to_symmetric, g, f1, f2)
+                        == _reduction_or_error(conjugate_reference.reduce_to_symmetric,
+                                               g, f1, f2)), (g, f1, f2)
+                cases += 1
+    assert cases == 1500
 
 
 def test_search_extremal_low_dimensions():
@@ -508,8 +589,50 @@ def test_d8_score_lists_two_neighbour_sets(monkeypatch):
 @pytest.mark.parametrize("edges", [D8_WITNESS_SEED12, D8_WITNESS_SEED1])
 def test_d8_witnesses_reduce_to_leaf_free_colorings(edges):
     g = ZGraph(9, edges)
+    assert (_reduction_or_error(reduce_to_symmetric, g, D8_F1, D8_F2)
+            == _reduction_or_error(conjugate_reference.reduce_to_symmetric, g, D8_F1, D8_F2))
     cg, i1, i2 = reduce_to_symmetric(g, D8_F1, D8_F2)
     assert cg.base.n == 8
     assert check_conjugate(cg)[0]
     assert find_common_leaf(cg) is None
     assert red_blue_distance(cg) == 3
+
+
+def test_each_public_call_checks_a_coloring_once(monkeypatch):
+    # one conjugacy pass per call: the base graph's dimension and each
+    # color's components once, plus the base components behind is_bipartite
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    cg = gen_even_extremal(5)
+    monkeypatch.setattr(symmetric, "components", counting("components", zgraph.components))
+    monkeypatch.setattr(symmetric, "dimension", counting("dimension", zgraph.dimension))
+    for fn, want in ((symmetric.build_report, 3), (check_conjugate, 2),
+                     (find_common_leaf, 2), (red_blue_distance, 2)):
+        calls.clear()
+        fn(cg)
+        assert calls == {"components": want, "dimension": 1}, fn.__name__
+    # the completion's forest, then one pass over the finished coloring
+    calls.clear()
+    gen_even_extremal(5)
+    assert calls == {"components": 3, "dimension": 1}
+
+
+@pytest.mark.parametrize("limits", [{"max_nodes": -1}, {"budget_seconds": -0.5}],
+                         ids=["max_nodes", "budget_seconds"])
+def test_negative_budgets_are_rejected(limits):
+    with pytest.raises(ValueError, match=">= 0"):
+        search_extremal(5, **limits)
+    with pytest.raises(ValueError, match=">= 0"):
+        search_d8_nonsymmetric(seed=1, **limits)
+
+
+def test_zero_budget_still_answers_what_needs_no_work():
+    res = search_extremal(5, max_nodes=0)
+    assert (res.status, res.nodes) == ("none", 0)
+    assert search_extremal(8, max_nodes=0).status == "inconclusive"
