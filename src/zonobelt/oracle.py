@@ -17,7 +17,10 @@ One elimination step carries the other classes to the child's span: those
 that become parallel merge, and those parallel to a passed-over class are
 dropped, as no greedy branch can take them in.  A node's support is its
 parent's span and the picked class.  A support reached twice means that
-invariant broke, and raises instead of being merged away.
+invariant broke, and raises instead of being merged away.  A node builds
+one list of its passed-over and own residuals, and each step clears that
+whole list, the picked residual going to 0.  A node of rank d - 2 records
+its children, the facets, in place.
 
 The class key is the residual up to sign: the zone matrix is a graph's
 incidence matrix, hence totally unimodular, so every residual entry is a
@@ -115,35 +118,47 @@ def oracle_facets(g: ZGraph, flats: set | None = None) -> list[int]:
     # the only rank-0 flat is the closure of nothing: no zone row is 0
     codim2: set[int] = {0} if d == 2 else set()
 
+    def record(seen: set, support: int):
+        if support in seen:
+            raise RuntimeError(
+                "oracle reached the support %r twice"
+                % [edges[j] for j in range(m) if support >> j & 1]
+            )
+        seen.add(support)
+
     def extend(res: list, masks: list, outside: list, prev: int, held: int, rank: int):
         # res[t], masks[t]: residual and row bitmask of class t, in the order
         # of their lowest rows, none parallel to another or to a passed-over
         # class; outside: residuals of the classes passed over; held: bitmask
         # of the rows in the span; rank: the span's rank once a class is picked
+        if rank == need:   # only at the root, when d == 2
+            for support in masks:
+                record(found, support)
+            return
+        # one row list per node: r clears itself to 0, at index split
+        node_rows = outside + res
         for t, r in enumerate(res):
             support = held | masks[t]
-            if rank >= need - 1:
-                seen = found if rank == need else codim2
-                if support in seen:
-                    raise RuntimeError(
-                        "oracle reached the support %r twice"
-                        % [edges[j] for j in range(m) if support >> j & 1]
-                    )
-                seen.add(support)
+            if rank == need - 1:
+                record(codim2, support)
             # a child needs need - 1 - rank later classes to reach rank d - 2
-            if rank == need or len(res) - t <= max(1, need - 1 - rank):
+            if len(res) - t <= max(1, need - 1 - rank):
                 continue
             # one step takes the other classes to the child's span; abs() keys
             split = len(outside) + t
-            rows, p = _clear(outside + res[:t] + res[t + 1:], r, prev, width, bias)
-            passed = set(map(abs, rows[:split]))
+            cleared, p = _clear(node_rows, r, prev, width, bias)
+            passed = set(map(abs, cleared[:split]))
             later: dict[int, int] = {}
-            for v, mask in zip(map(abs, rows[split:]), masks[t + 1:]):
+            for v, mask in zip(map(abs, cleared[split + 1:]), masks[t + 1:]):
                 if v not in passed:
                     later[v] = later.get(v, 0) | mask
             if 0 in passed or 0 in later:
                 raise RuntimeError("oracle kept two parallel classes apart")
-            extend(list(later), list(later.values()), list(passed), p, support, rank + 1)
+            if rank == need - 1:   # the children are facets
+                for mask in later.values():
+                    record(found, support | mask)
+            else:
+                extend(list(later), list(later.values()), list(passed), p, support, rank + 1)
 
     rows = [(1 << width * i) - (1 << width * j) for i, j in edges]
     extend(rows, [1 << k for k in range(m)], [], 1, 0, 1)

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import faces, oracle, symmetric, venkov
-from .zgraph import ZGraph, dimension, grow_canonical
+from .zgraph import ZGraph, dimension, grow_canonical, key_sorted
 
 EXHAUSTIVE_MAX_N = 8
 # connected graphs up to isomorphism on 1..8 vertices, used as a self-test
@@ -28,28 +28,36 @@ def connected_levels(lo: int, hi: int):
     """Yield the connected graphs on n vertices for n = lo..hi, in turn.
 
     Each level is a list of canonical forms ordered by canonical key.  It is
-    grown once, by one `grow_canonical` step from the edge tuples of the
-    level below: every connected graph on n vertices arises from one on
-    n - 1 by attaching a vertex to a nonempty vertex set, because every
-    connected graph has a non-cut vertex.  The step labels only candidates
-    whose new vertex is a least non-cut vertex, and no twin-swapped copy
-    of another candidate.  The edge tuples are kept only while a higher
-    level still needs them.
+    grown once, by one `grow_canonical` step from the level below: every
+    connected graph on n vertices arises from one on n - 1 by attaching a
+    vertex to a nonempty vertex set, because every connected graph has a
+    non-cut vertex.  The step attaches one set per orbit of each parent's
+    automorphism group and keeps each class once, by its canonical
+    deletion.  A level's edge tuples and automorphism generators are kept
+    only while a higher level still needs them; the top level keeps no
+    generators.
     """
     if lo < 1:
         raise ValueError("need n >= 1")
     if hi > EXHAUSTIVE_MAX_N:
         raise ValueError("use sampled mode")
-    reps = {0: ()}   # canonical key -> canonical edges
     for n in range(1, hi + 1):
-        if n > 1:
-            reps = grow_canonical(reps.values(), n - 1, range(1, 1 << (n - 1)))
+        if n == 1:   # (canonical key, canonical edges, generators)
+            grown = [(0, (), [])]
+        else:
+            grown = grow_canonical([form[1:] for form in level], n - 1, range(1, 1 << (n - 1)))
         if n == hi:
-            # popping frees each edge tuple as its graph is built: the top
-            # level is never held twice, which would raise the sweep's peak RSS
-            yield [ZGraph(n, reps.pop(key)) for key in sorted(reps)]
+            # no level grows from this one: its generators go at once, and
+            # each edge tuple as soon as its graph is built, so the top
+            # level is never held twice (that would raise the sweep's peak RSS)
+            grown = ((key, ZGraph(n, edges)) for key, edges, _ in grown)
+        level = key_sorted(grown)
+        if n == hi:
+            graphs = [g for _, g in level]
+            del level   # the caller may let each graph go once it is checked
+            yield graphs
         elif n >= lo:
-            yield [ZGraph(n, reps[key]) for key in sorted(reps)]
+            yield [ZGraph(n, form[1]) for form in level]
 
 
 def enumerate_connected_graphs(n: int) -> list[ZGraph]:

@@ -33,6 +33,7 @@ from .zgraph import (
     delete_edge,
     dimension,
     grow_canonical,
+    key_sorted,
     mask_of,
     pair,
 )
@@ -379,22 +380,29 @@ def cross_completions(n: int, forest_edges, forbid_common_leaf=False):
                 yield tree1 + tree2
 
 
-@lru_cache(maxsize=None)
 def free_trees(k: int) -> tuple:
-    """Trees on k vertices up to isomorphism, as canonical edge tuples.
+    """Trees on k vertices up to isomorphism, as sorted canonical edge tuples.
 
     Every tree on k >= 2 vertices has a leaf, so hanging a leaf off each
     vertex of each tree on k - 1 vertices reaches every class.  The leaves
-    are the tree's non-cut vertices, so `grow_canonical` labels only the
-    trees whose new leaf has the least invariant among the leaves, and
-    hangs no leaf off a vertex whose earlier twin it could use instead.
+    are the tree's non-cut vertices, so `grow_canonical` hangs one leaf per
+    orbit of the tree's automorphism group and labels only the trees whose
+    new leaf has the least invariant among the leaves.
     """
     if k < 1:
         raise ValueError("need k >= 1")
+    return _tree_forms(k)[0]
+
+
+@lru_cache(maxsize=None)
+def _tree_forms(k: int) -> tuple:
+    """(trees, generators): `free_trees(k)` and, for each tree, generators
+    of its automorphism group in its canonical labels, which growing the
+    next size needs."""
     if k == 1:
-        return ((),)
-    grown = grow_canonical(free_trees(k - 1), k - 1, [1 << v for v in range(k - 1)])
-    return tuple(sorted(grown.values()))
+        return ((),), ([],)
+    grown = grow_canonical(zip(*_tree_forms(k - 1)), k - 1, [1 << v for v in range(k - 1)])
+    return tuple(zip(*sorted(form[1:] for form in key_sorted(grown))))
 
 
 def colored_key(cg: ColoredZGraph):
@@ -548,14 +556,17 @@ def search_extremal(d: int, budget_seconds=None, max_nodes=None) -> SearchResult
     K_{2,d-1} coloring, which has common leaves.  So it suffices to complete
     the 2-forests of free trees on at least 2 vertices each with at most
     (d+1) // 2 leaves, fewest leaves first: exhaustive up to isomorphism and
-    color swap for every d ("none" at once for d <= 6, where two trees
-    already have 4 leaves).  The budget is checked before each tree-size
-    step and counts one node per forest completed.
+    color swap for every d.  Two such trees already have 4 leaves, so for
+    d <= 6, where (d+1) // 2 < 4, the answer is "none" before any tree is
+    grown or any budget checked.  Otherwise the budget is checked before
+    each tree-size step and counts one node per forest completed.
     """
     if d < 3:
         raise ValueError("need d >= 3")
     n = d + 1
     budget = _Budget(budget_seconds, max_nodes)
+    if n // 2 < 4:
+        return SearchResult("none", None, None, budget.nodes, budget.elapsed)
     for k in range(2, n - 1):
         if not budget.tick(0):
             return SearchResult("inconclusive", None, None, budget.nodes, budget.elapsed)

@@ -4,6 +4,13 @@ A graph on n vertices (labels 0..n-1) encodes which vectors e_i - e_j are
 present; a connected graph on n vertices encodes an (n-1)-dimensional
 zonotope.  Vertex sets are int bitmasks throughout, so n <= 16 everywhere
 (bitmasks would carry to 64, but nothing here needs more than 16).
+
+Isomorphism classes are handled here too.  `min_label_perm` finds a
+graph's canonical key and placement, and generators of its automorphism
+group from the same search.  `grow_canonical` grows the classes one vertex
+at a time by McKay's canonical augmentation: one attachment per orbit of
+the parent's group, and each class kept once, from the parent its
+canonical deletion leaves.
 """
 
 from __future__ import annotations
@@ -170,7 +177,7 @@ def delete_edge(g: ZGraph, i: int, j: int) -> ZGraph:
     return ZGraph(g.n, g.edges - {e})
 
 
-def min_label_perm(n: int, code) -> tuple[int, tuple[int, ...]]:
+def min_label_perm(n: int, code) -> tuple:
     """Lexicographically minimal relabeling of a symmetric code matrix.
 
     code[i][j] is a small int (0..3, 0 on the diagonal).  The key packs the
@@ -179,10 +186,21 @@ def min_label_perm(n: int, code) -> tuple[int, tuple[int, ...]]:
     the best key found so far.  Each node holds its unplaced vertices v as
     sorted codes col << 4 | v, col being v's cells against the placed
     vertices, and placing a vertex appends one cell to every col.  Returns
-    (key, placement) with placement[k] the original vertex in slot k.
+    (key, placement, automorphisms) with placement[k] the original vertex
+    in slot k.
+
+    Each automorphism a (a[v] the image of v) keeps the code: code[a[i]][a[j]]
+    == code[i][j].  They are the ones the search meets: the swap of each
+    vertex with its nearest earlier twin, and, for each leaf after the
+    first with the best key, the map carrying the first such leaf's
+    placement onto its own.  Together they generate the whole group.  A
+    leaf with the best key is never cut, as its prefixes never exceed the
+    best key's, so it is visited unless a twin skip drops its subtree; the
+    subtree a skip drops is the twin swap of one the search tried, so each
+    best-key leaf is a visited one moved by twin swaps.
     """
     if n == 1:
-        return 0, (0,)
+        return 0, (0,), []
     total_bits = n * (n - 1)
     # interchangeable vertices: identical code rows away from each other
     rows = [sum(c << 2 * x for x, c in enumerate(code[v])) for v in range(n)]
@@ -192,6 +210,13 @@ def min_label_perm(n: int, code) -> tuple[int, tuple[int, ...]]:
             if not (rows[u] ^ rows[w]) & ~(3 << 2 * u | 3 << 2 * w):
                 twins[u] |= 1 << w
                 twins[w] |= 1 << u
+    autos = []
+    for v in range(1, n):
+        u = (twins[v] & (1 << v) - 1).bit_length() - 1
+        if u >= 0:
+            swap = list(range(n))
+            swap[u], swap[v] = v, u
+            autos.append(swap)
 
     # cell[v][u]: u's cell against v, shifted above u's 4-bit label
     cell = [[c << 4 | u for u, c in enumerate(code[v])] for v in range(n)]
@@ -208,6 +233,11 @@ def min_label_perm(n: int, code) -> tuple[int, tuple[int, ...]]:
             if best_key is None or key < best_key:
                 best_key = key
                 best_perm = tuple(placed)
+            elif key == best_key:
+                a = [0] * n
+                for u, v in zip(best_perm, placed):
+                    a[u] = v
+                autos.append(a)
             return
         tried = 0
         for e in cands:
@@ -227,11 +257,15 @@ def min_label_perm(n: int, code) -> tuple[int, tuple[int, ...]]:
             placed.pop()
 
     dfs(0, list(range(n)))
-    return best_key, best_perm
+    # dfs reaches itself through its closure: dropping it frees the search
+    # state now rather than at a later cyclic garbage collection
+    del dfs
+    return best_key, best_perm, autos
 
 
-def canonical_label(n: int, edge_classes) -> tuple[int, tuple[int, ...]]:
-    """(key, placement) of a graph whose edges come in classes.
+def canonical_label(n: int, edge_classes) -> tuple:
+    """(key, placement, automorphisms) of a graph whose edges come in
+    classes, from `min_label_perm`.
 
     Class i (an iterable of vertex pairs) gets code i + 1.  Every labeling
     in the package builds its code matrix here.
@@ -256,12 +290,13 @@ def _least_noncut(parent):
     """A test on masks: is a vertex joined to the mask a least non-cut vertex?
 
     parent holds the neighbour masks of a connected graph on k vertices.
-    The returned test takes the mask of a new vertex k and says whether no
-    non-cut vertex of the grown graph has a smaller invariant (degree, then
-    sorted neighbour degrees); ties count as least.  Vertex k is never a cut
-    vertex, because the parent is connected.  An old vertex v is one unless
-    the mask meets every component of the parent without v, so those
-    components are found once per parent.
+    The returned test takes the mask of a new vertex k.  When no non-cut
+    vertex of the grown graph has a smaller invariant (degree, then sorted
+    neighbour degrees) than k, it returns the mask of the non-cut vertices
+    whose invariant equals k's, k included; otherwise 0.  Vertex k is never
+    a cut vertex, because the parent is connected.  An old vertex v is one
+    unless the mask meets every component of the parent without v, so
+    those components are found once per parent.
     """
     k = len(parent)
     full = (1 << k) - 1
@@ -269,9 +304,10 @@ def _least_noncut(parent):
     nbrs = [bits(a) for a in parent]
     split = [_parts(parent, full ^ 1 << v) for v in range(k)]
 
-    def passes(m: int) -> bool:
+    def passes(m: int) -> int:
         dk = m.bit_count()
         own = None
+        least = 1 << k
         for v in range(k):
             dv = deg[v] + (m >> v & 1)
             if dv > dk:
@@ -281,77 +317,130 @@ def _least_noncut(parent):
                     break   # v is a cut vertex
             else:
                 if dv < dk:
-                    return False
+                    return 0
                 if own is None:
                     own = sorted(deg[u] + 1 for u in bits(m))
                 mine = [deg[u] + (m >> u & 1) for u in nbrs[v]]
                 if m >> v & 1:
                     mine.append(dk)
-                if sorted(mine) < own:
-                    return False
-        return True
+                mine.sort()
+                if mine < own:
+                    return 0
+                if mine == own:
+                    least |= 1 << v
+        return least
 
     return passes
 
 
-def _twins(parent) -> list[tuple[int, int]]:
-    """(1 << u, 1 << v) for each vertex v and its nearest earlier twin u.
+def _orbit_reps(gens, masks):
+    """The first mask of each orbit of the permutations gens on masks.
 
-    u and v are twins when N(u)∖{v} = N(v)∖{u}; swapping them is then an
-    automorphism of the graph whose neighbour masks are parent.
+    Each generator g (g[v] the image of v) must map masks into masks.  It
+    moves a mask by two table lookups, one for the vertices below k // 2
+    and one for the rest.
     """
-    out = []
-    for v in range(1, len(parent)):
-        for u in range(v - 1, -1, -1):
-            if parent[u] & ~(1 << v) == parent[v] & ~(1 << u):
-                out.append((1 << u, 1 << v))
-                break
-    return out
+    if not gens:
+        return masks
+    k = len(gens[0])
+    h = k // 2
+    moves = []
+    for g in gens:
+        lo = [0]
+        for v in range(h):
+            lo += [x | 1 << g[v] for x in lo]
+        hi = [0]
+        for v in range(h, k):
+            hi += [x | 1 << g[v] for x in hi]
+        moves.append((lo, hi))
+    below = (1 << h) - 1
+    seen = set()
+    reps = []
+    for m in masks:
+        if m in seen:
+            continue
+        reps.append(m)
+        seen.add(m)
+        orbit = [m]
+        for x in orbit:
+            for lo, hi in moves:
+                y = lo[x & below] | hi[x >> h]
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+    return reps
 
 
-def grow_canonical(forms, k: int, masks) -> dict:
+def grow_canonical(forms, k: int, masks):
     """One isomorph-free growth step: canonical forms on k + 1 vertices.
 
-    Each form (the edges of a connected graph on k vertices) gains vertex k
-    joined to the vertices of each mask in turn.  A mask that holds a
-    vertex but not its nearest earlier twin (`_twins`) is skipped.  Any
-    other candidate is labeled only when vertex k passes `_least_noncut`,
-    and kept when its key is new.  Returns key -> canonical edge tuple.
+    forms holds (edges, generators) pairs: the canonical edges of a
+    connected graph on k vertices, one per class, and generators of its
+    automorphism group as `min_label_perm` returns them, in canonical
+    labels.  Each form gains vertex k joined to one mask of each orbit of
+    its group on masks (`_orbit_reps`).  A candidate is labeled only when
+    vertex k passes `_least_noncut`, and kept only when k lies in the orbit
+    of the canonical deletion vertex: the first vertex of the canonical
+    placement among the least non-cut vertices.  Yields (key, edges,
+    generators) once per class of grown graph, in no set order; the
+    generators are in the canonical labels of edges.
 
-    This is McKay's canonical augmentation with a cheap invariant standing
-    in for the canonical deletion.  It reaches every class when the forms
-    hold every connected class on k vertices and the masks hold every
-    neighbourhood a least non-cut vertex can have: deleting such a vertex
-    from a connected graph on k + 1 vertices leaves a connected parent
-    isomorphic to one of the forms, and putting it back is a candidate that
-    passes.  All nonempty masks serve connected graphs.  Single bits serve
-    trees, whose non-cut vertices are the leaves.
+    This is McKay's canonical augmentation.  It reaches every class when
+    the forms hold every connected class on k vertices and the masks hold
+    every neighbourhood a least non-cut vertex can have and are closed
+    under the parents' automorphisms: deleting the canonical deletion
+    vertex of a connected graph on k + 1 vertices leaves a connected
+    parent isomorphic to one of the forms, and putting it back is a
+    candidate, up to an automorphism of the parent that moves its mask
+    to the orbit's first.  All nonempty masks serve connected graphs.
+    Single bits serve trees, whose non-cut vertices are the leaves.
 
-    The twin rule loses nothing.  Swapping twins u < v is an automorphism of
-    the parent; fixing vertex k, it carries the candidate of a mask m onto
-    the candidate of the swapped mask, so both have the same key and, since
-    "vertex k is a least non-cut vertex" is an isomorphism invariant, the
-    same `_least_noncut` verdict.  A skipped mask holds some v without its
-    twin u < v; swapping them lowers the sum of the mask's vertices, so
-    repeated swaps end at a mask that is not skipped.  When the masks are
-    closed under these swaps (all nonempty masks, or all single bits), that
-    mask is among them.
+    It reaches each class once.  The orbit of the canonical deletion vertex
+    is an isomorphism invariant, so two kept candidates of one class have
+    isomorphic parents, hence the same form, and an isomorphism between
+    them that fixes vertex k restricts to an automorphism of that form
+    carrying one mask onto the other: both masks lie in one orbit, which
+    gave one candidate.  And since "vertex k is a least non-cut vertex" is
+    an isomorphism invariant too, `_least_noncut` only drops candidates the
+    orbit test would drop after labeling.
     """
-    attachments = [(m, [(v, k) for v in bits(m)]) for m in masks]
-    grown = {}
-    for edges in forms:
+    attachments = {m: [(v, k) for v in bits(m)] for m in masks}
+    for edges, gens in forms:
         base = list(edges)
         parent = [0] * k
         for i, j in base:
             parent[i] |= 1 << j
             parent[j] |= 1 << i
         passes = _least_noncut(parent)
-        twins = _twins(parent)
-        for m, attach in attachments:
-            if any(m & v and not m & u for u, v in twins) or not passes(m):
+        for m in _orbit_reps(gens, attachments):
+            least = passes(m)
+            if not least:
                 continue
-            new = base + attach
-            key, perm = canonical_label(k + 1, (new,))
-            if key not in grown:
-                grown[key] = relabel(new, perm)
-    return grown
+            new = base + attachments[m]
+            key, perm, autos = canonical_label(k + 1, (new,))
+            if least != 1 << k:
+                first = next(v for v in perm if least >> v & 1)
+                orbit = [first]
+                for v in orbit:
+                    for a in autos:
+                        if a[v] not in orbit:
+                            orbit.append(a[v])
+                if k not in orbit:
+                    continue
+            slot = [0] * (k + 1)
+            for s, v in enumerate(perm):
+                slot[v] = s
+            yield key, relabel(new, perm), [[slot[a[v]] for v in perm] for a in autos]
+
+
+def key_sorted(grown) -> list:
+    """Grown forms, tuples led by their canonical keys, ordered by key.
+
+    Canonical augmentation reaches each class once, so two equal keys mean
+    it broke: that raises instead of being merged away.
+    """
+    level = sorted(grown, key=lambda form: form[0])
+    for a, b in zip(level, level[1:]):
+        if a[0] == b[0]:
+            raise RuntimeError("growth reached the class of key %d twice" % a[0])
+    return level

@@ -179,7 +179,7 @@ def free_trees_by_pruefer(k: int) -> tuple:
     """Free trees on k vertices: every labeled tree, deduplicated by key."""
     seen = {}
     for edges in labeled_trees(tuple(range(k))):
-        key, perm = canonical_label(k, (edges,))
+        key, perm, _ = canonical_label(k, (edges,))
         if key not in seen:
             seen[key] = relabel(edges, perm)
     return tuple(sorted(seen.values()))

@@ -1,16 +1,23 @@
-"""Reference isomorph-free growth: every candidate labeled, no filter.
+"""Reference isomorph-free growth steps.
 
-The library's `zgraph.grow_canonical` labels a candidate only when its new
-vertex is a non-cut vertex of least invariant.  This is the growth step
-without that filter, so the tests can check that the filter drops no class
-and changes no canonical form.
+The library's `zgraph.grow_canonical` attaches one mask per orbit of the
+parent's automorphism group, labels a candidate only when its new vertex
+is a non-cut vertex of least invariant, and keeps it only when that vertex
+lies in the orbit of the canonical deletion vertex.  Two older steps live
+on here, so the tests can check that the library drops no class and
+changes no canonical form:
+
+- `grow_canonical` labels every candidate and keeps the first form per key;
+- `grow_by_twins` skips the masks that hold a vertex but not its nearest
+  earlier twin, labels only candidates that pass the least non-cut filter,
+  and keeps the first form per key in a dictionary.
 
 `min_label_perm` is the labeling that rebuilds every unplaced vertex's
 column from the placed vertices at each node; the library's carries the
 columns down the recursion and must return the same (key, placement).
 """
 
-from zonobelt.zgraph import bits, canonical_label, relabel
+from zonobelt.zgraph import _least_noncut, bits, canonical_label, relabel
 
 
 def min_label_perm(n: int, code) -> tuple[int, tuple[int, ...]]:
@@ -75,10 +82,66 @@ def grow_canonical(forms, k: int, masks) -> dict:
         base = list(edges)
         for attach in attachments:
             new = base + attach
-            key, perm = canonical_label(k + 1, (new,))
+            key, perm, _ = canonical_label(k + 1, (new,))
             if key not in grown:
                 grown[key] = relabel(new, perm)
     return grown
+
+
+def twins(parent) -> list[tuple[int, int]]:
+    """(1 << u, 1 << v) for each vertex v and its nearest earlier twin u.
+
+    u and v are twins when N(u)∖{v} = N(v)∖{u}; swapping them is then an
+    automorphism of the graph whose neighbour masks are parent.
+    """
+    out = []
+    for v in range(1, len(parent)):
+        for u in range(v - 1, -1, -1):
+            if parent[u] & ~(1 << v) == parent[v] & ~(1 << u):
+                out.append((1 << u, 1 << v))
+                break
+    return out
+
+
+def grow_by_twins(forms, k: int, masks) -> dict:
+    """Canonical forms on k + 1 vertices, key -> edges: each form gains
+    vertex k joined to each mask that holds no vertex without its nearest
+    earlier twin, a candidate is labeled when vertex k is a least non-cut
+    vertex, and the first form per key is kept."""
+    attachments = [(m, [(v, k) for v in bits(m)]) for m in masks]
+    grown = {}
+    for edges in forms:
+        base = list(edges)
+        parent = [0] * k
+        for i, j in base:
+            parent[i] |= 1 << j
+            parent[j] |= 1 << i
+        passes = _least_noncut(parent)
+        pairs = twins(parent)
+        for m, attach in attachments:
+            if any(m & v and not m & u for u, v in pairs) or not passes(m):
+                continue
+            new = base + attach
+            key, perm, _ = canonical_label(k + 1, (new,))
+            if key not in grown:
+                grown[key] = relabel(new, perm)
+    return grown
+
+
+def connected_graphs_by_twins(n: int) -> list[tuple]:
+    """`connected_graphs(n)` grown by `grow_by_twins`."""
+    reps = {0: ()}
+    for k in range(1, n):
+        reps = grow_by_twins(reps.values(), k, range(1, 1 << k))
+    return [reps[key] for key in sorted(reps)]
+
+
+def free_trees_by_twins(k: int) -> tuple:
+    """`free_trees(k)` grown by `grow_by_twins`."""
+    forms = ((),)
+    for j in range(1, k):
+        forms = tuple(sorted(grow_by_twins(forms, j, [1 << v for v in range(j)]).values()))
+    return forms
 
 
 def connected_graphs(n: int) -> list[tuple]:

@@ -279,6 +279,17 @@ def test_search_rejects_negative_budgets(capsys, what, limit):
     assert main(["search", *what, limit[0], "0"]) in (EXIT_OK, EXIT_INCONCLUSIVE)
 
 
+@pytest.mark.parametrize("d", ["5", "6"])
+@pytest.mark.parametrize("limit", ["--budget", "--max-nodes"])
+def test_search_extremal_low_dimensions_answer_none_on_a_zero_budget(capsys, d, limit):
+    # two trees already have 4 leaves, more than (d + 1) // 2 for d <= 6:
+    # "none" needs no work, so a zero budget is not exhausted by it
+    assert main(["search", "extremal", "--d", d, limit, "0"]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["status: none", "nodes: 0"]
+    assert out[2].startswith("elapsed: ") and len(out) == 3
+
+
 def test_sweep_cli(tmp_path, capsys):
     csv_path = tmp_path / "rep.csv"
     code = main([

@@ -201,6 +201,17 @@ def test_a_key_that_keeps_parallel_classes_apart_raises(monkeypatch):
         oracle_facets(complete(5))
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_walk_that_reaches_a_support_twice_raises(monkeypatch, n):
+    # a walk that credits every class of a node with its first class's rows
+    # gives two children one support; the walk refuses it instead of
+    # merging the two away
+    monkeypatch.setattr(oracle, "enumerate", lambda res: ((0, r) for r in res),
+                        raising=False)
+    with pytest.raises(RuntimeError, match="reached the support .* twice"):
+        oracle_facets(complete(n))
+
+
 def test_same_belt_shortcut_matches_reference(monkeypatch):
     # every facet pair of every connected graph on 3..6 vertices, and of
     # seeded 7-vertex graphs: fewer than d - 2 shared edges answer without

@@ -57,10 +57,8 @@ def test_enumeration_matches_unfiltered_growth(n):
     assert got == growth_reference.connected_graphs(n)
 
 
-def test_enumeration_stays_within_labeling_budget(monkeypatch):
-    # only candidates whose new vertex is a least non-cut vertex, one per
-    # twin-swap orbit, are labeled: 1,305 labelings up to n = 7, against
-    # 7,815 with every candidate labeled
+def counting_labelings(monkeypatch) -> list:
+    """The vertex counts of the labelings made from now on."""
     calls = []
 
     def counting(n, code):
@@ -68,8 +66,32 @@ def test_enumeration_stays_within_labeling_budget(monkeypatch):
         return min_label_perm(n, code)
 
     monkeypatch.setattr(zgraph, "min_label_perm", counting)
+    return calls
+
+
+def test_enumeration_stays_within_labeling_budget(monkeypatch):
+    # only candidates whose new vertex is a least non-cut vertex, one per
+    # orbit of the parent's automorphism group, are labeled: 1,028
+    # labelings up to n = 7, against 1,305 with twin swaps only and 7,815
+    # with every candidate labeled
+    calls = counting_labelings(monkeypatch)
     assert len(enumerate_connected_graphs(7)) == CONNECTED_COUNTS[6]
-    assert 0 < len(calls) <= 1600
+    assert 0 < len(calls) <= 1050
+
+
+def test_levels_to_eight_match_twin_rule_growth(monkeypatch):
+    # canonical augmentation keeps exactly the classes, canonical forms and
+    # order of the twin rule with one dictionary per level, up to n = 8, in
+    # 12,858 labelings against the twin rule's 15,687 (116,146 with every
+    # candidate labeled)
+    calls = counting_labelings(monkeypatch)
+    levels = list(sweep.connected_levels(1, 8))
+    assert 0 < len(calls) <= 13000
+    monkeypatch.undo()
+    assert [len(graphs) for graphs in levels] == CONNECTED_COUNTS
+    for n, graphs in enumerate(levels, 1):
+        got = [tuple(g.sorted_edges()) for g in graphs]
+        assert got == growth_reference.connected_graphs_by_twins(n), n
 
 
 def test_levels_match_unfiltered_growth():
@@ -84,10 +106,10 @@ def test_levels_match_unfiltered_growth():
 def test_enumeration_is_canonical_and_sorted():
     graphs = enumerate_connected_graphs(5)
     labels = [canonical_label(5, (g.edges,)) for g in graphs]
-    keys = [key for key, _ in labels]
+    keys = [key for key, _, _ in labels]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
-    for g, (_, perm) in zip(graphs, labels):
+    for g, (_, perm, _) in zip(graphs, labels):
         assert relabel(g.edges, perm) == tuple(g.sorted_edges())
 
 

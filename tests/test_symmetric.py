@@ -189,11 +189,16 @@ def test_free_trees_match_unfiltered_growth():
         assert free_trees(k) == growth_reference.free_trees(k)
 
 
+def test_free_trees_match_twin_rule_growth():
+    for k in range(1, 11):
+        assert free_trees(k) == growth_reference.free_trees_by_twins(k)
+
+
 def test_tree_growth_stays_within_labeling_budget(monkeypatch):
-    # leaf attachment labels only trees whose new leaf is a least leaf and
-    # not a twin-swapped copy (136 calls up to k = 9, 326 with every
-    # attachment labeled); labeling every Pruefer tree takes 1,302 calls for
-    # k = 6 alone
+    # leaf attachment labels only trees whose new leaf is a least leaf, one
+    # leaf per orbit of the tree's automorphism group (113 calls up to
+    # k = 9, 136 with twin swaps only, 326 with every attachment labeled);
+    # labeling every Pruefer tree takes 1,302 calls for k = 6 alone
     calls = []
     real = zgraph.min_label_perm
 
@@ -204,19 +209,24 @@ def test_tree_growth_stays_within_labeling_budget(monkeypatch):
         return real(n, code)
 
     monkeypatch.setattr(zgraph, "min_label_perm", counting)
-    free_trees.cache_clear()   # grow every level under the counter
+    symmetric._tree_forms.cache_clear()   # grow every level under the counter
     assert len(free_trees(9)) == 47
-    free_trees.cache_clear()
+    symmetric._tree_forms.cache_clear()
     res = search_extremal(9, max_nodes=50)
     assert res.status == "found" and res.distance == 3
     assert calls
     # the search grows trees on at most d - 1 vertices and labels nothing
-    # else: 136 labelings for d = 10, against 302 with the 10-vertex trees
+    # else: 113 labelings for d = 10, against 257 with the 10-vertex trees
     calls.clear()
-    free_trees.cache_clear()
+    symmetric._tree_forms.cache_clear()
     res = search_extremal(10)
     assert res.status == "found" and res.distance == 3
     assert len(calls) <= 400
+    # every size up to 10: 257 labelings, 302 with twin swaps only
+    calls.clear()
+    symmetric._tree_forms.cache_clear()
+    assert len(free_trees(10)) == 106
+    assert len(calls) <= 260
 
 
 def test_bipartite_trees_cayley_count():
@@ -636,3 +646,16 @@ def test_zero_budget_still_answers_what_needs_no_work():
     res = search_extremal(5, max_nodes=0)
     assert (res.status, res.nodes) == ("none", 0)
     assert search_extremal(8, max_nodes=0).status == "inconclusive"
+
+
+@pytest.mark.parametrize("d", [5, 6])
+@pytest.mark.parametrize("limit", [{"budget_seconds": 0}, {"max_nodes": 0}],
+                         ids=["budget_seconds", "max_nodes"])
+def test_low_dimensions_answer_none_before_growing_trees(monkeypatch, d, limit):
+    # for d <= 6 two trees already have more than (d + 1) // 2 leaves, so
+    # "none" needs no tree and no budget: not even a zero one is checked
+    symmetric._tree_forms.cache_clear()
+    monkeypatch.setattr(symmetric._Budget, "tick", None)
+    res = search_extremal(d, **limit)
+    assert (res.status, res.witness, res.nodes) == ("none", None, 0)
+    assert symmetric._tree_forms.cache_info().currsize == 0

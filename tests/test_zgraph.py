@@ -11,13 +11,15 @@ from zonobelt.zgraph import (
     PAIR,
     ZGraph,
     _least_noncut,
-    _twins,
+    _orbit_reps,
     bits,
     canonical_label,
     components,
     contract_map,
     delete_edge,
     dimension,
+    grow_canonical,
+    key_sorted,
     mask_of,
     min_label_perm,
     pair,
@@ -70,7 +72,8 @@ def test_connected_in():
 def test_least_noncut_matches_definition():
     # move each non-cut vertex of every connected graph on 2..6 vertices to the
     # last slot: the filter passes it exactly when no non-cut vertex has a
-    # smaller (degree, sorted neighbour degrees), so some vertex always passes
+    # smaller (degree, sorted neighbour degrees), so some vertex always
+    # passes, and then returns the non-cut vertices of least invariant
     for n in range(2, 7):
         for edges in growth_reference.connected_graphs(n):
             g = ZGraph(n, edges)
@@ -86,17 +89,20 @@ def test_least_noncut_matches_definition():
                 swap[v], swap[n - 1] = n - 1, v
                 h = ZGraph(n, [(swap[i], swap[j]) for i, j in edges])
                 parent = [a & ~(1 << n - 1) for a in h.adj[:-1]]
-                assert _least_noncut(parent)(h.adj[-1]) == (invariant(v) == least)
+                tied = mask_of(swap[u] for u in noncut if invariant(u) == least)
+                want = tied if invariant(v) == least else 0
+                assert _least_noncut(parent)(h.adj[-1]) == want
 
 
 def test_twin_rule_skips_only_swapped_copies():
-    # every mask grow_canonical skips on a connected parent of 2..6 vertices
-    # swaps, twin for twin, into a kept mask with the same verdict and child
+    # every mask the reference twin rule skips on a connected parent of 2..6
+    # vertices swaps, twin for twin, into a kept mask with the same verdict
+    # and child
     skipped_total = 0
     for k in range(2, 7):
         for edges in growth_reference.connected_graphs(k):
             parent = list(ZGraph(k, edges).adj)
-            twins = _twins(parent)
+            twins = growth_reference.twins(parent)
             for u, v in twins:
                 a, b = bits(u)[0], bits(v)[0]
                 assert a < b and parent[a] & ~v == parent[b] & ~u
@@ -116,9 +122,170 @@ def test_twin_rule_skips_only_swapped_copies():
                 while skipped(kept):
                     u, v = next((u, v) for u, v in twins if kept & v and not kept & u)
                     kept ^= u | v
-                assert passes(kept) == passes(m), (edges, m, kept)
+                assert bool(passes(kept)) == bool(passes(m)), (edges, m, kept)
                 assert child_key(kept) == child_key(m), (edges, m, kept)
     assert skipped_total > 0
+
+
+def brute_automorphisms(n, code) -> set:
+    """Every permutation a (a[v] the image of v) that keeps the code, by
+    extending partial maps one vertex at a time."""
+    out = set()
+    a = []
+
+    def extend():
+        i = len(a)
+        if i == n:
+            out.add(tuple(a))
+            return
+        for w in range(n):
+            if w not in a and all(code[a[j]][w] == code[j][i] for j in range(i)):
+                a.append(w)
+                extend()
+                a.pop()
+
+    extend()
+    return out
+
+
+def generated(n, gens) -> set:
+    """The group the permutations gens generate, by closure."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    for a in frontier:
+        for g in gens:
+            b = tuple(g[a[v]] for v in range(n))
+            if b not in group:
+                group.add(b)
+                frontier.append(b)
+    return group
+
+
+def edge_code(n, edges):
+    code = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        code[i][j] = code[j][i] = 1
+    return code
+
+
+def shuffled(rng, n, edges):
+    relab = list(range(n))
+    rng.shuffle(relab)
+    return [(relab[i], relab[j]) for i, j in edges]
+
+
+def test_automorphisms_generate_the_group():
+    # every connected graph on 1..6 vertices, 60 seeded classes on 7 and 40
+    # seeded graphs on 8 (half of them with a twin pair), each under a
+    # seeded relabeling, and 200 seeded two-class codes on 3..7 vertices:
+    # each returned map keeps the code, and together they generate the
+    # whole automorphism group
+    rng = random.Random(20261019)
+    codes = []
+    for n in range(1, 7):
+        codes += [(n, edge_code(n, shuffled(rng, n, e)))
+                  for e in growth_reference.connected_graphs(n)]
+    sevens = growth_reference.connected_graphs(7)
+    codes += [(7, edge_code(7, shuffled(rng, 7, e))) for e in rng.sample(sevens, 60)]
+    for i, g in enumerate(sweep.sample_connected_graphs(8, 40, seed=8)):
+        edges = list(g.edges)
+        if i % 2:   # make vertex 7 a twin of vertex 0
+            edges = [e for e in edges if 7 not in e and e != (0, 7)]
+            edges += [(u, 7) for u in range(1, 7) if (0, u) in g.edges]
+            edges += [(0, 7)] * (i % 4 == 1)
+        codes.append((8, edge_code(8, edges)))
+    for _ in range(200):
+        n = rng.randrange(3, 8)
+        code = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                code[i][j] = code[j][i] = rng.choice((0, 1, 1, 2))
+        codes.append((n, code))
+    nontrivial = 0
+    for n, code in codes:
+        _, _, autos = min_label_perm(n, code)
+        group = brute_automorphisms(n, code)
+        assert {tuple(a) for a in autos} <= group, code
+        assert generated(n, autos) == group, code
+        nontrivial += len(group) > 1
+    assert nontrivial > len(codes) // 2
+
+
+def test_grown_generators_are_each_forms_group():
+    # the generators grow_canonical yields, in canonical labels, generate
+    # the automorphism group of the canonical form: connected graphs on up
+    # to 7 vertices and free trees on up to 9
+    level = [(0, (), [])]
+    for k in range(1, 7):
+        level = key_sorted(grow_canonical([f[1:] for f in level], k, range(1, 1 << k)))
+        for _, edges, gens in level:
+            assert generated(k + 1, gens) == brute_automorphisms(k + 1, edge_code(k + 1, edges))
+    for k in range(1, 10):
+        for edges, gens in zip(*symmetric._tree_forms(k)):
+            assert generated(k, gens) == brute_automorphisms(k, edge_code(k, edges))
+
+
+def test_orbit_reps_are_one_mask_per_orbit():
+    # on every connected form with 1..6 vertices, the masks attached are the
+    # first of each orbit of the brute-force automorphism group, both on
+    # all nonempty masks and on single bits
+    level = [(0, (), [])]
+    for k in range(1, 7):
+        for _, edges, gens in level:
+            group = brute_automorphisms(k, edge_code(k, edges))
+            for masks in (range(1, 1 << k), [1 << v for v in range(k)]):
+                firsts, seen = [], set()
+                for m in masks:
+                    if m not in seen:
+                        firsts.append(m)
+                        seen |= {mask_of(a[v] for v in bits(m)) for a in group}
+                assert list(_orbit_reps(gens, masks)) == firsts, (edges, masks)
+        level = key_sorted(grow_canonical([f[1:] for f in level], k, range(1, 1 << k)))
+
+
+def test_each_class_grows_from_its_canonical_deletion():
+    # each connected class on 2..7 vertices and each tree on 2..9 grows from
+    # one parent: the form left when its canonical deletion vertex goes.
+    # In a canonical form the canonical placement is an automorphism, so
+    # that vertex's orbit is the orbit of the least label among the least
+    # non-cut vertices
+    def deletion_parent(n, edges):
+        g = ZGraph(n, edges)
+        deg = [a.bit_count() for a in g.adj]
+
+        def invariant(v):
+            return (deg[v], sorted(deg[u] for u in bits(g.adj[v])))
+
+        noncut = [v for v in range(n) if g.connected_in(g.full_mask ^ 1 << v)]
+        least = min(invariant(v) for v in noncut)
+        d = min(v for v in noncut if invariant(v) == least)
+        rest = [(i - (i > d), j - (j > d)) for i, j in edges if d not in (i, j)]
+        return canonical_label(n - 1, (rest,))[0]
+
+    level = [(0, (), [])]
+    for k in range(1, 7):
+        grown = []
+        for key, edges, gens in level:
+            for child in grow_canonical([(edges, gens)], k, range(1, 1 << k)):
+                assert deletion_parent(k + 1, child[1]) == key, (edges, child[1])
+                grown.append(child)
+        level = key_sorted(grown)
+    for k in range(1, 9):
+        for edges, gens in zip(*symmetric._tree_forms(k)):
+            key = canonical_label(k, (edges,))[0]
+            for child in grow_canonical([(edges, gens)], k, [1 << v for v in range(k)]):
+                assert deletion_parent(k + 1, child[1]) == key, (edges, child[1])
+
+
+def test_a_class_grown_twice_raises():
+    # a level holding one class twice grows each child twice; the keys
+    # meet, and the level is refused rather than merged
+    level = key_sorted(grow_canonical([((), [])], 1, [1]))
+    assert [f[1] for f in level] == [((0, 1),)]
+    twice = [level[0][1:]] * 2
+    with pytest.raises(RuntimeError, match="twice"):
+        key_sorted(grow_canonical(twice, 2, range(1, 4)))
+    assert key_sorted([(2, "b"), (1, "a")]) == [(1, "a"), (2, "b")]
 
 
 def test_components_by_least_vertex():
@@ -212,7 +379,7 @@ def test_min_label_perm_matches_brute_force():
         for _ in range(40):
             g = ZGraph(n, [p for p in pairs if rng.random() < 0.5])
             code = graph_code(g)
-            key, perm = min_label_perm(n, code)
+            key, perm, _ = min_label_perm(n, code)
             assert key == brute_min_key(n, code)
             assert sorted(perm) == list(range(n))
 
@@ -222,16 +389,16 @@ def test_min_label_perm_relabel_invariant():
     pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
     for _ in range(25):
         g = ZGraph(7, [p for p in pairs if rng.random() < 0.4])
-        key, _ = min_label_perm(7, graph_code(g))
+        key = min_label_perm(7, graph_code(g))[0]
         relab = list(range(7))
         rng.shuffle(relab)
         h = ZGraph(7, [(relab[i], relab[j]) for i, j in g.edges])
-        key2, _ = min_label_perm(7, graph_code(h))
+        key2 = min_label_perm(7, graph_code(h))[0]
         assert key == key2
 
 
 def test_min_label_perm_single_vertex():
-    assert min_label_perm(1, [[0]]) == (0, (0,))
+    assert min_label_perm(1, [[0]]) == (0, (0,), [])
 
 
 def labelings_of(monkeypatch, run) -> list:
@@ -250,12 +417,12 @@ def labelings_of(monkeypatch, run) -> list:
 
 
 def grow_free_trees():
-    symmetric.free_trees.cache_clear()   # grow every level under the recorder
+    symmetric._tree_forms.cache_clear()   # grow every level under the recorder
     symmetric.free_trees(10)
 
 
 @pytest.mark.parametrize("run, count", [
-    (lambda: list(sweep.connected_levels(1, 7)), 1305),
+    (lambda: list(sweep.connected_levels(1, 7)), 1028),
     (lambda: [symmetric.enumerate_conjugate_classes(n) for n in range(2, 9)], None),
     (grow_free_trees, None),
 ], ids=["connected_levels", "conjugate_classes", "free_trees"])
@@ -265,7 +432,7 @@ def test_min_label_perm_matches_reference_on_library_inputs(monkeypatch, run, co
     seen = labelings_of(monkeypatch, run)
     assert seen and count in (None, len(seen))
     for n, code in seen:
-        assert min_label_perm(n, code) == growth_reference.min_label_perm(n, code), code
+        assert min_label_perm(n, code)[:2] == growth_reference.min_label_perm(n, code), code
 
 
 def test_min_label_perm_matches_reference_on_random_codes():
@@ -277,7 +444,7 @@ def test_min_label_perm_matches_reference_on_random_codes():
         for i in range(n):
             for j in range(i + 1, n):
                 code[i][j] = code[j][i] = rng.choices(range(4), weights)[0]
-        assert min_label_perm(n, code) == growth_reference.min_label_perm(n, code), code
+        assert min_label_perm(n, code)[:2] == growth_reference.min_label_perm(n, code), code
 
 
 def test_canonical_label_codes_edge_classes():
@@ -290,13 +457,13 @@ def test_canonical_label_codes_edge_classes():
         for c, edges in ((1, red), (2, blue)):
             for i, j in edges:
                 code[i][j] = code[j][i] = c
-        key, perm = canonical_label(6, (red, blue))
-        assert (key, perm) == min_label_perm(6, code)
+        key, perm, autos = canonical_label(6, (red, blue))
+        assert (key, perm, autos) == min_label_perm(6, code)
         # the placement carries each class onto the same canonical edges
         # from any starting labeling
         relab = list(range(6))
         rng.shuffle(relab)
         moved = [[(relab[i], relab[j]) for i, j in edges] for edges in (red, blue)]
-        key2, perm2 = canonical_label(6, moved)
+        key2, perm2, _ = canonical_label(6, moved)
         assert key2 == key
         assert [relabel(e, perm2) for e in moved] == [relabel(e, perm) for e in (red, blue)]
