@@ -11,7 +11,7 @@ consistent only when no edge joins them.
 That definition is not evaluated pair by pair.  Every codimension-2 face
 lies in exactly two facets, both in the belt of its core {x, y, z}, so the
 belt's 4 or 6 facets form a cycle and the edges come from one pass over
-the cores (faces.dual_cycle, walked by faces.dual_neighbours).  For an
+the cores (faces.dual_neighbours).  For an
 ordering (x, y, z) of a core in which x-y and y-z carry crossing edges,
 the face x < y < z lies in (x | y∪z) and (x∪y | z).  When x and y share
 no edge (so both cross z), the faces with x, y incomparable link
@@ -19,16 +19,19 @@ no edge (so both cross z), the faces with x, y incomparable link
 
 Each such cycle is closed under σ: x → −x, which swaps every facet with
 its opposite, so σ is an automorphism of the dual graph and the Venkov
-graph is its quotient by σ.  `dual_diameter` therefore grows balls for
-only half of the facets, one per opposite pair, and mirrors the rest
-(venkov.diameters).  `check_diameter_bound` reports witness pairs, so it
-grows every node's ball (venkov.diameter_witness) in both adjacencies,
-read off one table of dual neighbours.
+graph is its quotient by σ.  So the table of dual neighbours lists only
+the facets whose first part holds vertex 0, and `dual_adjacency` reads
+the row of an opposite facet through σ: its neighbours are the opposites
+of its partner's.  `dual_diameter` grows balls for only half of the
+facets, one per opposite pair, and mirrors the rest (venkov.diameters).
+`check_diameter_bound` reports witness pairs, so it grows every node's
+ball (venkov.diameter_witness) in both adjacencies, read off one table
+of dual neighbours.
 """
 
 from __future__ import annotations
 
-from .faces import FacetId, belt_adjacency, dual_neighbours, facets_and_cores, neighbour_rows
+from .faces import FacetId, belt_adjacency, dual_neighbours, facets_and_cores
 from .venkov import diameter_witness, diameters
 from .zgraph import ZGraph, dimension
 
@@ -43,11 +46,26 @@ def dual_diameter(g: ZGraph) -> int:
 
 
 def dual_adjacency(facets: list[FacetId], near: list) -> list[int]:
-    """Dual adjacency bitmasks of the facets, read off faces.dual_neighbours."""
+    """Dual adjacency bitmasks of the facets, read off faces.dual_neighbours.
+
+    near lists the neighbours of the facets (a, V∖a) with vertex 0 in a;
+    the neighbours of (V∖a, a) are their opposites, and the bit of the
+    opposite (V∖m, m) sits at mirror[m]."""
     bit = [0] * len(near)
     for i, (a, _) in enumerate(facets):
         bit[a] = 1 << i
-    return neighbour_rows(near, bit, [a for a, _ in facets])
+    mirror = bit[::-1]      # mirror[m] = bit[full - m] = bit[full ^ m]
+    out = []
+    for a, b in facets:
+        row = 0
+        if a & 1:
+            for m in near[a]:
+                row |= bit[m]
+        else:
+            for m in near[b]:
+                row |= mirror[m]
+        out.append(row)
+    return out
 
 
 def check_diameter_bound(g: ZGraph) -> dict:

@@ -12,10 +12,12 @@ answer from the same table, so `facets_and_cores` builds it once for
 both.  `connected_splits` grows the splits of one side into two connected
 parts without a table, for the belt neighbours of one facet pair.
 
-`dual_neighbours` walks each belt's dual cycle once and lists every
-facet's dual neighbours by first part; `belt_adjacency` reads the Venkov
-graph off that table, `dual.dual_adjacency` the dual graph and
-`venkov.diameters` both diameters.
+`dual_neighbours` lists, by first part, the dual neighbours of each
+facet whose first part holds vertex 0, written per belt shape from the
+core pass's merge bits; the other half of the dual graph is their mirror
+image under x → −x.  `belt_adjacency` reads the Venkov graph off that
+table, `dual.dual_adjacency` the dual graph and `venkov.diameters` both
+diameters.
 """
 
 from __future__ import annotations
@@ -221,46 +223,46 @@ def _zero_part_size(belt: Belt) -> int:
     return (a if a & 1 else b if b & 1 else c).bit_count()
 
 
-def dual_cycle(p: int, q: int, r: int, pq: int, pr: int, qr: int) -> tuple[int, ...]:
-    """The first parts of a belt's 4 or 6 facets, in dual-cycle order.
-
-    The arguments are one tuple `_core_merges` yields.  The facets of a
-    belt form a cycle of the dual graph, one edge per codimension-2 face;
-    writing [x] for (x | rest) and [xy] for (x∪y | rest), the cycle of a
-    core whose three parts all touch is [p] [pq] [q] [qr] [r] [pr], and
-    when x and y share no edge (z touching both) it is [x] [xz] [yz] [y].
-    The cycle is closed under x → −x: its second half is the opposites of
-    its first half, in the same order.
-    """
-    if pq and pr and qr:
-        return (p, p | q, q, q | r, r, p | r)
-    if not pq:
-        return (p, p | r, q | r, q)
-    if not pr:
-        return (p, p | q, r | q, r)
-    return (q, q | p, r | p, r)
-
-
 def dual_neighbours(facets: list[FacetId], cores) -> list:
-    """The dual graph as lists indexed by vertex mask, with no node indices.
+    """Half of the dual graph as lists indexed by vertex mask, with no node
+    indices.
 
     facets and cores are the pair `facets_and_cores(g)` returns, the cores
-    as that generator or as a list of what it yields.  near[m] lists the
-    first parts of the dual neighbours of the facet (m, V∖m), one per
-    codimension-2 face it holds, read off each belt's `dual_cycle`; a mask
-    that is no facet's first part holds None.
+    as that generator or as a list of what it yields.  For a part a holding
+    vertex 0, near[a] lists the first parts of the dual neighbours of the
+    facet (a, V∖a), one per codimension-2 face it holds; every other mask
+    holds None.  x → −x maps the facet (V∖a, a) and its neighbours to
+    (a, V∖a) and theirs, so the neighbours of (V∖a, a) are the opposites
+    of those listed for a.
+
+    The facets of a belt form a cycle of the dual graph, one edge per
+    codimension-2 face.  Writing [x] for (x | rest) and [xy] for
+    (x∪y | rest), the cycle of a core whose three parts all touch is
+    [p] [pq] [q] [qr] [r] [pr], and when x and y share no edge (z touching
+    both) it is [x] [xz] [yz] [y].  With p holding vertex 0, the facets
+    whose first part holds it are those of [p], [pq] and [pr] in the
+    belt: each gets its two cycle neighbours, read straight off the merge
+    bits.
     """
     full = facets[0][0] | facets[0][1]
     near = [None] * (full + 1)
     for a, _ in facets:
-        near[a] = []
-    for core in cores:
-        cycle = dual_cycle(*core)
-        at = cycle[-1]
-        for m in cycle:
-            near[at].append(m)
-            near[m].append(at)
-            at = m
+        if a & 1:
+            near[a] = []
+    for p, q, r, pq, pr, qr in cores:
+        if pq and pr and qr:    # [p] [pq] [q] [qr] [r] [pr]
+            near[p] += (p | q, p | r)
+            near[p | q] += (p, q)
+            near[p | r] += (r, p)
+        elif not pq:            # [p] [pr] [qr] [q]
+            near[p] += (q, p | r)
+            near[p | r] += (p, q | r)
+        elif not pr:            # [p] [pq] [qr] [r]
+            near[p] += (r, p | q)
+            near[p | q] += (p, q | r)
+        else:                   # [q] [pq] [pr] [r]
+            near[p | q] += (q, p | r)
+            near[p | r] += (p | q, r)
     return near
 
 
@@ -274,15 +276,10 @@ def belt_adjacency(facets: list[FacetId], near: list) -> list[int]:
     pairs = [a for a, _ in facets if a & 1]
     for i, a in enumerate(pairs):
         bit[a] = bit[full ^ a] = 1 << i
-    return neighbour_rows(near, bit, pairs)
-
-
-def neighbour_rows(near: list, bit: list, firsts) -> list[int]:
-    """Row i ORs bit[m] over the first parts m in near[firsts[i]]."""
     # OR, not sum: a facet of a 4-cycle [x] [xz] [yz] [y] neighbours both
     # facets of the pair {y, xz}
     out = []
-    for a in firsts:
+    for a in pairs:
         row = 0
         for m in near[a]:
             row |= bit[m]

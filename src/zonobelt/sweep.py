@@ -113,8 +113,9 @@ def oracle_agrees(g: ZGraph) -> bool:
     through.  Two facet hyperplanes meet in a flat, and share a belt iff
     that flat has rank d - 2, so the oracle's same-belt relation is
     membership of the supports' intersection in its flats; it must equal
-    the Venkov adjacency `faces.belt_adjacency` reads off the dual cycles
-    of the same core list, as the quotient of the dual graph by x → −x.
+    the Venkov adjacency `faces.belt_adjacency` reads, as the quotient of
+    the dual graph by x → −x, off the half dual-neighbour table that
+    `faces.dual_neighbours` writes from the same core list.
     Raises oracle.OracleBudgetError before any oracle work when the
     same-belt checks, one per two facet pairs, would exceed
     oracle.SAME_BELT_PAIR_CAP.
@@ -195,18 +196,25 @@ def _check_graph(g: ZGraph, checks, row: SweepRow, violations: list):
         if d >= 7 and dd > 4:
             found.append("dual diameter %d > 4" % dd)
     if "belt_size" in checks:
-        # directions are read off the edges, not off the merge bits:
-        # near[m] is the neighbourhood of the vertex set m
+        # the merge bits must name the crossing directions, read off the
+        # edges, and at least two of them: near[m] is the neighbourhood of
+        # the vertex set m
         near = [0]
         for v in range(g.n):
             near += [x | g.adj[v] for x in near]
-        for p, q, r, pq, pr, qr in cores:
+        off = [(p, q, r, pq, pr, qr) for p, q, r, pq, pr, qr in cores
+               if pq != (near[p] & q > 0) or pr != (near[p] & r > 0)
+               or qr != (near[q] & r > 0) or pq + pr + qr < 2]
+        for p, q, r, pq, pr, qr in off:
             size = 2 * (pq + pr + qr)
-            dirs = bool(near[p] & q) + bool(near[p] & r) + bool(near[q] & r)
+            cross = (near[p] & q > 0, near[p] & r > 0, near[q] & r > 0)
+            dirs = sum(cross)
             if size not in (4, 6) or dirs not in (2, 3):
                 found.append("belt size %d/dirs %d" % (size, dirs))
             elif (size == 6) != (dirs == 3):
                 found.append("size %d with %d directions" % (size, dirs))
+            else:
+                found.append("merges %d%d%d with crossings %d%d%d" % (pq, pr, qr, *cross))
     if found:
         label = "n=%d %r" % (g.n, g.sorted_edges())
         violations += ["%s: %s" % (label, v) for v in found]

@@ -6,7 +6,8 @@ adjacent.  So the adjacency is read off the cores rather than by testing
 every pair of facets: each belt's 4 or 6 facets form a dual cycle, and
 the Venkov graph is the dual graph divided by x → −x, so pair i's
 neighbours are the pairs of its facet's dual neighbours
-(faces.belt_adjacency, over the table faces.dual_neighbours writes).  The
+(faces.belt_adjacency, over the table faces.dual_neighbours writes, which
+lists only the facets whose first part holds vertex 0).  The
 nodes and the cores are read off one table of the graph's connected
 vertex sets (faces.facets_and_cores).
 
@@ -22,8 +23,9 @@ belt's dual cycle is closed under it and collapses onto the belt's Venkov
 clique.  So a Venkov ball is the projection of the dual ball around
 either facet of the pair, and σ makes half of the dual balls mirror
 images of the other half.  `diameters` therefore grows the balls of one
-facet per pair over the dual neighbour table and reads both diameters
-off them; `diameter_witness` stays for dual.check_diameter_bound, which
+facet per pair, the one whose first part holds vertex 0, over the dual
+neighbour table, which lists neighbours for those facets only, and reads
+both diameters off them; `diameter_witness` stays for dual.check_diameter_bound, which
 reports a witness pair for each graph.
 
 A belt distance needs neither: belt_neighbors generates a node's

@@ -10,7 +10,11 @@ pass over the codimension-2 cores, and belt distance from generated
 neighbours, instead.  The core pass itself is kept here as the scan that
 asked `connected_in` for every mask (`core_merges_scan`); the library reads
 the table instead.  `partition_key` is the order the library's facet and
-belt lists must follow, which it reaches without building the key.
+belt lists must follow, which it reaches without building the key.  The
+full dual-neighbour table (`dual_neighbours`, walking each belt's
+`dual_cycle`) lists both ends of every dual edge; the library keeps only
+the lists of the facets whose first part holds vertex 0, written per belt
+shape, and reads the others through x → −x.
 """
 
 from zonobelt.faces import (
@@ -281,3 +285,42 @@ def belt_neighbors_submasks(g: ZGraph, a: int) -> list[int]:
     out.sort()
     out.sort(key=int.bit_count)
     return out
+
+
+def dual_cycle(p: int, q: int, r: int, pq: int, pr: int, qr: int) -> tuple[int, ...]:
+    """The first parts of a belt's 4 or 6 facets, in dual-cycle order.
+
+    The arguments are one tuple `faces._core_merges` yields.  The facets of
+    a belt form a cycle of the dual graph, one edge per codimension-2 face;
+    writing [x] for (x | rest) and [xy] for (x∪y | rest), the cycle of a
+    core whose three parts all touch is [p] [pq] [q] [qr] [r] [pr], and
+    when x and y share no edge (z touching both) it is [x] [xz] [yz] [y].
+    The cycle is closed under x → −x: its second half is the opposites of
+    its first half, in the same order.
+    """
+    if pq and pr and qr:
+        return (p, p | q, q, q | r, r, p | r)
+    if not pq:
+        return (p, p | r, q | r, q)
+    if not pr:
+        return (p, p | q, r | q, r)
+    return (q, q | p, r | p, r)
+
+
+def dual_neighbours(facets, cores) -> list:
+    """The full dual-neighbour table: near[m] lists the first parts of the
+    dual neighbours of every facet (m, V∖m), both ends of each edge of
+    each belt's `dual_cycle`; a mask that is no facet's first part holds
+    None."""
+    full = facets[0][0] | facets[0][1]
+    near = [None] * (full + 1)
+    for a, _ in facets:
+        near[a] = []
+    for core in cores:
+        cycle = dual_cycle(*core)
+        at = cycle[-1]
+        for m in cycle:
+            near[at].append(m)
+            near[m].append(at)
+            at = m
+    return near

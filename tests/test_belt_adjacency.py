@@ -12,7 +12,12 @@ facet of each pair, mirrors them by x → −x, and reads the belt diameter
 off their projections; both must match the pairwise references on those
 graphs and on the odd and even family witnesses.  That rests on the
 Venkov graph being the dual graph divided by x → −x, which is checked on
-its own for every graph with n ≤ 7.
+its own for every graph with n ≤ 7.  The table keeps lists only for the
+facets whose first part holds vertex 0; on every connected graph with
+n ≤ 7, on the seeded graphs and on the family witnesses each of those
+lists must hold, in some order, what the full table of
+`adjacency_reference.dual_neighbours` lists for that facet, and the full
+table's list for the opposite facet must be their opposites.
 """
 
 import random
@@ -53,6 +58,23 @@ def assert_adjacency_matches_reference(g):
     return vnodes, vadj, dnodes, dadj
 
 
+def assert_half_table_matches_reference(g):
+    """The library's table holds, sorted, the reference's list for each
+    facet whose first part holds vertex 0, and None everywhere else; the
+    reference's list for the opposite facet is the opposites of that list,
+    which is what dual_adjacency reads through the mirror."""
+    facets, cores = faces.facets_and_cores(g)
+    cores = list(cores)
+    near = faces.dual_neighbours(facets, cores)
+    full_table = ref.dual_neighbours(facets, cores)
+    full = g.full_mask
+    odd = {a for a, _ in facets if a & 1}
+    assert [m for m, row in enumerate(near) if row is not None] == sorted(odd)
+    for a in odd:
+        assert sorted(near[a]) == sorted(full_table[a]), (g.sorted_edges(), a)
+        assert sorted(full ^ m for m in near[a]) == sorted(full_table[full ^ a])
+
+
 def assert_matches_reference(g):
     belts = faces.enumerate_codim2(g)
     assert belts == ref.enumerate_codim2(g)
@@ -82,6 +104,17 @@ def test_every_connected_graph_matches_reference(n):
         assert_matches_reference(g)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_half_table_matches_full_table_on_every_connected_graph(n):
+    for g in enumerate_connected_graphs(n):
+        assert_half_table_matches_reference(g)
+
+
+def test_half_table_matches_full_table_on_seeded_graphs():
+    for g in random_connected(24, seed=20261018):
+        assert_half_table_matches_reference(g)
+
+
 def test_random_graphs_8_to_10_match_reference():
     graphs = random_connected(24, seed=20261018)
     assert {g.n for g in graphs} == {8, 9, 10}
@@ -94,6 +127,7 @@ def test_random_graphs_8_to_10_match_reference():
                          ids=lambda cg: "d%d" % (cg.base.n - 1))
 def test_diameters_match_reference_on_family_witnesses(cg):
     g = cg.base
+    assert_half_table_matches_reference(g)
     _, vadj, _, dadj = assert_adjacency_matches_reference(g)
     belt = ref.diameter_witness(vadj)[0]
     ddiam = ref.diameter_witness(dadj)[0]

@@ -245,12 +245,27 @@ def test_belt_size_check_reads_crossings_from_edges(monkeypatch):
     assert rep.violations == ["n=4 [(0, 1), (1, 2), (2, 3)]: size 6 with 2 directions"]
 
 
+def test_belt_size_check_compares_which_merges_are_set(monkeypatch):
+    # on the path 0-1-2-3 the core {0},{1},{2,3} has crossings
+    # (pq, pr, qr) = (1, 0, 1): merge bits (0, 1, 1) have the right size
+    # and direction count, but name the wrong pairs
+    path = ZGraph(4, [(0, 1), (1, 2), (2, 3)])
+    true = venkov.diameters(*faces.facets_and_cores(path))
+    lying = (0b0001, 0b0010, 0b1100, 0, 1, 1)
+    monkeypatch.setattr(sweep, "connected_levels", lambda lo, hi: iter([[path]]))
+    monkeypatch.setattr(venkov, "diameters", lambda facets, cores: true)
+    monkeypatch.setattr(faces, "_core_merges", lambda g, conn: iter([lying]))
+    rep = run_sweep(4, checks=("belt_size",))
+    assert rep.violations == ["n=4 [(0, 1), (1, 2), (2, 3)]: merges 011 with crossings 101"]
+
+
 def test_every_violation_kind_keeps_its_wording(monkeypatch):
     # each kind forced once, by diameters out of bound or by lying merge
     # bits: every violation carries the graph's label, a clean graph none
     path4 = ZGraph(4, [(0, 1), (1, 2), (2, 3)])
     path8 = ZGraph(8, [(i, i + 1) for i in range(7)])
-    lying = [(0b0001, 0b0010, 0b1100, 1, 1, 1), (0b0001, 0b0010, 0b1100, 0, 0, 0)]
+    lying = [(0b0001, 0b0010, 0b1100, 1, 1, 1), (0b0001, 0b0010, 0b1100, 0, 0, 0),
+             (0b0001, 0b0010, 0b1100, 1, 0, 1), (0b0001, 0b0010, 0b1100, 0, 1, 1)]
 
     def forced(g, diameters, cores=None):
         monkeypatch.setattr(venkov, "diameters", lambda facets, cores: diameters)
@@ -277,6 +292,7 @@ def test_every_violation_kind_keeps_its_wording(monkeypatch):
     assert forced(path4, (2, 3), lying) == [
         "n=4 [(0, 1), (1, 2), (2, 3)]: size 6 with 2 directions",
         "n=4 [(0, 1), (1, 2), (2, 3)]: belt size 0/dirs 2",
+        "n=4 [(0, 1), (1, 2), (2, 3)]: merges 011 with crossings 101",
     ]
 
 
