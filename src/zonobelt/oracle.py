@@ -20,7 +20,9 @@ parent's span and the picked class.  A support reached twice means that
 invariant broke, and raises instead of being merged away.  A node builds
 one list of its passed-over and own residuals, and each step clears that
 whole list, the picked residual going to 0.  A node of rank d - 2 records
-its children, the facets, in place.
+its children, the facets, in place.  A child that would take no step is
+not built: one of rank d - 3 with at most one class has its one flat, if
+any, recorded by its parent, and a lower one records nothing.
 
 The class key is the residual up to sign: the zone matrix is a graph's
 incidence matrix, hence totally unimodular, so every residual entry is a
@@ -32,20 +34,35 @@ d - 2 rows cannot reach that rank, so it is answered without elimination.
 
 One kernel does every elimination.  A row is packed into one int with a
 signed field of `width` bits per column, field i holding entry i, so a
-row operation is a few big-int operations.  `_clear` takes one
-fraction-free (Bareiss) step, v -> (p*v - v[c]*r) // prev: by Sylvester's
-identity the division is exact and every entry stays a minor of the input
-rows.  `field_width` sizes the fields from the Hadamard bound on those
-minors, so no field can overflow.
+row operation is a few big-int operations.  `_clear` clears the pivot
+column c of r from every row v.  When the pivot p and the pivot of the
+step before are units it takes v -> v - v[c]*(p*r), with no product of v
+and no division.  Otherwise it takes the fraction-free (Bareiss) step
+v -> (p*v - v[c]*r) // prev, where by Sylvester's identity the division
+is exact.  A unit step gives each Bareiss row up to sign, so every entry
+stays a minor of the input rows up to sign, and `field_width` sizes the
+fields from the Hadamard bound on those minors, so no field can overflow.
+Every pivot of the walk is a unit, so its steps need no previous pivot,
+and a pivot that is not a unit raises.  `packed_rank` meets any integer
+rows and takes Bareiss steps where a pivot is not a unit.
+
+The walk passes through at most min(C(|E|, r), S(n, n - r)) flats of each
+rank r from 1 to d - 2 (`walk_bound`, S the Stirling numbers of the second
+kind).  `oracle_facets` refuses a graph whose sum exceeds WALK_FLAT_CAP
+before any elimination.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 from .zgraph import ZGraph, dimension
 
-SUBSET_CAP = 10**8
+# flats of rank 1..d-2 the class walk may pass through, as `walk_bound`
+# counts them before any oracle work: 115,462 for K10, the most of any
+# graph on 10 vertices, and a few seconds of walk at the cap
+WALK_FLAT_CAP = 10**6
 # same-belt checks in one verification: F(F-1)/2 for F facet pairs.  511
 # pairs, the most any graph on 10 vertices has, still pass.
 SAME_BELT_PAIR_CAP = 511 * 510 // 2
@@ -53,6 +70,19 @@ SAME_BELT_PAIR_CAP = 511 * 510 // 2
 
 class OracleBudgetError(Exception):
     """Raised when the oracle's work would exceed one of its caps."""
+
+
+@lru_cache(maxsize=256)
+def walk_bound(n: int, m: int, d: int) -> int:
+    """At most how many flats of rank 1..d-2 the zone matrix of m rows on
+    n vertices has.  A rank-r flat is the closure of r of its rows, and it
+    is the set of rows inside the blocks of a partition of the vertices
+    into n - r blocks, so there are at most min(C(m, r), S(n, n - r)) of
+    them, S the Stirling numbers of the second kind."""
+    stirling = [1]   # S(i, k) for k = 0..i
+    for i in range(1, n + 1):
+        stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, i)] + [1]
+    return sum(min(comb(m, r), stirling[n - r]) for r in range(1, d - 1))
 
 
 def field_width(bound: int) -> int:
@@ -69,17 +99,30 @@ def _bias(width: int, columns: int) -> int:
 
 
 def _clear(rows, r: int, prev: int, width: int, bias: int):
-    """One Bareiss step on packed rows: (rows cleared by r, r's pivot).
+    """One elimination step on packed rows: (rows cleared by r, r's pivot).
 
     The pivot column c of r is its lowest nonzero field and p the entry
-    there; each v becomes (p*v - v[c]*r) // prev, where prev is the pivot
-    of the step before (1 for the first).
+    there; prev is the pivot of the step before (1 for the first).  When p
+    and prev are both units each v becomes v - v[c]*(p*r), with no product
+    of v and no division.  Otherwise it takes the Bareiss step
+    (p*v - v[c]*r) // prev.  Either way each row is its Bareiss row up to
+    sign, so every entry is a minor of the input rows up to sign.
     """
     shift = ((r & -r).bit_length() - 1) // width * width
     mask = (1 << width) - 1
     half = 1 << (width - 1)
     p = ((r + bias) >> shift & mask) - half
-    return [(p * v - (((v + bias) >> shift & mask) - half) * r) // prev for v in rows], p
+    # loops, not comprehensions: a comprehension would make a closure over
+    # five names at every step
+    out = []
+    if p * p == 1 == prev * prev:
+        r *= p
+        for v in rows:
+            out.append(v - (((v + bias) >> shift & mask) - half) * r)
+    else:
+        for v in rows:
+            out.append((p * v - (((v + bias) >> shift & mask) - half) * r) // prev)
+    return out, p
 
 
 def packed_rank(rows, width: int, columns: int) -> int:
@@ -101,6 +144,9 @@ def oracle_facets(g: ZGraph, flats: set | None = None) -> list[int]:
     edge-index bitmask (bit k for the k-th sorted edge), from the class
     walk of the module docstring.  The support of each closed rank-(d-2)
     flat the walk passes through goes into `flats`, when given, likewise.
+
+    Raises OracleBudgetError before any elimination when `walk_bound`
+    exceeds WALK_FLAT_CAP.
     """
     d = dimension(g)
     if d < 2:
@@ -108,9 +154,11 @@ def oracle_facets(g: ZGraph, flats: set | None = None) -> list[int]:
     edges = g.sorted_edges()
     m = len(edges)
     need = d - 1
-    if comb(m, need) > SUBSET_CAP:
+    bound = walk_bound(g.n, m, d)
+    if bound > WALK_FLAT_CAP:
         raise OracleBudgetError(
-            "subset enumeration over C(%d,%d) exceeds cap" % (m, need)
+            "class walk over up to %d flats of rank 1..%d exceeds cap %d"
+            % (bound, d - 2, WALK_FLAT_CAP)
         )
     width = field_width(1 << min(m, g.n))   # a zone row has squared norm 2
     bias = _bias(width, g.n)
@@ -118,50 +166,69 @@ def oracle_facets(g: ZGraph, flats: set | None = None) -> list[int]:
     # the only rank-0 flat is the closure of nothing: no zone row is 0
     codim2: set[int] = {0} if d == 2 else set()
 
-    def record(seen: set, support: int):
-        if support in seen:
-            raise RuntimeError(
-                "oracle reached the support %r twice"
-                % [edges[j] for j in range(m) if support >> j & 1]
-            )
-        seen.add(support)
+    def reached_twice(support: int):
+        return RuntimeError(
+            "oracle reached the support %r twice"
+            % [edges[j] for j in range(m) if support >> j & 1]
+        )
 
-    def extend(res: list, masks: list, outside: list, prev: int, held: int, rank: int):
-        # res[t], masks[t]: residual and row bitmask of class t, in the order
-        # of their lowest rows, none parallel to another or to a passed-over
-        # class; outside: residuals of the classes passed over; held: bitmask
-        # of the rows in the span; rank: the span's rank once a class is picked
-        if rank == need:   # only at the root, when d == 2
-            for support in masks:
-                record(found, support)
+    def extend(node_rows: list, base: int, masks: list, held: int, rank: int):
+        # node_rows: the residuals of the classes passed over, then from
+        # index base on those of the classes to pick, in the order of their
+        # lowest rows, none parallel to another or to a passed-over class;
+        # masks[t]: row bitmask of the t-th class to pick; held: bitmask of
+        # the rows in the span; rank: the span's rank once a class is picked.
+        # Each step clears all of node_rows, the picked residual going to 0
+        res = node_rows[base:]
+        if rank == need:   # only at the root, when d == 2: each row is a facet
+            found.update(masks)
             return
-        # one row list per node: r clears itself to 0, at index split
-        node_rows = outside + res
+        # a child needs need - 1 - rank later classes to reach rank d - 2,
+        # and takes a step only with more than max(1, need - 2 - rank)
+        stop = len(res) - max(1, need - 1 - rank)
+        few = max(1, need - 2 - rank)
+        at_flats = rank == need - 1   # each pick makes a flat of rank d - 2
         for t, r in enumerate(res):
             support = held | masks[t]
-            if rank == need - 1:
-                record(codim2, support)
-            # a child needs need - 1 - rank later classes to reach rank d - 2
-            if len(res) - t <= max(1, need - 1 - rank):
+            if at_flats:
+                if support in codim2:
+                    raise reached_twice(support)
+                codim2.add(support)
+            if t >= stop:
                 continue
-            # one step takes the other classes to the child's span; abs() keys
-            split = len(outside) + t
-            cleared, p = _clear(node_rows, r, prev, width, bias)
+            # one step takes the other classes to the child's span; abs() keys.
+            # Every pivot is a unit, so no step needs the one before it
+            split = base + t
+            cleared, p = _clear(node_rows, r, 1, width, bias)
+            if p * p != 1:
+                raise RuntimeError("oracle met the pivot %d in a zone matrix" % p)
             passed = set(map(abs, cleared[:split]))
             later: dict[int, int] = {}
             for v, mask in zip(map(abs, cleared[split + 1:]), masks[t + 1:]):
-                if v not in passed:
-                    later[v] = later.get(v, 0) | mask
+                if v in later:
+                    later[v] |= mask
+                elif v not in passed:
+                    later[v] = mask
             if 0 in passed or 0 in later:
                 raise RuntimeError("oracle kept two parallel classes apart")
-            if rank == need - 1:   # the children are facets
+            if at_flats:   # the children are facets
                 for mask in later.values():
-                    record(found, support | mask)
-            else:
-                extend(list(later), list(later.values()), list(passed), p, support, rank + 1)
+                    mask |= support
+                    if mask in found:
+                        raise reached_twice(mask)
+                    found.add(mask)
+            elif len(later) > few:
+                extend([*passed, *later], len(passed), list(later.values()), support, rank + 1)
+            elif rank == need - 2:
+                # the child would record its one flat, if any, and take no step
+                for mask in later.values():
+                    mask |= support
+                    if mask in codim2:
+                        raise reached_twice(mask)
+                    codim2.add(mask)
 
     rows = [(1 << width * i) - (1 << width * j) for i, j in edges]
-    extend(rows, [1 << k for k in range(m)], [], 1, 0, 1)
+    extend(rows, 0, [1 << k for k in range(m)], 0, 1)
     if flats is not None:
         flats |= codim2
     return sorted(found)

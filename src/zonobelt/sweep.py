@@ -171,9 +171,10 @@ class SweepReport:
 
 
 def _check_graph(g: ZGraph, checks, row: SweepRow, violations: list):
-    d = dimension(g)
-    # one core list feeds the diameters and the belt_size check
+    # one core list feeds the diameters and the belt_size check; the pass
+    # raises on a disconnected graph, so the dimension is n - 1
     facets, cores = faces.facets_and_cores(g)
+    d = g.n - 1
     cores = list(cores)
     belt, dd = venkov.diameters(facets, cores)
     if belt > row.max_belt_diameter:

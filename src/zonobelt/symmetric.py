@@ -114,12 +114,6 @@ def find_common_leaf(cg: ColoredZGraph):
     return _common_leaf(cg)
 
 
-def color_facets(cg: ColoredZGraph):
-    """The red facet {R1,R2} and the blue facet {B1,B2}."""
-    _, (r1, r2), (b1, b2) = _conjugacy(cg)
-    return (r1, r2), (b1, b2)
-
-
 def red_blue_distance(cg: ColoredZGraph) -> int:
     return venkov.belt_distance(cg.base, *_conjugate_facets(cg))[0]
 

@@ -10,7 +10,9 @@ search kept here reaches the same answers by other routes.
 The library checks a coloring in one conjugacy pass, 2-colors by bitmask
 BFS layers and reads common leaves off each color's leaf list; the
 dictionary searches, the degree scan and the reduction with its dimension
-test per deletion kept here are the versions it replaced.
+test per deletion kept here are the versions it replaced.  The tests read
+the red and blue facets of a coloring with `color_facets`, which no
+library code needs.
 """
 
 from itertools import product
@@ -33,12 +35,20 @@ from zonobelt.zgraph import (
     ZGraph,
     bits,
     canonical_label,
+    components,
     contract_map,
     delete_edge,
     dimension,
     mask_of,
     relabel,
 )
+
+
+def color_facets(cg: ColoredZGraph):
+    """The red facet {R1,R2} and the blue facet {B1,B2}: the two components
+    of each color, least vertex first."""
+    (r1, r2), (b1, b2) = (components(ZGraph(cg.base.n, e)) for e in (cg.red, cg.blue))
+    return (r1, r2), (b1, b2)
 
 
 def is_bipartite(g: ZGraph) -> bool:

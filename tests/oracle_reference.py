@@ -10,13 +10,30 @@ before it walked parallel classes, re-reducing each row through the whole
 span on every visit; it is fast enough for dense graphs on 8 to 10
 vertices.  ``span_rank`` is the reference for
 ``oracle.packed_rank`` on list rows that ``pack`` packs.  All of it keeps
-its own span arithmetic and its own zone matrix.
+its own span arithmetic and its own zone matrix.  ``bareiss_clear`` is
+the packed elimination step ``oracle._clear`` took before it skipped the
+product and the division at unit pivots: the Bareiss step at every
+pivot, with the same arguments and result.
 """
 
 from math import gcd
 
 from zonobelt.oracle import field_width
 from zonobelt.zgraph import ZGraph, dimension
+
+
+def bareiss_clear(rows, r: int, prev: int, width: int, bias: int):
+    """One Bareiss step on packed rows: (rows cleared by r, r's pivot).
+
+    The pivot column c of r is its lowest nonzero field and p the entry
+    there; each v becomes (p*v - v[c]*r) // prev, where prev is the pivot
+    of the step before (1 for the first).
+    """
+    shift = ((r & -r).bit_length() - 1) // width * width
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    p = ((r + bias) >> shift & mask) - half
+    return [(p * v - (((v + bias) >> shift & mask) - half) * r) // prev for v in rows], p
 
 
 def zone_matrix(g: ZGraph) -> list[tuple[int, ...]]:

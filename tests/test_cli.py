@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conjugate_reference import color_facets
 from zonobelt import faces, oracle, sweep, symmetric, venkov
 from zonobelt.cli import (
     EXIT_INCONCLUSIVE,
@@ -319,6 +320,18 @@ def test_oracle_verify(tmp_path, capsys):
     assert "unverified" in capsys.readouterr().out
 
 
+def test_oracle_verify_k10(tmp_path, capsys):
+    # K10, the d = 9 permutahedron, has 511 facet pairs, the most of any
+    # graph on 10 vertices, and its walk passes through at most 115,462
+    # flats of rank 1..7: it verifies under both caps
+    f = tmp_path / "k10.json"
+    assert main(["generate", "permutahedron", "--d", "9", "--out", str(f)]) == EXIT_OK
+    capsys.readouterr()
+    assert oracle.walk_bound(10, 45, 9) == 115462 <= oracle.WALK_FLAT_CAP
+    assert main(["oracle", "verify", str(f)]) == EXIT_OK
+    assert capsys.readouterr().out == "oracle agreement: yes\n"
+
+
 def count_oracle_calls(monkeypatch):
     calls = {"oracle_facets": 0, "oracle_same_belt": 0}
     for name in calls:
@@ -333,11 +346,13 @@ def count_oracle_calls(monkeypatch):
 
 
 def test_oracle_verify_caps_same_belt_checks(tmp_path, capsys, monkeypatch):
-    # 35 edges on 11 vertices: C(35, 9) bases stay under SUBSET_CAP, but 876
-    # facet pairs make 383,250 same-belt checks, so nothing is run at all
+    # 35 edges on 11 vertices: the class walk would pass through at most
+    # 660,003 flats, under WALK_FLAT_CAP, but 876 facet pairs make 383,250
+    # same-belt checks, so nothing is run at all
     pairs = [(i, j) for i in range(11) for j in range(i + 1, 11)]
     edges = random.Random(1).sample(pairs, 35)
     g = ZGraph(11, edges)
+    assert oracle.walk_bound(11, 35, 10) == 660003 <= oracle.WALK_FLAT_CAP
     assert sum(1 for f in faces.enumerate_facets(g) if f[0] & 1) == 876
     calls = count_oracle_calls(monkeypatch)
     doc = {"vertices": 11, "edges": [[i + 1, j + 1] for i, j in edges]}
@@ -423,7 +438,7 @@ def test_search_d8_violation_exits_one(monkeypatch, capsys):
 
 def _common_leaf_reduction(g, f1, f2):
     cg = gen_k2dm1(7)
-    return (cg, *symmetric.color_facets(cg))
+    return (cg, *color_facets(cg))
 
 
 def _stalled_reduction(g, f1, f2):

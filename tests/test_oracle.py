@@ -75,6 +75,99 @@ def test_packed_rank_matches_reference_entries_near_2_40():
     assert oracle.field_width(big * big) >= 42
 
 
+def steps_up_to_sign(rows):
+    """Clear packed rows one pivot row at a time, the last row first, with
+    oracle._clear and with the reference Bareiss step side by side; assert
+    that each step's rows and pivot agree up to sign.  Returns the number
+    of unit and of Bareiss steps the kernel took."""
+    packed, width, columns = reference.pack(rows)
+    bias = oracle._bias(width, columns)
+    ours, prev = list(packed), 1
+    theirs, their_prev = list(packed), 1
+    unit = bareiss = 0
+    while ours:
+        r, s = ours.pop(), theirs.pop()
+        assert r in (s, -s)
+        if not r:
+            continue
+        got, p = oracle._clear(ours, r, prev, width, bias)
+        want, q = reference.bareiss_clear(theirs, s, their_prev, width, bias)
+        if p * p == 1 == prev * prev:
+            unit += 1
+        else:
+            bareiss += 1
+        assert p in (q, -q) and all(v in (w, -w) for v, w in zip(got, want))
+        ours, prev, theirs, their_prev = got, p, want, q
+    return unit, bareiss
+
+
+def test_kernel_rows_are_the_bareiss_rows_up_to_sign():
+    # entries -7..7 meet both kinds of step, and so do rows of -1, 0, 1,
+    # whose minors grow past units after a few steps; each step starts from
+    # the kernel's own rows, signs and all
+    rng = random.Random(20261021)
+    for entries in ((-7, 8), (-1, 2)):
+        unit = bareiss = 0
+        for _ in range(300):
+            rows = random_matrix(rng, lambda: rng.randrange(*entries))
+            u, b = steps_up_to_sign(rows)
+            unit += u
+            bareiss += b
+        assert unit >= 40 and bareiss >= 1000, entries
+
+
+def test_kernel_takes_only_unit_steps_on_zone_matrices():
+    rng = random.Random(20261022)
+    for _ in range(100):
+        n = rng.randrange(2, 11)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = ZGraph(n, [p for p in pairs if rng.random() < 0.5])
+        rows = [list(r) for r in reference.zone_matrix(g)]
+        if rows:
+            assert steps_up_to_sign(rows)[1] == 0, g
+
+
+def walk(g):
+    flats = set()
+    return oracle_facets(g, flats), flats
+
+
+def assert_same_walk_under_bareiss(monkeypatch, graphs):
+    ours = [walk(g) for g in graphs]
+    monkeypatch.setattr(oracle, "_clear", reference.bareiss_clear)
+    theirs = [walk(g) for g in graphs]
+    monkeypatch.undo()
+    for g, a, b in zip(graphs, ours, theirs):
+        assert a == b, g
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_walk_under_the_bareiss_step_is_the_same_on_every_connected_graph(monkeypatch, n):
+    # the same facet lists and flats with the reference step in the kernel's
+    # place, from the same walk
+    assert_same_walk_under_bareiss(monkeypatch, enumerate_connected_graphs(n))
+
+
+def test_walk_under_the_bareiss_step_is_the_same_on_seeded_and_complete_graphs(monkeypatch):
+    rng = random.Random(20261019)
+    graphs = [complete(8), complete(9), complete(10)]
+    for k in range(12):
+        n = 8 + k % 3
+        graphs.append(sparse_connected(rng, n, rng.randrange(5)))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        graphs.append(ZGraph(n, [p for p in pairs if rng.random() < 0.6]))
+    assert_same_walk_under_bareiss(monkeypatch, [g for g in graphs if dimension(g) == g.n - 1])
+
+
+def test_a_pivot_that_is_not_a_unit_raises(monkeypatch):
+    # the walk rests on total unimodularity: a kernel that reports any other
+    # pivot is refused
+    real = oracle._clear
+    monkeypatch.setattr(oracle, "_clear", lambda *args: (real(*args)[0], 2))
+    with pytest.raises(RuntimeError, match="pivot 2"):
+        oracle_facets(complete(4))
+
+
 def test_rank_equals_dimension_random():
     rng = random.Random(31)
     for _ in range(200):
@@ -118,6 +211,41 @@ def test_oracle_same_belt_k4_disjoint_supports():
 def test_budget_cap():
     with pytest.raises(OracleBudgetError):
         oracle_facets(complete(16))
+
+
+def test_budget_cap_names_the_bound_and_the_cap():
+    # K11's walk bound, 677,545 flats, passes the cap; K12's does not, and
+    # it is refused before any elimination
+    assert oracle.walk_bound(11, 55, 10) == 677545 <= oracle.WALK_FLAT_CAP
+    with pytest.raises(OracleBudgetError, match="4211548 flats .* cap %d" % oracle.WALK_FLAT_CAP):
+        oracle_facets(complete(12))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_walk_bound_on_complete_graphs_is_the_partition_count(n):
+    # every partition of K_n's vertices into connected blocks is a flat, and
+    # C(|E|, r) >= S(n, n - r), so the bound is the flat count of rank 1..d-2
+    m = n * (n - 1) // 2
+    assert oracle.walk_bound(n, m, n - 1) == sum(stirling2(n, k) for k in range(3, n))
+
+
+def test_walk_steps_stay_within_the_walk_bound(monkeypatch):
+    # at most one step per flat of rank 1..d-2 the walk passes through
+    calls = []
+    real = oracle._clear
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_clear", counting)
+    rng = random.Random(20261021)
+    graphs = [g for n in range(3, 7) for g in enumerate_connected_graphs(n)]
+    graphs += [sparse_connected(rng, n, rng.randrange(8)) for n in (8, 9, 10) for _ in range(3)]
+    for g in graphs:
+        del calls[:]
+        oracle_facets(g)
+        assert len(calls) <= oracle.walk_bound(g.n, len(g.edges), dimension(g)), g
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])

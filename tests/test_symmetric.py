@@ -11,6 +11,7 @@ from adjacency_reference import in_same_belt
 import conjugate_reference
 from conjugate_reference import (
     bipartite_trees_reference,
+    color_facets,
     d8_common_neighbors_reference,
     enumerate_conjugate,
     free_trees_by_pruefer,
@@ -28,7 +29,6 @@ from zonobelt.symmetric import (
     ColoredZGraph,
     bipartite_trees,
     check_conjugate,
-    color_facets,
     colored_key,
     cross_completions,
     enumerate_conjugate_classes,
