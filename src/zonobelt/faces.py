@@ -9,8 +9,10 @@ Both are read off one table of the connected vertex sets of a graph
 (`connected_table`): a facet is a part a holding vertex 0 with a and V∖a
 connected, and the core pass (`_core_merges`) reads every connectivity
 answer from the same table, so `facets_and_cores` builds it once for
-both.  `connected_splits` grows the splits of one side into two connected
-parts without a table, for the belt neighbours of one facet pair.
+both.  `connected_splits` lists the splits of one side into two connected
+parts without a table, for the belt neighbours of one facet pair.  Both
+read their connected sets off one extension/banned-set walk,
+`_connected_sets`, seeded differently.
 
 `dual_neighbours` lists, by first part, the dual neighbours of each
 facet whose first part holds vertex 0, written per belt shape from the
@@ -59,55 +61,47 @@ def _require_connected(g: ZGraph):
         raise ValueError("graph must be connected")
 
 
-def connected_splits(g: ZGraph, side: int):
-    """Yield each split of side into two connected parts once.
-
-    A split {C, side∖C} is named by C, its part holding side's least
-    vertex.  C is grown as a connected set from that vertex: the walk keeps
-    an extension set (neighbours of C not yet decided) and a banned set
-    (vertices already decided), and pops one extension vertex per branch,
-    so it reaches every connected C exactly once.  A C ⊊ side is yielded
-    when side∖C is connected too.
-    """
-    conn = g.connected_in
-    adj = g.adj
-    low = side & -side
-    ext = adj[low.bit_length() - 1] & side
-    # (connected set holding low, its extension, banned): the set and its
-    # extension are banned, and so is each earlier sibling's vertex
-    stack = [(low, ext, low | ext)]
+def _connected_sets(adj: list[int], stack: list) -> list[int]:
+    """The connected sets that the (set, extension, banned) entries on stack
+    grow.  Each branch adds one extension vertex, whose neighbours outside
+    banned join the extension and banned, so an entry grows once each
+    connected superset of its set that meets banned only in the set and
+    its extension."""
+    out = []
     while stack:
         part, ext, ban = stack.pop()
-        if part != side and conn(side ^ part):
-            yield part
+        out.append(part)
         while ext:
             v = ext & -ext
             ext ^= v
-            new = adj[v.bit_length() - 1] & side & ~ban
+            new = adj[v.bit_length() - 1] & ~ban
             stack.append((part | v, ext | new, ban | new))
+    return out
+
+
+def connected_splits(g: ZGraph, side: int) -> list[int]:
+    """The splits of side into two connected parts, each named once by its
+    part C holding side's least vertex: the connected sets grown from that
+    vertex with the outside of side banned, C ⊊ side and side∖C connected."""
+    conn = g.connected_in
+    low = side & -side
+    ext = g.adj[low.bit_length() - 1] & side
+    start = [(low, ext, low | ext | (g.full_mask ^ side))]
+    return [part for part in _connected_sets(g.adj, start) if part != side and conn(side ^ part)]
 
 
 def connected_table(g: ZGraph) -> bytearray:
-    """table[m] is 1 exactly when m is a nonempty connected vertex set.
-
-    The extension/banned-set walk of `connected_splits`, started from every
-    vertex v at once, with every vertex below v banned: each connected set
-    is grown once, from its least vertex.
-    """
+    """table[m] is 1 exactly when m is a nonempty connected vertex set:
+    the sets `_connected_sets` grows from each vertex v with the vertices
+    below v banned, each once, from its least vertex."""
     adj = g.adj
-    stack = []
+    start = []
     for v in range(g.n):
         below = (2 << v) - 1   # v and every vertex below it
-        stack.append((1 << v, adj[v] & ~below, adj[v] | below))
+        start.append((1 << v, adj[v] & ~below, adj[v] | below))
     table = bytearray(1 << g.n)
-    while stack:
-        part, ext, ban = stack.pop()
+    for part in _connected_sets(adj, start):
         table[part] = 1
-        while ext:
-            u = ext & -ext
-            ext ^= u
-            new = adj[u.bit_length() - 1] & ~ban
-            stack.append((part | u, ext | new, ban | new))
     return table
 
 

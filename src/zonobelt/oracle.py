@@ -1,7 +1,7 @@
 """Exact-arithmetic referee for the partition-based face calculus.
 
 Everything here works on integer zone matrices (rows e_i - e_j, one per
-edge) with fraction-free elimination; no floating point.  Facets are
+edge) with elimination at unit pivots; no floating point.  Facets are
 recovered as closed corank-1 row subsets and codimension-2 faces as closed
 rank-(d-2) row subsets (flats), independently of the connectivity
 reasoning in the other modules.  Two facets share a belt exactly when
@@ -35,16 +35,14 @@ d - 2 rows cannot reach that rank, so it is answered without elimination.
 One kernel does every elimination.  A row is packed into one int with a
 signed field of `width` bits per column, field i holding entry i, so a
 row operation is a few big-int operations.  `_clear` clears the pivot
-column c of r from every row v.  When the pivot p and the pivot of the
-step before are units it takes v -> v - v[c]*(p*r), with no product of v
-and no division.  Otherwise it takes the fraction-free (Bareiss) step
-v -> (p*v - v[c]*r) // prev, where by Sylvester's identity the division
-is exact.  A unit step gives each Bareiss row up to sign, so every entry
-stays a minor of the input rows up to sign, and `field_width` sizes the
-fields from the Hadamard bound on those minors, so no field can overflow.
-Every pivot of the walk is a unit, so its steps need no previous pivot,
-and a pivot that is not a unit raises.  `packed_rank` meets any integer
-rows and takes Bareiss steps where a pivot is not a unit.
+column c of r from every row v by the unit step v -> v - v[c]*(p*r),
+with no product of v and no division, and raises at a pivot p that is
+not a unit.  On a totally unimodular matrix every pivot is a unit, so
+the walk and `packed_rank`, which both take only such rows, never raise.
+Up to that raise each row is its fraction-free (Bareiss) row up to sign,
+so every entry is a minor of the input rows up to sign; `field_width`
+sizes the fields from the Hadamard bound on those minors, so no field
+overflows and the pivot the raise names is exact.
 
 The walk passes through at most min(C(|E|, r), S(n, n - r)) flats of each
 rank r from 1 to d - 2 (`walk_bound`, S the Stirling numbers of the second
@@ -98,43 +96,40 @@ def _bias(width: int, columns: int) -> int:
     return (1 << width - 1) * (((1 << width * columns) - 1) // ((1 << width) - 1))
 
 
-def _clear(rows, r: int, prev: int, width: int, bias: int):
-    """One elimination step on packed rows: (rows cleared by r, r's pivot).
+def _clear(rows, r: int, width: int, bias: int) -> list[int]:
+    """One unit elimination step on packed rows: the rows cleared by r.
 
     The pivot column c of r is its lowest nonzero field and p the entry
-    there; prev is the pivot of the step before (1 for the first).  When p
-    and prev are both units each v becomes v - v[c]*(p*r), with no product
-    of v and no division.  Otherwise it takes the Bareiss step
-    (p*v - v[c]*r) // prev.  Either way each row is its Bareiss row up to
-    sign, so every entry is a minor of the input rows up to sign.
+    there.  Each v becomes v - v[c]*(p*r), with no product of v and no
+    division.  A pivot that is not a unit raises: after unit steps only,
+    each row is its Bareiss row up to sign, so every entry, p included, is
+    a minor of the input rows up to sign and is read exactly.
     """
     shift = ((r & -r).bit_length() - 1) // width * width
     mask = (1 << width) - 1
     half = 1 << (width - 1)
     p = ((r + bias) >> shift & mask) - half
-    # loops, not comprehensions: a comprehension would make a closure over
-    # five names at every step
+    if p * p != 1:
+        raise RuntimeError("pivot %d is not a unit: the rows are not totally unimodular" % p)
+    r *= p
+    # a loop, not a comprehension: a comprehension would make a closure
+    # over five names at every step
     out = []
-    if p * p == 1 == prev * prev:
-        r *= p
-        for v in rows:
-            out.append(v - (((v + bias) >> shift & mask) - half) * r)
-    else:
-        for v in rows:
-            out.append((p * v - (((v + bias) >> shift & mask) - half) * r) // prev)
-    return out, p
+    for v in rows:
+        out.append(v - (((v + bias) >> shift & mask) - half) * r)
+    return out
 
 
 def packed_rank(rows, width: int, columns: int) -> int:
-    """Rank of packed rows with `columns` fields of `width` bits; the list
-    is consumed."""
+    """Rank of totally unimodular packed rows with `columns` fields of
+    `width` bits; the list is consumed.  Raises RuntimeError at a pivot
+    that is not a unit."""
     bias = _bias(width, columns)
     rank = 0
-    prev = 1
     while rows:
         r = rows.pop()
         if r:
-            rows, prev = _clear(rows, r, prev, width, bias)
+            rows = _clear(rows, r, width, bias)
             rank += 1
     return rank
 
@@ -196,12 +191,9 @@ def oracle_facets(g: ZGraph, flats: set | None = None) -> list[int]:
                 codim2.add(support)
             if t >= stop:
                 continue
-            # one step takes the other classes to the child's span; abs() keys.
-            # Every pivot is a unit, so no step needs the one before it
+            # one step takes the other classes to the child's span; abs() keys
             split = base + t
-            cleared, p = _clear(node_rows, r, 1, width, bias)
-            if p * p != 1:
-                raise RuntimeError("oracle met the pivot %d in a zone matrix" % p)
+            cleared = _clear(node_rows, r, width, bias)
             passed = set(map(abs, cleared[:split]))
             later: dict[int, int] = {}
             for v, mask in zip(map(abs, cleared[split + 1:]), masks[t + 1:]):

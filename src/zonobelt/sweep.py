@@ -40,7 +40,7 @@ def connected_levels(lo: int, hi: int):
     if lo < 1:
         raise ValueError("need n >= 1")
     if hi > EXHAUSTIVE_MAX_N:
-        raise ValueError("use sampled mode")
+        raise ValueError("exhaustive sweep needs n <= %d, got %d" % (EXHAUSTIVE_MAX_N, hi))
     for n in range(1, hi + 1):
         if n == 1:   # (canonical key, canonical edges, generators)
             grown = [(0, (), [])]

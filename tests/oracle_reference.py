@@ -11,9 +11,11 @@ span on every visit; it is fast enough for dense graphs on 8 to 10
 vertices.  ``span_rank`` is the reference for
 ``oracle.packed_rank`` on list rows that ``pack`` packs.  All of it keeps
 its own span arithmetic and its own zone matrix.  ``bareiss_clear`` is
-the packed elimination step ``oracle._clear`` took before it skipped the
-product and the division at unit pivots: the Bareiss step at every
-pivot, with the same arguments and result.
+the fraction-free (Bareiss) step on packed rows, at any pivot, with the
+pivot of the step before as an argument.  ``oracle._clear`` takes only
+unit steps, whose rows are the Bareiss rows up to sign, and raises at
+any other pivot; the tests compare the two step by step, and put
+``bareiss_clear`` with previous pivot 1 in the kernel's place.
 """
 
 from math import gcd

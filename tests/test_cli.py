@@ -376,6 +376,19 @@ def test_sweep_sample_count_fails_fast(capsys, monkeypatch):
     assert calls == {"oracle_facets": 0, "oracle_same_belt": 0}
 
 
+def test_sweep_beyond_the_exhaustive_limit_fails_fast(capsys, monkeypatch):
+    # the exhaustive sweep stops at n = 8: n = 9 is a usage error that names
+    # the limit, refused before any level grows
+    def grow(*args):
+        raise AssertionError("a level grew")
+
+    monkeypatch.setattr(sweep, "grow_canonical", grow)
+    assert main(["sweep", "--max-n", "9"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exhaustive sweep needs n <= 8, got 9" in captured.err
+
+
 def test_oracle_verify_pair_cap_boundary(tmp_path, capsys, monkeypatch):
     # K4 has 7 facet pairs, so 21 same-belt checks: a cap of 21 verifies it.
     # The checks are lookups in the flats of the one oracle walk, so the

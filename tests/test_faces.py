@@ -150,18 +150,53 @@ def test_facets_match_scan_on_family_witnesses(cg):
     assert enumerate_facets(cg.base) == enumerate_facets_scan(cg.base)
 
 
+def splits_match_submasks(g, sides):
+    # the submasks holding each side's least vertex whose two parts are
+    # connected, by set-based connectivity
+    edges = g.sorted_edges()
+    for side in sides:
+        low = side & -side
+        want = []
+        c = (side - 1) & side   # the proper submasks, descending
+        while c:
+            if c & low and ref_connected(edges, bits(c)) and ref_connected(edges, bits(side ^ c)):
+                want.append(c)
+            c = (c - 1) & side
+        assert sorted(connected_splits(g, side)) == sorted(want), (g, side)
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_connected_splits_match_submasks(n):
-    # every side of every facet: the submasks holding the side's least
-    # vertex whose two parts are connected, by set-based connectivity
+    # every side of every facet
     for g in enumerate_connected_graphs(n):
-        edges = g.sorted_edges()
-        for side, _ in enumerate_facets(g):
-            low = side & -side
-            want = [c for c in range(1, side) if c & side == c and c & low
-                    and ref_connected(edges, bits(c))
-                    and ref_connected(edges, bits(side ^ c))]
-            assert sorted(connected_splits(g, side)) == want
+        splits_match_submasks(g, [side for side, _ in enumerate_facets(g)])
+
+
+def seeded_graphs():
+    """Seeded connected graphs on 8..16 vertices, four densities each."""
+    rng = random.Random(19)
+    graphs = []
+    for n in range(8, 17):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for p in (0.2, 0.3, 0.5, 0.7):
+            while True:
+                g = ZGraph(n, [e for e in pairs if rng.random() < p])
+                if dimension(g) == n - 1:
+                    break
+            graphs.append(g)
+    return graphs
+
+
+def test_connected_splits_match_submasks_on_seeded_graphs_and_family_witnesses():
+    # both sides of six seeded facets of each graph: the walk bans the
+    # vertices outside a proper side from its first entry
+    rng = random.Random(23)
+    graphs = seeded_graphs()
+    graphs += [gen_odd_extremal(n).base for n in range(2, 5)]
+    graphs += [gen_even_extremal(n).base for n in range(3, 6)]
+    for g in graphs:
+        facets = enumerate_facets(g)
+        splits_match_submasks(g, [side for f in rng.sample(facets, 6) for side in f])
 
 
 def split_walk_matches_facets(g):
@@ -178,15 +213,8 @@ def test_connected_splits_of_the_vertex_set_are_the_venkov_nodes(n):
 
 
 def test_connected_splits_of_the_vertex_set_on_seeded_graphs():
-    rng = random.Random(19)
-    for n in range(8, 17):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for p in (0.2, 0.3, 0.5, 0.7):
-            while True:
-                g = ZGraph(n, [e for e in pairs if rng.random() < p])
-                if dimension(g) == n - 1:
-                    break
-            split_walk_matches_facets(g)
+    for g in seeded_graphs():
+        split_walk_matches_facets(g)
 
 
 @pytest.mark.parametrize("n", range(3, 8))

@@ -42,78 +42,80 @@ def test_packed_rank_small():
     assert rank([[0, 0]]) == 0
 
 
-def random_matrix(rng, entry):
-    """Seeded integer rows on up to 16 columns, some of them integer
-    combinations of earlier rows so that the rank falls short."""
-    width = rng.randrange(1, 17)
-    rows = []
-    for _ in range(rng.randrange(1, 19)):
-        if len(rows) >= 2 and rng.random() < 0.3:
-            a, b = rng.sample(rows, 2)
-            x, y = rng.randrange(-3, 4), rng.randrange(-3, 4)
-            rows.append([x * u + y * v for u, v in zip(a, b)])
-        else:
-            rows.append([entry() for _ in range(width)])
-    return rows
+def zone_rows(rng, n):
+    """The zone rows of a seeded graph on n vertices, connected or not,
+    some of them negated or repeated: a totally unimodular matrix."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g = ZGraph(n, [p for p in pairs if rng.random() < 0.4])
+    rows = [list(r) for r in reference.zone_matrix(g)]
+    rows += rng.sample(rows, len(rows) // 3)
+    rng.shuffle(rows)
+    return [[-x for x in r] if rng.random() < 0.5 else r for r in rows]
 
 
-def test_packed_rank_matches_reference_small_entries():
+def test_packed_rank_matches_reference_on_zone_matrices():
     rng = random.Random(20261019)
-    for _ in range(400):
-        rows = random_matrix(rng, lambda: rng.randrange(-7, 8))
+    for _ in range(300):
+        rows = zone_rows(rng, rng.randrange(1, 17))
         assert rank(rows) == reference.span_rank(rows), rows
 
 
-def test_packed_rank_matches_reference_entries_near_2_40():
-    # the fields must widen far past the 10 bits zone rows need: every
-    # entry alone takes 42 signed bits
-    rng = random.Random(20261020)
-    big = 1 << 40
-    for _ in range(150):
-        rows = random_matrix(rng, lambda: rng.choice((1, -1)) * (big + rng.randrange(-99, 100)))
-        assert rank(rows) == reference.span_rank(rows), rows
+def test_packed_rank_raises_on_a_pivot_that_is_not_a_unit():
+    # the last row is the first pivot row; [[1, 1], [1, -1]] meets the
+    # pivot 2 after one unit step.  The fields hold the Hadamard bound, so
+    # a pivot near 2^40 is named exactly: every entry alone takes 42 bits
+    for rows in ([[1, 1], [2, 0]], [[1, 1], [1, -1]]):
+        with pytest.raises(RuntimeError, match="pivot 2 "):
+            rank(rows)
+    big = (1 << 40) + 7
+    with pytest.raises(RuntimeError, match="pivot %d " % (1 - big)):
+        rank([[big, 1], [1, 1]])
     assert oracle.field_width(big * big) >= 42
 
 
 def steps_up_to_sign(rows):
     """Clear packed rows one pivot row at a time, the last row first, with
     oracle._clear and with the reference Bareiss step side by side; assert
-    that each step's rows and pivot agree up to sign.  Returns the number
-    of unit and of Bareiss steps the kernel took."""
+    that each step's rows agree up to sign, and that the kernel raises,
+    naming the pivot up to sign, at the first pivot that is not a unit.
+    Returns the number of unit steps and whether the kernel raised."""
     packed, width, columns = reference.pack(rows)
     bias = oracle._bias(width, columns)
-    ours, prev = list(packed), 1
+    ours = list(packed)
     theirs, their_prev = list(packed), 1
-    unit = bareiss = 0
+    unit = 0
     while ours:
         r, s = ours.pop(), theirs.pop()
         assert r in (s, -s)
         if not r:
             continue
-        got, p = oracle._clear(ours, r, prev, width, bias)
         want, q = reference.bareiss_clear(theirs, s, their_prev, width, bias)
-        if p * p == 1 == prev * prev:
-            unit += 1
-        else:
-            bareiss += 1
-        assert p in (q, -q) and all(v in (w, -w) for v, w in zip(got, want))
-        ours, prev, theirs, their_prev = got, p, want, q
-    return unit, bareiss
+        if q * q != 1:
+            with pytest.raises(RuntimeError, match=r"pivot -?%d " % abs(q)):
+                oracle._clear(ours, r, width, bias)
+            return unit, True
+        got = oracle._clear(ours, r, width, bias)
+        unit += 1
+        assert all(v in (w, -w) for v, w in zip(got, want))
+        ours, theirs, their_prev = got, want, q
+    return unit, False
 
 
 def test_kernel_rows_are_the_bareiss_rows_up_to_sign():
-    # entries -7..7 meet both kinds of step, and so do rows of -1, 0, 1,
-    # whose minors grow past units after a few steps; each step starts from
-    # the kernel's own rows, signs and all
+    # rows of -7..7, and rows of -1, 0, 1 whose minors grow past units after
+    # a few steps: each step starts from the kernel's own rows, signs and
+    # all, and the first pivot that is not a unit raises
     rng = random.Random(20261021)
     for entries in ((-7, 8), (-1, 2)):
-        unit = bareiss = 0
+        unit = raised = 0
         for _ in range(300):
-            rows = random_matrix(rng, lambda: rng.randrange(*entries))
-            u, b = steps_up_to_sign(rows)
+            columns = rng.randrange(1, 17)
+            rows = [[rng.randrange(*entries) for _ in range(columns)]
+                    for _ in range(rng.randrange(1, 19))]
+            u, r = steps_up_to_sign(rows)
             unit += u
-            bareiss += b
-        assert unit >= 40 and bareiss >= 1000, entries
+            raised += r
+        assert unit >= 40 and raised >= 100, entries
 
 
 def test_kernel_takes_only_unit_steps_on_zone_matrices():
@@ -124,7 +126,7 @@ def test_kernel_takes_only_unit_steps_on_zone_matrices():
         g = ZGraph(n, [p for p in pairs if rng.random() < 0.5])
         rows = [list(r) for r in reference.zone_matrix(g)]
         if rows:
-            assert steps_up_to_sign(rows)[1] == 0, g
+            assert not steps_up_to_sign(rows)[1], g
 
 
 def walk(g):
@@ -134,7 +136,8 @@ def walk(g):
 
 def assert_same_walk_under_bareiss(monkeypatch, graphs):
     ours = [walk(g) for g in graphs]
-    monkeypatch.setattr(oracle, "_clear", reference.bareiss_clear)
+    monkeypatch.setattr(oracle, "_clear", lambda rows, r, width, bias:
+                        reference.bareiss_clear(rows, r, 1, width, bias)[0])
     theirs = [walk(g) for g in graphs]
     monkeypatch.undo()
     for g, a, b in zip(graphs, ours, theirs):
@@ -160,10 +163,11 @@ def test_walk_under_the_bareiss_step_is_the_same_on_seeded_and_complete_graphs(m
 
 
 def test_a_pivot_that_is_not_a_unit_raises(monkeypatch):
-    # the walk rests on total unimodularity: a kernel that reports any other
-    # pivot is refused
+    # the walk rests on total unimodularity: a pivot row that is doubled on
+    # its way into the kernel brings the pivot 2, which is refused
     real = oracle._clear
-    monkeypatch.setattr(oracle, "_clear", lambda *args: (real(*args)[0], 2))
+    monkeypatch.setattr(oracle, "_clear", lambda rows, r, width, bias:
+                        real(rows, 2 * r, width, bias))
     with pytest.raises(RuntimeError, match="pivot 2"):
         oracle_facets(complete(4))
 

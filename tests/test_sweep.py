@@ -29,9 +29,9 @@ def test_connected_counts_to_seven():
 def test_enumeration_errors():
     with pytest.raises(ValueError, match="n >= 1"):
         enumerate_connected_graphs(0)
-    with pytest.raises(ValueError, match="sampled mode"):
+    with pytest.raises(ValueError, match="exhaustive sweep needs n <= 8, got 9"):
         enumerate_connected_graphs(9)
-    with pytest.raises(ValueError, match="sampled mode"):
+    with pytest.raises(ValueError, match="exhaustive sweep needs n <= 8, got 9"):
         next(sweep.connected_levels(4, 9))   # before growing any level
 
 
