@@ -23,7 +23,9 @@ graph is its quotient by σ.  So the table of dual neighbours lists only
 the facets whose first part holds vertex 0, and `dual_adjacency` reads
 the row of an opposite facet through σ: its neighbours are the opposites
 of its partner's.  `dual_diameter` grows balls for only half of the
-facets, one per opposite pair, and mirrors the rest (venkov.diameters).
+facets, one per opposite pair, and mirrors the rest (venkov.diameters,
+which reports a broken adjacency model as venkov.belt_diameter does),
+behind the one guard of every belt query (faces._belt_faces).
 `check_diameter_bound` reports witness pairs, so it grows every node's
 ball (venkov.diameter_witness) in both adjacencies, read off one table
 of dual neighbours.
@@ -31,18 +33,13 @@ of dual neighbours.
 
 from __future__ import annotations
 
-from .faces import FacetId, belt_adjacency, dual_neighbours, facets_and_cores
+from .faces import FacetId, _belt_faces, belt_adjacency, dual_neighbours
 from .venkov import diameter_witness, diameters
-from .zgraph import ZGraph, dimension
+from .zgraph import ZGraph
 
 
 def dual_diameter(g: ZGraph) -> int:
-    if g.n < 3 or dimension(g) < 2:
-        raise ValueError("need a connected graph of dimension >= 2")
-    try:
-        return diameters(*facets_and_cores(g))[1]
-    except RuntimeError:
-        raise RuntimeError("dual graph disconnected: adjacency model violated")
+    return diameters(*_belt_faces(g))[1]
 
 
 def dual_adjacency(facets: list[FacetId], near: list) -> list[int]:
@@ -70,9 +67,7 @@ def dual_adjacency(facets: list[FacetId], near: list) -> list[int]:
 
 def check_diameter_bound(g: ZGraph) -> dict:
     """Compute both diameters and test dual <= belt + 1, with witnesses."""
-    if g.n < 3:
-        raise ValueError("need at least 3 vertices")
-    facets, cores = facets_and_cores(g)
+    facets, cores = _belt_faces(g)
     near = dual_neighbours(facets, cores)
     vadj, dadj = belt_adjacency(facets, near), dual_adjacency(facets, near)
     pairs = [f for f in facets if f[0] & 1]

@@ -9,7 +9,9 @@ Both are read off one table of the connected vertex sets of a graph
 (`connected_table`): a facet is a part a holding vertex 0 with a and V∖a
 connected, and the core pass (`_core_merges`) reads every connectivity
 answer from the same table, so `facets_and_cores` builds it once for
-both.  `connected_splits` lists the splits of one side into two connected
+both.  Every belt query passes one guard, `_belt_faces`: at least 3
+vertices, then `facets_and_cores`, which refuses a disconnected graph.
+`connected_splits` lists the splits of one side into two connected
 parts without a table, for the belt neighbours of one facet pair.  Both
 read their connected sets off one extension/banned-set walk,
 `_connected_sets`, seeded differently.
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import and_, attrgetter
 
-from .zgraph import ZGraph, components
+from .zgraph import ZGraph
 
 # A facet is an ordered pair of vertex bitmasks (a, b); (b, a) is the
 # opposite facet.  Ordered partitions in general are tuples of bitmasks.
@@ -54,11 +56,6 @@ def validate_partition(g: ZGraph, parts) -> tuple[int, ...]:
     if acc != g.full_mask:
         raise ValueError("parts do not cover the vertex set")
     return tuple(parts)
-
-
-def _require_connected(g: ZGraph):
-    if len(components(g)) != 1:
-        raise ValueError("graph must be connected")
 
 
 def _connected_sets(adj: list[int], stack: list) -> list[int]:
@@ -119,6 +116,14 @@ def facets_and_cores(g: ZGraph):
     if g.n < 2:
         raise ValueError("need at least 2 vertices")
     return _facets(g, conn), _core_merges(g, conn)
+
+
+def _belt_faces(g: ZGraph):
+    """`facets_and_cores(g)` for a belt query: every belt query needs a
+    connected graph on at least 3 vertices (dimension >= 2)."""
+    if g.n < 3:
+        raise ValueError("need at least 3 vertices")
+    return facets_and_cores(g)
 
 
 def _facets(g: ZGraph, conn: bytearray) -> list[FacetId]:
@@ -183,27 +188,23 @@ def _core_merges(g: ZGraph, conn: bytearray):
 
 
 def enumerate_codim2(g: ZGraph) -> list[Belt]:
-    """All belts, one per unordered 3-partition with connected parts."""
-    _require_connected(g)
-    if g.n < 3:
-        raise ValueError("need at least 3 vertices")
+    """All belts, one per unordered 3-partition with connected parts.
+
+    Members are the facet list's own tuples, so belts share them: the belt
+    list is the largest object a query builds (several MB at 10 vertices)."""
+    facets, cores = _belt_faces(g)
     full = g.full_mask
-    # every belt holding a part or a facet shares one int or tuple for it:
-    # the belt list is the largest object a query builds (several MB at 10
-    # vertices)
-    part = {}
-    facet = {}
+    facet = [None] * (full + 1)
+    for f in facets:
+        facet[f[0]] = f
     belts = []
-    for p, q, r, pq, pr, qr in _core_merges(g, connected_table(g)):
-        p, q, r = part.setdefault(p, p), part.setdefault(q, q), part.setdefault(r, r)
+    for p, q, r, pq, pr, qr in cores:
         members = []
         # with the core ascending (a, b, c) the merges run a|b, a|c, b|c,
         # i.e. by the part left out, descending
         for rest, ok in sorted(((r, pq), (q, pr), (p, qr)), reverse=True):
             if ok:
-                merged = full ^ rest
-                members.append(facet.setdefault(merged, (merged, rest)))
-                members.append(facet.setdefault(rest, (rest, merged)))
+                members += (facet[full ^ rest], facet[rest])
         belts.append(Belt(tuple(sorted((p, q, r))), tuple(members), pq + pr + qr))
     # sorted like the facets, by the size of the part holding vertex 0 and
     # then by the parts, from two stable sorts whose keys allocate nothing

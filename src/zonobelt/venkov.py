@@ -9,7 +9,7 @@ neighbours are the pairs of its facet's dual neighbours
 (faces.belt_adjacency, over the table faces.dual_neighbours writes, which
 lists only the facets whose first part holds vertex 0).  The
 nodes and the cores are read off one table of the graph's connected
-vertex sets (faces.facets_and_cores).
+vertex sets behind the one guard of every belt query (faces._belt_faces).
 
 Diameters grow every node's BFS ball at once: ball_1(i) is i with its
 neighbours, and ball_{k+1}(i) joins ball_k(j) over i and its neighbours j,
@@ -36,17 +36,15 @@ builds a table of the connected sets of the whole vertex set.
 
 from __future__ import annotations
 
-from .faces import FacetId, belt_adjacency, connected_splits, dual_neighbours, facets_and_cores
-from .faces import _require_connected, unordered_pair, validate_partition
+from .faces import FacetId, _belt_faces, belt_adjacency, connected_splits, dual_neighbours
+from .faces import unordered_pair, validate_partition
 from .zgraph import ZGraph, bits
 
 
 def build_venkov(g: ZGraph) -> tuple[list[FacetId], list[int]]:
     """(nodes, adjacency): the facet pairs, vertex 0's part first, and their
     Venkov adjacency bitmasks."""
-    if g.n < 3:
-        raise ValueError("need at least 3 vertices")
-    facets, cores = facets_and_cores(g)
+    facets, cores = _belt_faces(g)
     return [f for f in facets if f[0] & 1], belt_adjacency(facets, dual_neighbours(facets, cores))
 
 
@@ -96,8 +94,8 @@ def diameters(facets: list[FacetId], cores) -> tuple[int, int]:
     ball of radius k around either of its facets: pair i's eccentricity is
     the first k at which the ball reaches every pair.  Balls sit in a list
     indexed by each facet's first part, a vertex mask, like the neighbour
-    lists of `faces.dual_neighbours`.  Raises RuntimeError when
-    disconnected.
+    lists of `faces.dual_neighbours`.  A disconnected dual graph raises
+    RuntimeError("dual graph disconnected: adjacency model violated").
     """
     pairs = [a for a, _ in facets if a & 1]
     n = len(pairs)
@@ -124,7 +122,7 @@ def diameters(facets: list[FacetId], cores) -> tuple[int, int]:
             grown.append(b)
         for a, b in zip(active, grown):
             if b == ball[a]:
-                raise RuntimeError("graph is disconnected")
+                raise RuntimeError("dual graph disconnected: adjacency model violated")
             ball[a] = b
             ball[full ^ a] = b >> n | (b & low) << n
             if (b | b >> n) & low != low:
@@ -199,7 +197,8 @@ def belt_distance(g: ZGraph, f1: FacetId, f2: FacetId):
     facet list returns.  The path's ends are f1 and f2 with vertex 0's part
     first.
     """
-    _require_connected(g)
+    if not g.connected_in(g.full_mask):
+        raise ValueError("graph must be connected")
     if g.n < 2:
         raise ValueError("need at least 2 vertices")
     start, goal = _pair_key(g, f1), _pair_key(g, f2)
@@ -225,6 +224,4 @@ def belt_distance(g: ZGraph, f1: FacetId, f2: FacetId):
 
 
 def belt_diameter(g: ZGraph) -> int:
-    if g.n < 3:
-        raise ValueError("need at least 3 vertices")
-    return diameters(*facets_and_cores(g))[0]
+    return diameters(*_belt_faces(g))[0]

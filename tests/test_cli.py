@@ -124,6 +124,20 @@ def test_belt_diameter_k4(tmp_path, capsys):
     assert capsys.readouterr().out == "2\n"
 
 
+def test_belt_diameter_reports_a_broken_model(tmp_path, capsys, monkeypatch):
+    cycle4 = write_graph(tmp_path, "c4.json", {"vertices": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]})
+    real = faces.dual_neighbours
+
+    def emptied_first_facet(facets, cores):
+        near = real(facets, cores)
+        near[facets[0][0]] = []
+        return near
+
+    monkeypatch.setattr(venkov, "dual_neighbours", emptied_first_facet)
+    assert main(["belt-diameter", cycle4]) == EXIT_VIOLATION
+    assert capsys.readouterr().err == "error: dual graph disconnected: adjacency model violated\n"
+
+
 def test_symmetric_distance_k2d5(tmp_path, capsys):
     f = write_graph(tmp_path, "k2d5.json", K2D5)
     assert main(["symmetric", "distance", f]) == EXIT_OK

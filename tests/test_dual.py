@@ -5,9 +5,10 @@ import random
 import pytest
 
 from adjacency_reference import facet_adjacent, in_same_belt, opposite
+from zonobelt import venkov
 from zonobelt.dual import check_diameter_bound, dual_adjacency, dual_diameter
 from zonobelt.faces import dual_neighbours, enumerate_codim2, enumerate_facets, facets_and_cores
-from zonobelt.venkov import belt_diameter
+from zonobelt.venkov import belt_diameter, build_venkov
 from zonobelt.zgraph import ZGraph
 
 
@@ -121,3 +122,28 @@ def test_check_diameter_bound_k4():
 def test_bound_holds_on_random_graphs():
     for g in connected_random_graphs(6, 15, seed=24):
         assert dual_diameter(g) <= belt_diameter(g) + 1
+
+
+@pytest.mark.parametrize(
+    "query", [enumerate_codim2, build_venkov, belt_diameter, dual_diameter, check_diameter_bound],
+    ids=lambda query: query.__name__)
+def test_every_belt_query_passes_one_guard(query):
+    with pytest.raises(ValueError, match="^graph must be connected$"):
+        query(ZGraph(4, [(0, 1), (2, 3)]))
+    with pytest.raises(ValueError, match="^need at least 3 vertices$"):
+        query(ZGraph(2, [(0, 1)]))
+
+
+def emptied_first_facet(facets, cores):
+    """dual_neighbours with the first facet's neighbour list emptied."""
+    near = dual_neighbours(facets, cores)
+    near[facets[0][0]] = []
+    return near
+
+
+def test_a_broken_model_surfaces_with_one_message(monkeypatch):
+    cycle4 = ZGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    monkeypatch.setattr(venkov, "dual_neighbours", emptied_first_facet)
+    for query in (belt_diameter, dual_diameter):
+        with pytest.raises(RuntimeError, match="^dual graph disconnected: adjacency model violated$"):
+            query(cycle4)

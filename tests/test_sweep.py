@@ -232,6 +232,23 @@ def test_run_sweep_small():
     )
 
 
+def test_each_row_counts_its_own_violations(monkeypatch):
+    # belt diameter 3 below 40 facets: two violations per graph at d = 3,
+    # one at d = 4
+    real = venkov.diameters
+
+    def inflated(facets, cores):
+        belt, dual = real(facets, cores)
+        return (3 if len(facets) < 40 else belt), dual
+
+    monkeypatch.setattr(venkov, "diameters", inflated)
+    rep = run_sweep(5, checks=("belt_bound",), oracle_samples=0)
+    assert [row.violations for row in rep.rows] == [12, 21]
+    for row, line in zip(rep.rows, report_csv(rep).splitlines()[1:]):
+        assert line.split(",")[-1] == str(row.violations)
+        assert row.violations == sum(v.startswith("n=%d " % (row.d + 1)) for v in rep.violations)
+
+
 def test_belt_size_check_reads_crossings_from_edges(monkeypatch):
     # on the path 0-1-2-3 the core {0},{1},{2,3} has two crossing directions,
     # so merge bits claiming six members must be reported
