@@ -108,9 +108,10 @@ def oracle_agrees(g: ZGraph) -> bool:
     Each side gives its supports as edge-index bitmasks.  The calculus
     takes the edges inside the parts of each facet pair and of each core,
     with the facets and one list of the cores read off one connectivity
-    table (`faces.facets_and_cores`); the oracle takes its closed corank-1
-    row sets and the closed rank-(d-2) flats its facet walk passes
-    through.  Two facet hyperplanes meet in a flat, and share a belt iff
+    table behind the one guard of every belt query (`faces._belt_faces`),
+    which refuses a graph on fewer than 3 vertices; the oracle takes its
+    closed corank-1 row sets and the closed rank-(d-2) flats its facet walk
+    passes through.  Two facet hyperplanes meet in a flat, and share a belt iff
     that flat has rank d - 2, so the oracle's same-belt relation is
     membership of the supports' intersection in its flats; it must equal
     the Venkov adjacency `faces.belt_adjacency` reads, as the quotient of
@@ -120,7 +121,7 @@ def oracle_agrees(g: ZGraph) -> bool:
     same-belt checks, one per two facet pairs, would exceed
     oracle.SAME_BELT_PAIR_CAP.
     """
-    facets, cores = faces.facets_and_cores(g)
+    facets, cores = faces._belt_faces(g)
     pairs = [f for f in facets if f[0] & 1]
     checks = len(pairs) * (len(pairs) - 1) // 2
     if checks > oracle.SAME_BELT_PAIR_CAP:

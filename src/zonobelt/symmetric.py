@@ -36,6 +36,7 @@ from .zgraph import (
     key_sorted,
     mask_of,
     pair,
+    reach,
 )
 
 
@@ -583,19 +584,83 @@ D8_X2 = mask_of([0, 1, 3, 6, 8])
 D8_Y2 = mask_of([2, 4, 5, 7])
 
 
-def _d8_common_neighbors(g: ZGraph) -> int:
-    """Facet pairs belt-adjacent to both fixed partitions, counted."""
-    return len(set(venkov.belt_neighbors(g, D8_X1)) & set(venkov.belt_neighbors(g, D8_X2)))
+def _d8_masks():
+    """(masks, needs, holds): the vertex masks whose connectivity decides the
+    d8 score, the four fixed parts first.
+
+    A common neighbour {S, V∖S} of the two fixed pairs has S inside a side P
+    of the first and a side Q of the second: the other part holds P's other
+    side, which meets both sides of the second pair.  So S is a nonempty
+    subset of one of the four cells P ∩ Q, and it is a common neighbour
+    exactly when S, V∖S, P∖S and Q∖S are connected, and so are P's and Q's
+    other sides.  needs[t] has the bits of those six masks for the t-th S;
+    holds[i][j] has the bits of the masks holding both i and j.
+    """
+    full = (1 << 9) - 1
+    index = {m: k for k, m in enumerate((D8_X1, D8_Y1, D8_X2, D8_Y2))}
+    needs = []
+    for p in (D8_X1, D8_Y1):
+        for q in (D8_X2, D8_Y2):
+            cell = s = p & q
+            while s:
+                need = 0
+                for m in (s, full ^ s, p ^ s, q ^ s, full ^ p, full ^ q):
+                    need |= 1 << index.setdefault(m, len(index))
+                needs.append(need)
+                s = (s - 1) & cell
+    holds = [[0] * 9 for _ in range(9)]
+    for m, k in index.items():
+        for i in bits(m):
+            for j in bits(m):
+                holds[i][j] |= 1 << k
+    return tuple(index), tuple(needs), holds
+
+
+_D8_MASKS, _D8_NEEDS, _D8_HOLDS = _d8_masks()
+_D8_FIXED = 0b1111      # the bits of the four fixed parts
+
+
+def _d8_rank(answers: int) -> int:
+    """The score from the answers: bit k set when _D8_MASKS[k] is connected."""
+    missing = _D8_FIXED & ~answers
+    if missing:
+        return 100 * missing.bit_count()
+    return sum(answers & need == need for need in _D8_NEEDS)
+
+
+def _d8_answers(g: ZGraph) -> int:
+    """Bit k set when g is connected on _D8_MASKS[k]."""
+    return sum(1 << k for k, m in enumerate(_D8_MASKS) if g.connected_in(m))
 
 
 def _d8_score(g: ZGraph) -> int:
-    penalty = 0
-    for m in (D8_X1, D8_Y1, D8_X2, D8_Y2):
-        if not g.connected_in(m):
-            penalty += 100
-    if penalty:
-        return penalty
-    return _d8_common_neighbors(g)
+    """100 per fixed part that is not connected; otherwise the number of
+    facet pairs sharing a belt with both fixed pairs."""
+    return _d8_rank(_d8_answers(g))
+
+
+def _d8_flip(adj: list[int], answers: int, i: int, j: int) -> tuple[int, int]:
+    """(score, answers) of the graph adj with the edge {i, j} flipped.
+
+    Only a mask holding both ends can change its answer, and only one way:
+    an added edge can join a mask that was not connected, a removed edge can
+    split one that was.  So only those masks are asked again.  adj is
+    flipped in place and restored.
+    """
+    bi, bj = 1 << i, 1 << j
+    adding = not adj[i] & bj
+    todo = _D8_HOLDS[i][j] & (~answers if adding else answers)
+    adj[i] ^= bj
+    adj[j] ^= bi
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        m = _D8_MASKS[low.bit_length() - 1]
+        if (reach(adj, m & -m, m) == m) is adding:
+            answers ^= low
+    adj[i] ^= bj
+    adj[j] ^= bi
+    return _d8_rank(answers), answers
 
 
 def _reduces_leaf_free(g: ZGraph, f1, f2) -> bool:
@@ -615,6 +680,9 @@ def search_d8_nonsymmetric(budget_seconds=3600.0, max_nodes=None, seed=1) -> Sea
     mutual intersections are nonempty, so distance >= 2 is automatic and
     distance 3 means exactly: no facet pair shares a belt with both.
     Seeded hill climbing over single-edge flips, with random restarts.
+    The climb keeps the connectivity answers of the 60 masks of `_d8_masks`
+    and scores each flip from the answers it can change (`_d8_flip`); a
+    restart is scored in full by `_d8_score`.
 
     A graph that scores 0 but is not at belt distance 3 with belt diameter
     3 contradicts either the scorer or the diameter bound; it is returned
@@ -628,39 +696,41 @@ def search_d8_nonsymmetric(budget_seconds=3600.0, max_nodes=None, seed=1) -> Sea
     f1 = (D8_X1, D8_Y1)
     f2 = (D8_X2, D8_Y2)
 
-    def verify(g: ZGraph) -> SearchResult:
+    def verify(adj) -> SearchResult:
+        g = ZGraph(9, (e for e in pairs if adj[e[0]] >> e[1] & 1))
         dist, _ = venkov.belt_distance(g, f1, f2)
         ok = dist == 3 and venkov.belt_diameter(g) == 3 and _reduces_leaf_free(g, f1, f2)
         return SearchResult("found" if ok else "violation", (g, f1, f2), dist,
                             budget.nodes, budget.elapsed)
 
     while budget.tick(0):
-        edges = frozenset(e for e in pairs if rng.random() < 0.5)
-        g = ZGraph(9, edges)
+        g = ZGraph(9, (e for e in pairs if rng.random() < 0.5))
         score = _d8_score(g)
+        adj, answers = list(g.adj), _d8_answers(g)   # read off g's memo
         stale = 0
         while stale < 60:
             if not budget.tick():
                 return SearchResult("inconclusive", None, None, budget.nodes, budget.elapsed)
             if score == 0:
-                return verify(g)
+                return verify(adj)
             best = None
             order = list(pairs)
             rng.shuffle(order)
             for e in order:
-                h = ZGraph(9, g.edges ^ {e})
-                s = _d8_score(h)
+                s, flipped = _d8_flip(adj, answers, *e)
                 if best is None or s < best[0]:
-                    best = (s, h)
+                    best = (s, e, flipped)
                 if s < score:
                     break
             if best[0] <= score:
                 stale = stale + 1 if best[0] == score else 0
-                score, g = best
+                score, e, answers = best
             else:
                 # plateau escape: random flip
                 e = rng.choice(pairs)
-                g = ZGraph(9, g.edges ^ {e})
-                score = _d8_score(g)
+                score, answers = _d8_flip(adj, answers, *e)
                 stale += 1
+            i, j = e
+            adj[i] ^= 1 << j
+            adj[j] ^= 1 << i
     return SearchResult("inconclusive", None, None, budget.nodes, budget.elapsed)

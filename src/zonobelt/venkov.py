@@ -52,7 +52,9 @@ def diameter_witness(adj: list[int]) -> tuple[int, tuple[int, int]]:
     """(diameter, first node pair realizing it) of a connected graph.
 
     The pair is the lowest node of largest eccentricity and the lowest node
-    at that distance from it.  Raises RuntimeError when disconnected.
+    at that distance from it.  A disconnected graph raises RuntimeError
+    with the message of `diameters`, so every diameter query reports a
+    broken adjacency model alike.
     """
     full = (1 << len(adj)) - 1
     ball = [1 << i for i in range(len(adj))]
@@ -70,7 +72,7 @@ def diameter_witness(adj: list[int]) -> tuple[int, tuple[int, int]]:
                 m ^= low
                 b |= ball[low.bit_length() - 1]
             if b == ball[i]:
-                raise RuntimeError("graph is disconnected")
+                raise RuntimeError("dual graph disconnected: adjacency model violated")
             grown.append(b)
         first = active[0]
         outside = full ^ ball[first]

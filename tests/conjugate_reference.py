@@ -13,8 +13,14 @@ dictionary searches, the degree scan and the reduction with its dimension
 test per deletion kept here are the versions it replaced.  The tests read
 the red and blue facets of a coloring with `color_facets`, which no
 library code needs.
+
+The d8 climb keeps one connectivity answer per fixed vertex mask and
+rescores a flip from the answers it can change; `search_d8_reference` is
+the climb it replaced, which builds every flipped graph and scores it by
+intersecting the two fixed pairs' neighbour lists (`d8_score_reference`).
 """
 
+import random
 from itertools import product
 
 from adjacency_reference import in_same_belt
@@ -25,12 +31,15 @@ from zonobelt.symmetric import (
     D8_Y1,
     D8_Y2,
     ColoredZGraph,
+    SearchResult,
+    _reduces_leaf_free,
     check_conjugate,
     cross_completions,
     enumerate_conjugate_classes,
     free_trees,
     red_blue_distance,
 )
+from zonobelt.venkov import belt_diameter, belt_distance, belt_neighbors
 from zonobelt.zgraph import (
     ZGraph,
     bits,
@@ -278,6 +287,63 @@ def d8_common_neighbors_reference(g: ZGraph) -> int:
         if in_same_belt(g, f, f1) and in_same_belt(g, f, f2):
             count += 1
     return count
+
+
+def d8_common_neighbors_lists(g: ZGraph) -> int:
+    """Facet pairs sharing a belt with both d8 partitions: the intersection
+    of the two fixed pairs' `belt_neighbors` lists."""
+    return len(set(belt_neighbors(g, D8_X1)) & set(belt_neighbors(g, D8_X2)))
+
+
+def d8_score_reference(g: ZGraph) -> int:
+    """100 per fixed part that is not connected; otherwise the common
+    neighbours of the two fixed pairs, from their neighbour lists."""
+    penalty = 100 * sum(not g.connected_in(m) for m in (D8_X1, D8_Y1, D8_X2, D8_Y2))
+    return penalty or d8_common_neighbors_lists(g)
+
+
+def search_d8_reference(max_nodes: int, seed: int) -> SearchResult:
+    """The d8 climb that builds each flipped graph and scores it in full.
+
+    Same seeded restarts, flip order, first-improvement rule, plateau
+    escapes and witness checks as `symmetric.search_d8_nonsymmetric`,
+    capped by nodes only; elapsed stays 0.
+    """
+    rng = random.Random(seed)
+    pairs = [(i, j) for i in range(9) for j in range(i + 1, 9)]
+    f1 = (D8_X1, D8_Y1)
+    f2 = (D8_X2, D8_Y2)
+    nodes = 0
+    while nodes <= max_nodes:
+        g = ZGraph(9, frozenset(e for e in pairs if rng.random() < 0.5))
+        score = d8_score_reference(g)
+        stale = 0
+        while stale < 60:
+            nodes += 1
+            if nodes > max_nodes:
+                return SearchResult("inconclusive", None, None, nodes)
+            if score == 0:
+                dist = belt_distance(g, f1, f2)[0]
+                ok = dist == 3 and belt_diameter(g) == 3 and _reduces_leaf_free(g, f1, f2)
+                return SearchResult("found" if ok else "violation", (g, f1, f2), dist, nodes)
+            best = None
+            order = list(pairs)
+            rng.shuffle(order)
+            for e in order:
+                h = ZGraph(9, g.edges ^ {e})
+                s = d8_score_reference(h)
+                if best is None or s < best[0]:
+                    best = (s, h)
+                if s < score:
+                    break
+            if best[0] <= score:
+                stale = stale + 1 if best[0] == score else 0
+                score, g = best
+            else:
+                g = ZGraph(9, g.edges ^ {rng.choice(pairs)})
+                score = d8_score_reference(g)
+                stale += 1
+    return SearchResult("inconclusive", None, None, nodes)
 
 
 def bipartite_trees_reference(xs: int, ys: int, min_deg=None):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conjugate_reference import color_facets
-from zonobelt import faces, oracle, sweep, symmetric, venkov
+from zonobelt import dual, faces, oracle, sweep, symmetric, venkov
 from zonobelt.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -134,8 +134,10 @@ def test_belt_diameter_reports_a_broken_model(tmp_path, capsys, monkeypatch):
         return near
 
     monkeypatch.setattr(venkov, "dual_neighbours", emptied_first_facet)
-    assert main(["belt-diameter", cycle4]) == EXIT_VIOLATION
-    assert capsys.readouterr().err == "error: dual graph disconnected: adjacency model violated\n"
+    monkeypatch.setattr(dual, "dual_neighbours", emptied_first_facet)
+    for cmd in (["belt-diameter"], ["dual-diameter", "--check-bound"]):
+        assert main(cmd + [cycle4]) == EXIT_VIOLATION
+        assert capsys.readouterr().err == "error: dual graph disconnected: adjacency model violated\n"
 
 
 def test_symmetric_distance_k2d5(tmp_path, capsys):

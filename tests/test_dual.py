@@ -5,7 +5,7 @@ import random
 import pytest
 
 from adjacency_reference import facet_adjacent, in_same_belt, opposite
-from zonobelt import venkov
+from zonobelt import dual, venkov
 from zonobelt.dual import check_diameter_bound, dual_adjacency, dual_diameter
 from zonobelt.faces import dual_neighbours, enumerate_codim2, enumerate_facets, facets_and_cores
 from zonobelt.venkov import belt_diameter, build_venkov
@@ -144,6 +144,7 @@ def emptied_first_facet(facets, cores):
 def test_a_broken_model_surfaces_with_one_message(monkeypatch):
     cycle4 = ZGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     monkeypatch.setattr(venkov, "dual_neighbours", emptied_first_facet)
-    for query in (belt_diameter, dual_diameter):
+    monkeypatch.setattr(dual, "dual_neighbours", emptied_first_facet)
+    for query in (belt_diameter, dual_diameter, check_diameter_bound):
         with pytest.raises(RuntimeError, match="^dual graph disconnected: adjacency model violated$"):
             query(cycle4)

@@ -12,6 +12,7 @@ import conjugate_reference
 from conjugate_reference import (
     bipartite_trees_reference,
     color_facets,
+    d8_common_neighbors_lists,
     d8_common_neighbors_reference,
     enumerate_conjugate,
     free_trees_by_pruefer,
@@ -47,6 +48,7 @@ from zonobelt.symmetric import (
 from zonobelt.sweep import enumerate_connected_graphs
 from zonobelt.venkov import belt_distance
 from zonobelt.zgraph import ZGraph, bits, dimension, mask_of
+from zonobelt.zgraph import reach as zgraph_reach
 
 
 def path(n):
@@ -532,7 +534,11 @@ def test_d8_common_neighbors_in_k9():
     brute = [f for f in enumerate_facets(k9)
              if f[0] & 1 and {f[0], f[1]} not in ({D8_X1, D8_Y1}, {D8_X2, D8_Y2})
              and in_same_belt(k9, f, D8_F1) and in_same_belt(k9, f, D8_F2)]
-    assert symmetric._d8_common_neighbors(k9) == len(brute) == 16
+    assert symmetric._d8_score(k9) == d8_common_neighbors_lists(k9) == len(brute) == 16
+
+
+def fixed_parts_penalty(g):
+    return 100 * sum(not g.connected_in(m) for m in (D8_X1, D8_Y1, D8_X2, D8_Y2))
 
 
 def test_d8_score_matches_full_scan_on_random_graphs():
@@ -545,37 +551,87 @@ def test_d8_score_matches_full_scan_on_random_graphs():
             if not g.connected_in(g.full_mask):
                 continue
             want = d8_common_neighbors_reference(g)
-            assert symmetric._d8_common_neighbors(g) == want
+            assert d8_common_neighbors_lists(g) == want
             score = symmetric._d8_score(g)
             if score < 100:
                 assert score == want
                 unpenalised += 1
+            else:
+                assert score == fixed_parts_penalty(g)
     assert unpenalised >= 30
 
 
+def flipped(adj, i, j):
+    """The graph of adj with the edge {i, j} flipped."""
+    adj = list(adj)
+    adj[i] ^= 1 << j
+    adj[j] ^= 1 << i
+    return ZGraph(9, [(u, v) for u, v in combinations(range(9), 2) if adj[u] >> v & 1])
+
+
 def test_d8_score_matches_full_scan_along_a_climb(monkeypatch):
-    real = symmetric._d8_score
+    # every graph the seed-12 climb scores: its restarts in full, its flips
+    # from the answers the flip can change
+    real_score, real_flip = symmetric._d8_score, symmetric._d8_flip
     scored = []
 
-    def recording(g):
-        score = real(g)
-        scored.append((g, score))
+    def recording_score(g):
+        score = real_score(g)
+        scored.append((g, score, symmetric._d8_answers(g)))
         return score
 
-    monkeypatch.setattr(symmetric, "_d8_score", recording)
+    def recording_flip(adj, answers, i, j):
+        before = list(adj)
+        score, flip_answers = real_flip(adj, answers, i, j)
+        assert adj == before
+        scored.append((flipped(adj, i, j), score, flip_answers))
+        return score, flip_answers
+
+    monkeypatch.setattr(symmetric, "_d8_score", recording_score)
+    monkeypatch.setattr(symmetric, "_d8_flip", recording_flip)
     res = search_d8_nonsymmetric(max_nodes=400, seed=12)
     assert (res.status, res.nodes) == ("found", 97)
     assert res.witness[0].sorted_edges() == D8_WITNESS_SEED12
     checked = 0
-    for g, score in scored:
+    for g, score, answers in scored:
+        assert answers == symmetric._d8_answers(g)
         if score < 100:
             assert score == d8_common_neighbors_reference(g)
             checked += 1
+        else:
+            assert score == fixed_parts_penalty(g)
     assert checked > 1000
 
 
-def test_d8_score_lists_two_neighbour_sets(monkeypatch):
+def test_d8_flips_from_disconnected_fixed_parts_match_full_scan():
+    # 300 seeded graphs with a fixed part that is not connected: every flip
+    # rescored from the answers equals the full score of the flipped graph
+    rng = random.Random(2025)
+    pairs = list(combinations(range(9), 2))
+    graphs = unpenalised = 0
+    while graphs < 300:
+        g = ZGraph(9, [e for e in pairs if rng.random() < rng.choice((0.3, 0.5, 0.7))])
+        if not fixed_parts_penalty(g):
+            continue
+        graphs += 1
+        adj, answers = list(g.adj), symmetric._d8_answers(g)
+        for i, j in pairs:
+            score, flip_answers = symmetric._d8_flip(adj, answers, i, j)
+            h = flipped(adj, i, j)
+            assert flip_answers == symmetric._d8_answers(h)
+            if score < 100:
+                assert score == d8_common_neighbors_reference(h)
+                unpenalised += 1
+            else:
+                assert score == fixed_parts_penalty(h)
+        assert adj == list(g.adj)
+    assert unpenalised >= 30
+
+
+def test_d8_score_asks_each_mask_once(monkeypatch):
+    # 60 fixed masks decide the score: one reach per mask, no neighbour list
     calls = Counter()
+    asked = []
 
     def counting(name, fn):
         def wrapper(*args):
@@ -583,17 +639,71 @@ def test_d8_score_lists_two_neighbour_sets(monkeypatch):
             return fn(*args)
         return wrapper
 
+    def reach(adj, start, mask):
+        asked.append(mask)
+        return zgraph_reach(adj, start, mask)
+
     for mod in (faces, venkov, symmetric):
         if hasattr(mod, "enumerate_facets"):
             monkeypatch.setattr(mod, "enumerate_facets",
                                 counting("enumerate_facets", faces.enumerate_facets))
     monkeypatch.setattr(venkov, "belt_neighbors",
                         counting("belt_neighbors", venkov.belt_neighbors))
+    monkeypatch.setattr(zgraph, "reach", reach)
     # K9: every part is connected and all 16 common neighbours count
     for g, score in ((permutahedron_graph(8), 16), (ZGraph(9, D8_WITNESS_SEED12), 0)):
-        calls.clear()
+        asked.clear()
         assert symmetric._d8_score(g) == score
-        assert calls == {"belt_neighbors": 2}
+        assert calls == {}
+        assert sorted(asked) == sorted(symmetric._D8_MASKS) and len(asked) == 60
+
+
+def test_d8_flips_ask_only_the_masks_they_can_change(monkeypatch):
+    # a capped climb makes no neighbour-list call; a flip of {i, j} asks only
+    # masks holding both ends whose answer it can change: an added edge only
+    # masks that were not connected, a removed one only those that were
+    flips = []
+
+    def no_lists(*args):
+        raise AssertionError("belt_neighbors called")
+
+    def reach(adj, start, mask):
+        flips[-1][-1].append(mask)
+        return zgraph_reach(adj, start, mask)
+
+    real_flip = symmetric._d8_flip
+
+    def recording_flip(adj, answers, i, j):
+        flips.append((not adj[i] >> j & 1, answers, i, j, []))
+        return real_flip(adj, answers, i, j)
+
+    monkeypatch.setattr(venkov, "belt_neighbors", no_lists)
+    monkeypatch.setattr(symmetric, "reach", reach)
+    monkeypatch.setattr(symmetric, "_d8_flip", recording_flip)
+    res = search_d8_nonsymmetric(max_nodes=90, seed=12)
+    assert (res.status, res.nodes) == ("inconclusive", 91)
+    index = {m: k for k, m in enumerate(symmetric._D8_MASKS)}
+    asked = holding = 0
+    for adding, answers, i, j, masks in flips:
+        for m in masks:
+            assert m >> i & m >> j & 1, (i, j, m)
+            assert (answers >> index[m] & 1) != adding, (i, j, m)
+        assert len(masks) == len(set(masks))
+        asked += len(masks)
+        holding += sum(m >> i & m >> j & 1 for m in symmetric._D8_MASKS)
+    assert len(flips) > 1000
+    assert asked < holding
+
+
+def d8_outcome(res):
+    return res.status, res.nodes, res.distance, res.witness and res.witness[0].sorted_edges()
+
+
+@pytest.mark.parametrize("seed, max_nodes", [(s, 10) for s in range(1, 41)] + [(12, 400)],
+                         ids=lambda x: str(x))
+def test_d8_climb_matches_the_full_rescoring_climb(seed, max_nodes):
+    res = search_d8_nonsymmetric(budget_seconds=None, max_nodes=max_nodes, seed=seed)
+    assert d8_outcome(res) == d8_outcome(conjugate_reference.search_d8_reference(max_nodes, seed))
 
 
 @pytest.mark.parametrize("edges", [D8_WITNESS_SEED12, D8_WITNESS_SEED1])
