@@ -12,9 +12,9 @@ answer from the same table, so `facets_and_cores` builds it once for
 both.  Every belt query passes one guard, `_belt_faces`: at least 3
 vertices, then `facets_and_cores`, which refuses a disconnected graph.
 `connected_splits` lists the splits of one side into two connected
-parts without a table, for the belt neighbours of one facet pair.  Both
-read their connected sets off one extension/banned-set walk,
-`_connected_sets`, seeded differently.
+parts, for the belt neighbours of one facet pair, with no connectivity
+test per part.  Both read their sets off one walk, `connected_sets`,
+which lists the connected subsets of a side, each once.
 
 `dual_neighbours` lists, by first part, the dual neighbours of each
 facet whose first part holds vertex 0, written per belt shape from the
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import and_, attrgetter
 
-from .zgraph import ZGraph
+from .zgraph import ZGraph, bits
 
 # A facet is an ordered pair of vertex bitmasks (a, b); (b, a) is the
 # opposite facet.  Ordered partitions in general are tuples of bitmasks.
@@ -58,12 +58,18 @@ def validate_partition(g: ZGraph, parts) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def _connected_sets(adj: list[int], stack: list) -> list[int]:
-    """The connected sets that the (set, extension, banned) entries on stack
-    grow.  Each branch adds one extension vertex, whose neighbours outside
-    banned join the extension and banned, so an entry grows once each
-    connected superset of its set that meets banned only in the set and
-    its extension."""
+def connected_sets(g: ZGraph, side: int) -> list[int]:
+    """The connected subsets of side, each once, grown from its least vertex
+    v with the vertices below v and outside side banned.  Each branch adds
+    one extension vertex, whose neighbours outside banned join the
+    extension and banned, so an entry grows once each connected superset
+    of its set that meets banned only in the set and its extension."""
+    adj = g.adj
+    outside = g.full_mask ^ side
+    stack = []
+    for v in bits(side):
+        ban = (2 << v) - 1 | outside    # v, every vertex below it, the outside
+        stack.append((1 << v, adj[v] & ~ban, adj[v] | ban))
     out = []
     while stack:
         part, ext, ban = stack.pop()
@@ -78,26 +84,20 @@ def _connected_sets(adj: list[int], stack: list) -> list[int]:
 
 def connected_splits(g: ZGraph, side: int) -> list[int]:
     """The splits of side into two connected parts, each named once by its
-    part C holding side's least vertex: the connected sets grown from that
-    vertex with the outside of side banned, C ⊊ side and side∖C connected."""
-    conn = g.connected_in
+    part C holding side's least vertex: C and side∖C are both listed by
+    one `connected_sets` walk, which never lists the empty set."""
+    sets = connected_sets(g, side)
     low = side & -side
-    ext = g.adj[low.bit_length() - 1] & side
-    start = [(low, ext, low | ext | (g.full_mask ^ side))]
-    return [part for part in _connected_sets(g.adj, start) if part != side and conn(side ^ part)]
+    conn = bytearray(side + 1)
+    for part in sets:
+        conn[part] = 1
+    return [part for part in sets if part & low and conn[side ^ part]]
 
 
 def connected_table(g: ZGraph) -> bytearray:
-    """table[m] is 1 exactly when m is a nonempty connected vertex set:
-    the sets `_connected_sets` grows from each vertex v with the vertices
-    below v banned, each once, from its least vertex."""
-    adj = g.adj
-    start = []
-    for v in range(g.n):
-        below = (2 << v) - 1   # v and every vertex below it
-        start.append((1 << v, adj[v] & ~below, adj[v] | below))
+    """table[m] is 1 exactly when m is a nonempty connected vertex set."""
     table = bytearray(1 << g.n)
-    for part in _connected_sets(adj, start):
+    for part in connected_sets(g, g.full_mask):
         table[part] = 1
     return table
 

@@ -28,10 +28,10 @@ neighbour table, which lists neighbours for those facets only, and reads
 both diameters off them; `diameter_witness` stays for dual.check_diameter_bound, which
 reports a witness pair for each graph.
 
-A belt distance needs neither: belt_neighbors generates a node's
-neighbours from the splits of each part into two connected parts
-(faces.connected_splits), so belt_distance never lists the facets nor
-builds a table of the connected sets of the whole vertex set.
+A belt distance needs neither: belt_neighbors reads a node's neighbours
+off the connected subsets of each of its two parts (faces.connected_splits),
+so belt_distance never lists the facets nor builds a table of the
+connected sets of the whole vertex set.
 """
 
 from __future__ import annotations

@@ -87,8 +87,8 @@ class ZGraph:
     def connected_in(self, mask: int) -> bool:
         """Is the subgraph induced on the (nonempty) mask connected?
 
-        Memoized per graph: partition enumeration asks this for the same
-        masks over and over.
+        Memoized per graph: a belt distance validates its two facet pairs
+        and then asks about the same sides as it expands them.
         """
         hit = self._conn.get(mask)
         if hit is None:

@@ -265,7 +265,10 @@ def belt_neighbors_submasks(g: ZGraph, a: int) -> list[int]:
     """Vertex-0 parts of the neighbours of {a, V∖a}, from every submask.
 
     Walks every proper submask C of both sides P and keeps it when C and
-    P∖C are connected and P∖C touches the other side.
+    P∖C are connected and P∖C touches the other side O, so that C, P∖C, O
+    is a core and {C, V∖C} a member of its belt.  That asks O to be
+    connected, which it is for a facet pair; for any other 2-partition a
+    side whose O is not connected adds nothing.
     """
     full = g.full_mask
     conn = g.connected_in
@@ -273,6 +276,8 @@ def belt_neighbors_submasks(g: ZGraph, a: int) -> list[int]:
     out = []
     for side in (a, full ^ a):
         other = full ^ side
+        if not conn(other):
+            continue
         touch = 0
         for v in bits(other):
             touch |= adj[v]

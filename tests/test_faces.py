@@ -8,6 +8,7 @@ import pytest
 from adjacency_reference import core_merges_scan, enumerate_facets_scan, has_cross, in_same_belt
 from zonobelt import faces
 from zonobelt.faces import (
+    connected_sets,
     connected_splits,
     connected_table,
     enumerate_codim2,
@@ -197,6 +198,57 @@ def test_connected_splits_match_submasks_on_seeded_graphs_and_family_witnesses()
     for g in graphs:
         facets = enumerate_facets(g)
         splits_match_submasks(g, [side for f in rng.sample(facets, 6) for side in f])
+
+
+def disconnected_sides(g, rng, count):
+    """count seeded proper vertex sets of g that are not connected."""
+    sides = []
+    while len(sides) < count:
+        side = rng.randrange(1, g.full_mask)
+        if reach(g.adj, side & -side, side) != side:
+            sides.append(side)
+    return sides
+
+
+def test_connected_splits_match_submasks_on_disconnected_sides():
+    # a side need not be connected: its two parts then do not touch
+    rng = random.Random(29)
+    splits_match_submasks(path(4), [0b1001, 0b0101])
+    assert connected_splits(path(4), 0b1001) == [0b0001]
+    for g in seeded_graphs()[:16]:
+        splits_match_submasks(g, disconnected_sides(g, rng, 6))
+
+
+def sets_match_reach(g, sides):
+    # every connected submask of each side, each exactly once
+    for side in sides:
+        got = connected_sets(g, side)
+        assert len(got) == len(set(got)), (g, side)
+        want = []
+        c = side
+        while c:
+            if reach(g.adj, c & -c, c) == c:
+                want.append(c)
+            c = (c - 1) & side
+        assert sorted(got) == sorted(want), (g, side)
+
+
+def test_connected_sets_match_reach_on_facet_sides():
+    rng = random.Random(31)
+    for g in seeded_graphs():
+        sets_match_reach(g, [side for f in rng.sample(enumerate_facets(g), 3) for side in f])
+
+
+def test_connected_sets_match_reach_on_disconnected_sides():
+    rng = random.Random(37)
+    sets_match_reach(path(4), [0b1001, 0b1101])
+    for g in seeded_graphs():
+        sets_match_reach(g, disconnected_sides(g, rng, 3))
+
+
+def test_connected_sets_match_reach_on_the_vertex_set():
+    for g in seeded_graphs()[::3] + [complete(12), path(16)]:
+        sets_match_reach(g, [g.full_mask])
 
 
 def split_walk_matches_facets(g):

@@ -5,8 +5,9 @@ against the facet-scanning references in adjacency_reference on every
 facet-pair query of every connected graph with n <= 6, on seeded graphs
 with 7..12 vertices and on the odd and even family witnesses up to d = 14.
 belt_neighbors' connected splits are also checked against the submask walk
-they replaced, on every facet of every connected graph with n <= 7 and on
-seeded graphs with 8..12 vertices.
+they replaced, on every facet of every connected graph with n <= 7, on
+every 2-partition of every connected graph with n <= 6 and on seeded
+graphs with 8..12 vertices.
 """
 
 import random
@@ -237,6 +238,21 @@ def test_belt_neighbors_match_submask_walk_on_every_graph(n):
             assert belt_neighbors(g, a) == ref.belt_neighbors_submasks(g, a)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_belt_neighbors_match_submask_walk_on_every_partition(n):
+    # every 2-partition, not only the facet pairs: a side may be disconnected
+    for g in enumerate_connected_graphs(n):
+        for a in range(1, g.full_mask, 2):
+            assert belt_neighbors(g, a) == ref.belt_neighbors_submasks(g, a), (g, a)
+
+
+def test_belt_neighbors_of_a_disconnected_side():
+    # path 0-1-2-3 with a = {0, 3}: the side {0, 3} splits into {0} and {3},
+    # each touching {1, 2}; the side {1, 2} adds nothing, as {0, 3} is not
+    # connected
+    assert belt_neighbors(path(4), 0b1001) == [0b0001, 0b0111]
+
+
 def test_belt_neighbors_match_submask_walk_on_seeded_graphs():
     for g in seeded_graphs(range(8, 13), 1, 73):
         for a, _ in facet_pairs(g):
@@ -257,12 +273,33 @@ def test_belt_neighbors_match_submask_walk_on_family_witnesses():
 
 
 def test_belt_distance_tests_few_masks():
-    # the connected splits ask connected_in about far fewer masks than the
-    # submask walk, which left 14,738 memo entries on this query
+    # connected_in is asked about the whole vertex set and the two parts of
+    # each asked or expanded pair, never about a split's parts: the submask
+    # walk left 14,738 memo entries on this query, and a connectivity test
+    # per split part 5,222
     cg = gen_even_extremal(5)
     g = ZGraph(cg.base.n, cg.base.edges)
     assert belt_distance(g, *color_facets(cg))[0] == 3
-    assert len(g._conn) <= 6000
+    assert len(g._conn) <= 16
+
+
+def test_connected_splits_call_no_connected_in(monkeypatch):
+    # both halves of every split come off one connected-subset walk
+    graphs = [gen_even_extremal(5).base] + seeded_graphs(range(8, 11), 1, 74)
+    calls = Counter()
+    real = ZGraph.connected_in
+
+    def counting(self, mask):
+        calls[mask] += 1
+        return real(self, mask)
+
+    monkeypatch.setattr(ZGraph, "connected_in", counting)
+    for g in graphs:
+        g = ZGraph(g.n, g.edges)
+        for side in (g.full_mask, 0b1011, g.full_mask ^ 0b1011):
+            faces.connected_splits(g, side)
+        assert g._conn == {}
+    assert calls == {}
 
 
 def test_belt_distance_scans_no_facets(monkeypatch):
