@@ -14,7 +14,10 @@ vertices, then `facets_and_cores`, which refuses a disconnected graph.
 `connected_splits` lists the splits of one side into two connected
 parts, for the belt neighbours of one facet pair, with no connectivity
 test per part.  Both read their sets off one walk, `connected_sets`,
-which lists the connected subsets of a side, each once.
+which lists the connected subsets of a side, each once.  `in_same_belt`
+tests one pair of facet pairs for a shared belt, by bit tests and at most
+one connectivity walk, so a belt distance of at most 2 needs no neighbour
+list of the source.
 
 `dual_neighbours` lists, by first part, the dual neighbours of each
 facet whose first part holds vertex 0, written per belt shape from the
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import and_, attrgetter
 
-from .zgraph import ZGraph, bits
+from .zgraph import ZGraph, bits, reach
 
 # A facet is an ordered pair of vertex bitmasks (a, b); (b, a) is the
 # opposite facet.  Ordered partitions in general are tuples of bitmasks.
@@ -80,6 +83,26 @@ def connected_sets(g: ZGraph, side: int) -> list[int]:
             new = adj[v.bit_length() - 1] & ~ban
             stack.append((part | v, ext | new, ban | new))
     return out
+
+
+def in_same_belt(g: ZGraph, a: int, c: int) -> bool:
+    """Do the distinct facet pairs {a, V∖a} and {c, V∖c} share a belt?
+
+    a and c are the parts holding vertex 0.  The pairs share a belt exactly
+    when one of the four intersections of their parts is empty and the
+    other three are connected.  a∩c holds vertex 0, and one of a∖c, c∖a,
+    V∖(a∪c) is empty exactly when c ⊃ a, a ⊃ c or a∪c = V.  Then two of
+    the three live parts are sides of the pairs, connected already, and
+    only the part between them, c∖a, a∖c or a∩c, is tested, by one
+    unmemoised `reach`.
+    """
+    if not a & ~c or not c & ~a:    # a ⊂ c or c ⊂ a: c∖a or a∖c
+        mid = a ^ c
+    elif a | c == g.full_mask:
+        mid = a & c
+    else:
+        return False
+    return reach(g.adj, mid & -mid, mid) == mid
 
 
 def connected_splits(g: ZGraph, side: int) -> list[int]:

@@ -102,7 +102,7 @@ def _inner_edges(g: ZGraph) -> list[int]:
     return inner
 
 
-def oracle_agrees(g: ZGraph) -> bool:
+def oracle_agrees(g: ZGraph, facets=None, cores=None) -> bool:
     """Facets, codimension-2 faces and belts: partition calculus vs oracle.
 
     Each side gives its supports as edge-index bitmasks.  The calculus
@@ -117,11 +117,15 @@ def oracle_agrees(g: ZGraph) -> bool:
     the Venkov adjacency `faces.belt_adjacency` reads, as the quotient of
     the dual graph by x → −x, off the half dual-neighbour table that
     `faces.dual_neighbours` writes from the same core list.
+    A caller that has already run the face pass on a graph on at least 3
+    vertices passes its facets and its cores, as a list, and the pass is
+    not run again.
     Raises oracle.OracleBudgetError before any oracle work when the
     same-belt checks, one per two facet pairs, would exceed
     oracle.SAME_BELT_PAIR_CAP.
     """
-    facets, cores = faces._belt_faces(g)
+    if facets is None:
+        facets, cores = faces._belt_faces(g)
     pairs = [f for f in facets if f[0] & 1]
     checks = len(pairs) * (len(pairs) - 1) // 2
     if checks > oracle.SAME_BELT_PAIR_CAP:
@@ -172,6 +176,7 @@ class SweepReport:
 
 
 def _check_graph(g: ZGraph, checks, row: SweepRow, violations: list):
+    """Run the checks on g; returns its facets and its list of cores."""
     # one core list feeds the diameters and the belt_size check; the pass
     # raises on a disconnected graph, so the dimension is n - 1
     facets, cores = faces.facets_and_cores(g)
@@ -220,6 +225,7 @@ def _check_graph(g: ZGraph, checks, row: SweepRow, violations: list):
     if found:
         label = "n=%d %r" % (g.n, g.sorted_edges())
         violations += ["%s: %s" % (label, v) for v in found]
+    return facets, cores
 
 
 def run_sweep(max_n: int, checks=ALL_CHECKS, oracle_samples: int = 200,
@@ -244,17 +250,22 @@ def run_sweep(max_n: int, checks=ALL_CHECKS, oracle_samples: int = 200,
         before = len(violations)
         row = SweepRow(d=n - 1)
         graphs = next(levels)
+        # up to n = 6 the oracle checks every graph, from the face pass its
+        # checks ran; above, it checks samples, so each graph and its memos go
+        cross = "oracle_equiv" in checks and n <= 6
+        mismatched = []
         for i, g in enumerate(graphs):
             row.instances += 1
-            _check_graph(g, checks, row, violations)
-            if n > 6:  # the oracle samples: let each checked graph and its memos go
-                graphs[i] = None
-        if "oracle_equiv" in checks:
+            face_pass = _check_graph(g, checks, row, violations)
+            if cross and not oracle_agrees(g, *face_pass):
+                mismatched.append(g)
             if n > 6:
-                graphs = sample_connected_graphs(n, oracle_samples, seed + n)
-            for g in graphs:
-                if not oracle_agrees(g):
-                    violations.append("n=%d %r: oracle mismatch" % (n, g.sorted_edges()))
+                graphs[i] = None
+        if "oracle_equiv" in checks and n > 6:
+            mismatched = [g for g in sample_connected_graphs(n, oracle_samples, seed + n)
+                          if not oracle_agrees(g)]
+        for g in mismatched:
+            violations.append("n=%d %r: oracle mismatch" % (n, g.sorted_edges()))
         del graphs  # before the leaves pass and the next level's growth
         if "leaves_iff" in checks and 4 <= n <= 7:
             for cg in symmetric.enumerate_conjugate_classes(n):

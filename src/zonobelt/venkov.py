@@ -28,16 +28,18 @@ neighbour table, which lists neighbours for those facets only, and reads
 both diameters off them; `diameter_witness` stays for dual.check_diameter_bound, which
 reports a witness pair for each graph.
 
-A belt distance needs neither: belt_neighbors reads a node's neighbours
-off the connected subsets of each of its two parts (faces.connected_splits),
-so belt_distance never lists the facets nor builds a table of the
-connected sets of the whole vertex set.
+A belt distance needs neither.  Up to distance 2 it tests pairs
+(faces.in_same_belt): the two ends, then the source against the goal's
+neighbours.  belt_neighbors reads a node's neighbours off the connected
+subsets of each of its two parts (faces.connected_splits), so
+belt_distance never lists the facets nor builds a table of the connected
+sets of the whole vertex set.
 """
 
 from __future__ import annotations
 
 from .faces import FacetId, _belt_faces, belt_adjacency, connected_splits, dual_neighbours
-from .faces import unordered_pair, validate_partition
+from .faces import in_same_belt, unordered_pair, validate_partition
 from .zgraph import ZGraph, bits
 
 
@@ -192,12 +194,16 @@ def _pair_key(g: ZGraph, f) -> FacetId:
 def belt_distance(g: ZGraph, f1: FacetId, f2: FacetId):
     """(BFS distance between the facet pairs, one shortest belt path).
 
-    The BFS generates neighbours (belt_neighbors) instead of scanning every
-    facet, and stops at the first node it finds next to f2, so the last
-    level is never expanded.  Nodes are expanded in discovery order over
-    sorted neighbour lists, so the path is the one a BFS over the sorted
-    facet list returns.  The path's ends are f1 and f2 with vertex 0's part
-    first.
+    The path is the one a BFS over the sorted facet list returns, and its
+    ends are f1 and f2 with vertex 0's part first.  Distance 1 is one
+    `in_same_belt` test of the ends.  Distance 2 goes through the first
+    node of the goal's sorted neighbour list (belt_neighbors) that shares
+    a belt with the source: neighbour lists sort alike, so that node is
+    the first of the source's neighbours a BFS meets in the goal's list.
+    Farther pairs run the BFS, which generates neighbours instead of
+    scanning every facet and stops at the first node it finds next to the
+    goal, so the last level is never expanded.  Nodes are expanded in
+    discovery order over sorted neighbour lists.
     """
     if not g.connected_in(g.full_mask):
         raise ValueError("graph must be connected")
@@ -207,7 +213,14 @@ def belt_distance(g: ZGraph, f1: FacetId, f2: FacetId):
     src, dst = start[0], goal[0]
     if src == dst:
         return 0, [start]
-    near = set(belt_neighbors(g, dst))
+    full = g.full_mask
+    if in_same_belt(g, src, dst):
+        return 1, [start, goal]
+    near = belt_neighbors(g, dst)
+    for w in near:
+        if in_same_belt(g, src, w):
+            return 2, [start, (w, full ^ w), goal]
+    near = set(near)
     parent = {}
     for v, u in _discovered(g, src):
         parent[v] = u
@@ -215,7 +228,6 @@ def belt_distance(g: ZGraph, f1: FacetId, f2: FacetId):
             break
     else:
         raise RuntimeError("facet pairs not connected in the Venkov graph")
-    full = g.full_mask
     path = [goal]
     while v != src:
         path.append((v, full ^ v))

@@ -313,10 +313,7 @@ def test_every_violation_kind_keeps_its_wording(monkeypatch):
     ]
 
 
-def test_run_sweep_builds_one_table_and_one_core_pass_per_graph(monkeypatch):
-    # 139 graphs on 4..6 vertices, each checked once by the sweep and once
-    # by the oracle: one connectivity table and one core pass apiece, and
-    # the facets never come from the split walk over the whole vertex set
+def count_face_passes(monkeypatch) -> dict:
     calls = {"_core_merges": 0, "connected_table": 0}
     for name in calls:
         real = getattr(faces, name)
@@ -326,6 +323,15 @@ def test_run_sweep_builds_one_table_and_one_core_pass_per_graph(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(faces, name, counting)
+    return calls
+
+
+def test_run_sweep_builds_one_table_and_one_core_pass_per_graph(monkeypatch):
+    # 139 graphs on 4..6 vertices, each checked by the sweep and then by
+    # the oracle from the same face pass: one connectivity table and one
+    # core pass apiece, and the facets never come from the split walk over
+    # the whole vertex set
+    calls = count_face_passes(monkeypatch)
     sides = []
     real_splits = faces.connected_splits
 
@@ -338,9 +344,17 @@ def test_run_sweep_builds_one_table_and_one_core_pass_per_graph(monkeypatch):
     monkeypatch.setattr(venkov, "connected_splits", splits)
     rep = run_sweep(6)
     assert rep.ok and sum(r.instances for r in rep.rows) == 139
-    assert calls["_core_merges"] == 278
-    assert calls["connected_table"] <= 278
+    assert calls == {"_core_merges": 139, "connected_table": 139}
     assert sides and not any(sides)
+
+
+def test_run_sweep_to_seven_builds_one_table_per_checked_graph(monkeypatch):
+    # 992 graphs on 4..7 vertices and 200 oracle samples at n = 7; the
+    # oracle checks the 139 graphs up to n = 6 from the sweep's own pass
+    calls = count_face_passes(monkeypatch)
+    rep = run_sweep(7)
+    assert rep.ok and sum(r.instances for r in rep.rows) == 992
+    assert calls == {"_core_merges": 1192, "connected_table": 1192}
 
 
 def test_run_sweep_validates_args():
@@ -354,9 +368,9 @@ def count_oracle_agrees(monkeypatch) -> list:
     calls = []
     real = sweep.oracle_agrees
 
-    def counting(g):
+    def counting(g, *face_pass):
         calls.append(g)
-        return real(g)
+        return real(g, *face_pass)
 
     monkeypatch.setattr(sweep, "oracle_agrees", counting)
     return calls

@@ -4,6 +4,9 @@ belt_distance and belt_neighbors generate neighbours; they are checked
 against the facet-scanning references in adjacency_reference on every
 facet-pair query of every connected graph with n <= 6, on seeded graphs
 with 7..12 vertices and on the odd and even family witnesses up to d = 14.
+faces.in_same_belt, the pair test behind distances 1 and 2, is checked
+against the reference on every ordered pair of distinct facet pairs of
+every connected graph with 3..6 vertices and on seeded graphs with 7..12.
 belt_neighbors' connected splits are also checked against the submask walk
 they replaced, on every facet of every connected graph with n <= 7, on
 every 2-partition of every connected graph with n <= 6 and on seeded
@@ -206,6 +209,62 @@ def test_belt_distance_matches_reference_on_seeded_graphs():
             if rng.random() < 0.5:
                 f2 = f2[::-1]
             assert belt_distance(g, f1, f2) == ref.belt_distance_reference(g, f1, f2)
+
+
+def test_belt_distance_matches_reference_from_one_source_on_seeded_graphs():
+    # every target of one source: a distance-2 pair with several common
+    # neighbours must go through the first in sorted order
+    rng = random.Random(77)
+    for g in seeded_graphs(range(7, 11), 1, 75):
+        nodes = facet_pairs(g)
+        src = rng.choice(nodes)
+        for f in nodes:
+            assert belt_distance(g, src, f) == ref.belt_distance_reference(g, src, f)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_in_same_belt_matches_reference_on_every_pair(n):
+    for g in enumerate_connected_graphs(n):
+        nodes = facet_pairs(g)
+        for f1 in nodes:
+            for f2 in nodes:
+                if f1 != f2:
+                    assert faces.in_same_belt(g, f1[0], f2[0]) == in_same_belt(g, f1, f2)
+
+
+def test_in_same_belt_matches_reference_on_seeded_graphs():
+    # both orders of every pair with one of 12 seeded nodes of each graph
+    rng = random.Random(76)
+    for g in seeded_graphs(range(7, 13), 2, 70):
+        nodes = facet_pairs(g)
+        for f1 in rng.sample(nodes, min(12, len(nodes))):
+            for f2 in nodes:
+                if f1 != f2:
+                    assert faces.in_same_belt(g, f1[0], f2[0]) == in_same_belt(g, f1, f2)
+                    assert faces.in_same_belt(g, f2[0], f1[0]) == in_same_belt(g, f2, f1)
+
+
+def test_belt_distance_lists_neighbours_beyond_distance_one_only(monkeypatch):
+    # distance 1 is one pair test, and distance 2 lists the goal's
+    # neighbours alone
+    calls = []
+
+    def counting(g, a):
+        calls.append(a)
+        return belt_neighbors(g, a)
+
+    monkeypatch.setattr(venkov, "belt_neighbors", counting)
+    dists = Counter()
+    for n in range(3, 6):
+        for g in enumerate_connected_graphs(n):
+            nodes = facet_pairs(g)
+            for f1 in nodes:
+                for f2 in nodes:
+                    calls.clear()
+                    dist, _ = belt_distance(g, f1, f2)
+                    assert len(calls) == (1 if dist == 2 else 0), (g, f1, f2)
+                    dists[dist] += 1
+    assert sorted(dists) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("cg", [gen_odd_extremal(n) for n in range(2, 6)]
