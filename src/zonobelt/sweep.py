@@ -1,7 +1,7 @@
 """Exhaustive small-instance campaigns over connected graphs.
 
 Enumerates connected graphs up to isomorphism (canonical form = minimal
-adjacency bitstring over relabelings), runs the selected invariant checks,
+adjacency bitstring over relabelings), runs every invariant check on each,
 and tabulates per-dimension results.
 """
 
@@ -15,13 +15,13 @@ from . import faces, oracle, symmetric, venkov
 from .zgraph import ZGraph, dimension, grow_canonical, key_sorted
 
 EXHAUSTIVE_MAX_N = 8
-# connected graphs up to isomorphism on 1..8 vertices, used as a self-test
+# connected graphs up to isomorphism on 1..8 vertices: every grown level
+# must have exactly this many
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
 
 ALL_CHECKS = ("belt_bound", "dual_bound", "oracle_equiv", "leaves_iff", "belt_size")
-# oracle samples per level (n = 7, 8): minutes at 20 ms each for n = 8, and far
-# below the 1,866,256 connected labeled graphs that can be drawn at n = 7
-ORACLE_SAMPLE_CAP = 10_000
+# random graphs the oracle checks at n = 7 and 8, where it checks no level whole
+ORACLE_SAMPLES = 200
 
 
 def connected_levels(lo: int, hi: int):
@@ -35,7 +35,8 @@ def connected_levels(lo: int, hi: int):
     automorphism group and keeps each class once, by its canonical
     deletion.  A level's edge tuples and automorphism generators are kept
     only while a higher level still needs them; the top level keeps no
-    generators.
+    generators.  A level whose size differs from `CONNECTED_COUNTS` raises
+    RuntimeError.
     """
     if lo < 1:
         raise ValueError("need n >= 1")
@@ -52,6 +53,9 @@ def connected_levels(lo: int, hi: int):
             # level is never held twice (that would raise the sweep's peak RSS)
             grown = ((key, ZGraph(n, edges)) for key, edges, _ in grown)
         level = key_sorted(grown)
+        if len(level) != CONNECTED_COUNTS[n - 1]:
+            raise RuntimeError("growth made %d connected graphs on %d vertices, not %d"
+                               % (len(level), n, CONNECTED_COUNTS[n - 1]))
         if n == hi:
             graphs = [g for _, g in level]
             del level   # the caller may let each graph go once it is checked
@@ -165,18 +169,17 @@ class SweepRow:
 @dataclass
 class SweepReport:
     max_n: int
-    checks: tuple
     rows: list
     violations: list
-    oracle_samples: int = 0
+    oracle_samples: int = ORACLE_SAMPLES
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def _check_graph(g: ZGraph, checks, row: SweepRow, violations: list):
-    """Run the checks on g; returns its facets and its list of cores."""
+def _check_graph(g: ZGraph, row: SweepRow, violations: list):
+    """Run the per-graph checks on g; returns its facets and its list of cores."""
     # one core list feeds the diameters and the belt_size check; the pass
     # raises on a disconnected graph, so the dimension is n - 1
     facets, cores = faces.facets_and_cores(g)
@@ -187,61 +190,46 @@ def _check_graph(g: ZGraph, checks, row: SweepRow, violations: list):
         row.max_belt_diameter = belt
         row.witness = g.sorted_edges()
     found = []
-    if "belt_bound" in checks:
-        if belt > d - 1:
-            found.append("belt diameter %d > d-1" % belt)
-        if 3 <= d <= 6 and belt > 2:
-            found.append("belt diameter %d > 2" % belt)
-        if d >= 7 and belt > 3:
-            found.append("belt diameter %d > 3" % belt)
-    row.max_dual_diameter = max(row.max_dual_diameter, dd)  # reported for every row
-    if "dual_bound" in checks:
-        if dd > belt + 1:
-            found.append("dual %d > belt %d + 1" % (dd, belt))
-        if d <= 6 and dd > 3:
-            found.append("dual diameter %d > 3" % dd)
-        if d >= 7 and dd > 4:
-            found.append("dual diameter %d > 4" % dd)
-    if "belt_size" in checks:
-        # the merge bits must name the crossing directions, read off the
-        # edges, and at least two of them: near[m] is the neighbourhood of
-        # the vertex set m
-        near = [0]
-        for v in range(g.n):
-            near += [x | g.adj[v] for x in near]
-        off = [(p, q, r, pq, pr, qr) for p, q, r, pq, pr, qr in cores
-               if pq != (near[p] & q > 0) or pr != (near[p] & r > 0)
-               or qr != (near[q] & r > 0) or pq + pr + qr < 2]
-        for p, q, r, pq, pr, qr in off:
-            size = 2 * (pq + pr + qr)
-            cross = (near[p] & q > 0, near[p] & r > 0, near[q] & r > 0)
-            dirs = sum(cross)
-            if size not in (4, 6) or dirs not in (2, 3):
-                found.append("belt size %d/dirs %d" % (size, dirs))
-            elif (size == 6) != (dirs == 3):
-                found.append("size %d with %d directions" % (size, dirs))
-            else:
-                found.append("merges %d%d%d with crossings %d%d%d" % (pq, pr, qr, *cross))
+    if belt > d - 1:
+        found.append("belt diameter %d > d-1" % belt)
+    if 3 <= d <= 6 and belt > 2:
+        found.append("belt diameter %d > 2" % belt)
+    if d >= 7 and belt > 3:
+        found.append("belt diameter %d > 3" % belt)
+    row.max_dual_diameter = max(row.max_dual_diameter, dd)
+    if dd > belt + 1:
+        found.append("dual %d > belt %d + 1" % (dd, belt))
+    if d <= 6 and dd > 3:
+        found.append("dual diameter %d > 3" % dd)
+    if d >= 7 and dd > 4:
+        found.append("dual diameter %d > 4" % dd)
+    # belt_size: the merge bits must name the crossing directions, read off
+    # the edges, and at least two of them: near[m] is the neighbourhood of
+    # the vertex set m
+    near = [0]
+    for v in range(g.n):
+        near += [x | g.adj[v] for x in near]
+    off = [(p, q, r, pq, pr, qr) for p, q, r, pq, pr, qr in cores
+           if pq != (near[p] & q > 0) or pr != (near[p] & r > 0)
+           or qr != (near[q] & r > 0) or pq + pr + qr < 2]
+    for p, q, r, pq, pr, qr in off:
+        found.append("merges %d%d%d with crossings %d%d%d"
+                     % (pq, pr, qr, near[p] & q > 0, near[p] & r > 0, near[q] & r > 0))
     if found:
         label = "n=%d %r" % (g.n, g.sorted_edges())
         violations += ["%s: %s" % (label, v) for v in found]
     return facets, cores
 
 
-def run_sweep(max_n: int, checks=ALL_CHECKS, oracle_samples: int = 200,
-              seed: int = 20260815) -> SweepReport:
-    checks = tuple(checks)
-    unknown = set(checks) - set(ALL_CHECKS)
-    if unknown:
-        raise ValueError("unknown checks: %s" % ", ".join(sorted(unknown)))
+def run_sweep(max_n: int, seed: int = 20260815) -> SweepReport:
+    """Every check in ALL_CHECKS on every connected graph on 4..max_n vertices.
+
+    The oracle checks every graph up to n = 6 and ORACLE_SAMPLES random
+    graphs, seeded from seed, at n = 7 and 8; the leaf criterion runs on the
+    conjugate classes up to n = 7.
+    """
     if max_n < 4:
         raise ValueError("need max_n >= 4 (dimension at least 3)")
-    if oracle_samples < 0:
-        raise ValueError("need oracle_samples >= 0, got %d" % oracle_samples)
-    if oracle_samples > ORACLE_SAMPLE_CAP:
-        raise oracle.OracleBudgetError(
-            "%d oracle samples exceed cap %d" % (oracle_samples, ORACLE_SAMPLE_CAP)
-        )
     rows = []
     violations: list[str] = []
     levels = connected_levels(4, max_n)
@@ -252,22 +240,21 @@ def run_sweep(max_n: int, checks=ALL_CHECKS, oracle_samples: int = 200,
         graphs = next(levels)
         # up to n = 6 the oracle checks every graph, from the face pass its
         # checks ran; above, it checks samples, so each graph and its memos go
-        cross = "oracle_equiv" in checks and n <= 6
         mismatched = []
         for i, g in enumerate(graphs):
             row.instances += 1
-            face_pass = _check_graph(g, checks, row, violations)
-            if cross and not oracle_agrees(g, *face_pass):
+            face_pass = _check_graph(g, row, violations)
+            if n <= 6 and not oracle_agrees(g, *face_pass):
                 mismatched.append(g)
             if n > 6:
                 graphs[i] = None
-        if "oracle_equiv" in checks and n > 6:
-            mismatched = [g for g in sample_connected_graphs(n, oracle_samples, seed + n)
+        if n > 6:
+            mismatched = [g for g in sample_connected_graphs(n, ORACLE_SAMPLES, seed + n)
                           if not oracle_agrees(g)]
         for g in mismatched:
             violations.append("n=%d %r: oracle mismatch" % (n, g.sorted_edges()))
         del graphs  # before the leaves pass and the next level's growth
-        if "leaves_iff" in checks and 4 <= n <= 7:
+        if n <= 7:
             for cg in symmetric.enumerate_conjugate_classes(n):
                 has_leaf = symmetric.find_common_leaf(cg) is not None
                 dist = symmetric.red_blue_distance(cg)
@@ -279,13 +266,7 @@ def run_sweep(max_n: int, checks=ALL_CHECKS, oracle_samples: int = 200,
         row.violations = len(violations) - before
         row.runtime = time.monotonic() - start
         rows.append(row)
-    return SweepReport(
-        max_n=max_n,
-        checks=checks,
-        rows=rows,
-        violations=violations,
-        oracle_samples=oracle_samples if "oracle_equiv" in checks else 0,
-    )
+    return SweepReport(max_n=max_n, rows=rows, violations=violations)
 
 
 CSV_HEADER = "d,instances,max_belt_diameter,max_dual_diameter,violations"
@@ -304,7 +285,7 @@ def report_csv(report: SweepReport) -> str:
 def report_json(report: SweepReport) -> dict:
     return {
         "max_n": report.max_n,
-        "checks": list(report.checks),
+        "checks": list(ALL_CHECKS),
         "rows": [
             {
                 "d": r.d,

@@ -16,7 +16,7 @@ from zonobelt.zgraph import ZGraph, dimension
 
 @pytest.fixture(scope="module")
 def full_sweep():
-    return sweep.run_sweep(8, oracle_samples=200)
+    return sweep.run_sweep(8)
 
 
 def row(report, d):
@@ -105,7 +105,7 @@ def test_criterion_08_oracle_equivalence(full_sweep):
 
 
 def test_criterion_09_structural_invariants(full_sweep):
-    assert not [v for v in full_sweep.violations if "belt size" in v or "directions" in v]
+    assert not [v for v in full_sweep.violations if "merges" in v]
     rng = random.Random(90)
     for _ in range(10 ** 4):
         n = rng.randrange(2, 11)

@@ -309,18 +309,35 @@ def test_search_extremal_low_dimensions_answer_none_on_a_zero_budget(capsys, d, 
 
 def test_sweep_cli(tmp_path, capsys):
     csv_path = tmp_path / "rep.csv"
-    code = main([
-        "sweep", "--max-n", "5", "--checks", "belt_bound,belt_size",
-        "--csv", str(csv_path),
-    ])
-    assert code == EXIT_OK
+    assert main(["sweep", "--max-n", "5", "--csv", str(csv_path)]) == EXIT_OK
     text = csv_path.read_text()
     assert text.startswith("d,instances,max_belt_diameter,max_dual_diameter,violations")
     assert "3,6,2,3,0" in text
-    code = main(["sweep", "--max-n", "5", "--checks", "belt_bound"])
-    assert code == EXIT_OK
+    assert main(["sweep", "--max-n", "5"]) == EXIT_OK
     assert "3,6,2,3,0" in capsys.readouterr().out
-    assert main(["sweep", "--max-n", "5", "--checks", "bogus"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("flag", [["--checks", "belt_bound"], ["--samples", "0"]])
+def test_sweep_has_no_check_or_sample_knobs(capsys, monkeypatch, flag):
+    # every sweep runs every check with the fixed sample count: the removed
+    # flags are usage errors, refused before any level grows
+    def grow(*args):
+        raise AssertionError("a level grew")
+
+    monkeypatch.setattr(sweep, "grow_canonical", grow)
+    assert main(["sweep", "--max-n", "5", *flag]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: %s" % flag[0] in captured.err
+
+
+def test_sweep_exits_one_on_a_level_of_the_wrong_size(capsys, monkeypatch):
+    real = sweep.grow_canonical
+    monkeypatch.setattr(sweep, "grow_canonical", lambda forms, k, masks: itertools.islice(
+        real(forms, k, masks), 1 if k == 4 else 0, None))
+    assert main(["sweep", "--max-n", "5"]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: growth made 20 connected graphs on 5 vertices, not 21\n"
 
 
 def test_oracle_verify(tmp_path, capsys):
@@ -375,20 +392,6 @@ def test_oracle_verify_caps_same_belt_checks(tmp_path, capsys, monkeypatch):
     assert main(["oracle", "verify", write_graph(tmp_path, "g11.json", doc)]) == EXIT_INCONCLUSIVE
     out = capsys.readouterr().out
     assert "unverified" in out and "383250 same-belt checks" in out
-    assert calls == {"oracle_facets": 0, "oracle_same_belt": 0}
-
-
-def test_sweep_sample_count_fails_fast(capsys, monkeypatch):
-    # a negative count is a usage error; one above the cap is refused with
-    # the cap named, before any graph is checked
-    calls = count_oracle_calls(monkeypatch)
-    assert main(["sweep", "--max-n", "7", "--samples", "-3"]) == EXIT_USAGE
-    assert "oracle_samples >= 0" in capsys.readouterr().err
-    too_many = str(sweep.ORACLE_SAMPLE_CAP + 1)
-    assert main(["sweep", "--max-n", "7", "--samples", too_many]) == EXIT_INCONCLUSIVE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "exceed cap %d" % sweep.ORACLE_SAMPLE_CAP in captured.err
     assert calls == {"oracle_facets": 0, "oracle_same_belt": 0}
 
 

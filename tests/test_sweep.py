@@ -35,6 +35,18 @@ def test_enumeration_errors():
         next(sweep.connected_levels(4, 9))   # before growing any level
 
 
+def test_a_level_of_the_wrong_size_raises(monkeypatch):
+    # growth that loses one form of level 5 yields 20 graphs, not 21: the
+    # count is checked, not trusted, also on a level that is not yielded
+    real = sweep.grow_canonical
+    monkeypatch.setattr(sweep, "grow_canonical", lambda forms, k, masks: itertools.islice(
+        real(forms, k, masks), 1 if k == 4 else 0, None))
+    with pytest.raises(RuntimeError, match="made 20 connected graphs on 5 vertices, not 21"):
+        list(sweep.connected_levels(1, 5))
+    with pytest.raises(RuntimeError, match="on 5 vertices"):
+        list(sweep.connected_levels(6, 6))
+
+
 def test_enumeration_labels_each_candidate_once(monkeypatch):
     calls = []
 
@@ -214,12 +226,12 @@ def test_sweep_reports_a_dropped_core(monkeypatch):
     assert list(faces.facets_and_cores(g)[1]) == cores[1:]
     assert not oracle_agrees(g)
     monkeypatch.setattr(sweep, "connected_levels", lambda lo, hi: iter([[g]]))
-    rep = run_sweep(4, checks=("oracle_equiv",))
+    rep = run_sweep(4)
     assert rep.violations == ["n=4 [(0, 1), (0, 2), (1, 2), (2, 3)]: oracle mismatch"]
 
 
 def test_run_sweep_small():
-    rep = run_sweep(5, oracle_samples=0)
+    rep = run_sweep(5)
     assert rep.ok
     assert [r.d for r in rep.rows] == [3, 4]
     assert [r.instances for r in rep.rows] == [6, 21]
@@ -242,7 +254,7 @@ def test_each_row_counts_its_own_violations(monkeypatch):
         return (3 if len(facets) < 40 else belt), dual
 
     monkeypatch.setattr(venkov, "diameters", inflated)
-    rep = run_sweep(5, checks=("belt_bound",), oracle_samples=0)
+    rep = run_sweep(5)
     assert [row.violations for row in rep.rows] == [12, 21]
     for row, line in zip(rep.rows, report_csv(rep).splitlines()[1:]):
         assert line.split(",")[-1] == str(row.violations)
@@ -251,29 +263,32 @@ def test_each_row_counts_its_own_violations(monkeypatch):
 
 def test_belt_size_check_reads_crossings_from_edges(monkeypatch):
     # on the path 0-1-2-3 the core {0},{1},{2,3} has two crossing directions,
-    # so merge bits claiming six members must be reported
+    # so merge bits claiming six members must be reported, by the belt_size
+    # check and by the oracle, whose flats no longer match the cores
     path = ZGraph(4, [(0, 1), (1, 2), (2, 3)])
     true = venkov.diameters(*faces.facets_and_cores(path))   # from the true merges
     lying = (0b0001, 0b0010, 0b1100, True, True, True)
     monkeypatch.setattr(sweep, "connected_levels", lambda lo, hi: iter([[path]]))
     monkeypatch.setattr(venkov, "diameters", lambda facets, cores: true)
     monkeypatch.setattr(faces, "_core_merges", lambda g, conn: iter([lying]))
-    rep = run_sweep(4, checks=("belt_size",))
-    assert rep.violations == ["n=4 [(0, 1), (1, 2), (2, 3)]: size 6 with 2 directions"]
+    rep = run_sweep(4)
+    assert rep.violations == ["n=4 [(0, 1), (1, 2), (2, 3)]: merges 111 with crossings 101",
+                              "n=4 [(0, 1), (1, 2), (2, 3)]: oracle mismatch"]
 
 
 def test_belt_size_check_compares_which_merges_are_set(monkeypatch):
     # on the path 0-1-2-3 the core {0},{1},{2,3} has crossings
     # (pq, pr, qr) = (1, 0, 1): merge bits (0, 1, 1) have the right size
-    # and direction count, but name the wrong pairs
+    # and direction count, but name the wrong pairs; both referees see it
     path = ZGraph(4, [(0, 1), (1, 2), (2, 3)])
     true = venkov.diameters(*faces.facets_and_cores(path))
     lying = (0b0001, 0b0010, 0b1100, 0, 1, 1)
     monkeypatch.setattr(sweep, "connected_levels", lambda lo, hi: iter([[path]]))
     monkeypatch.setattr(venkov, "diameters", lambda facets, cores: true)
     monkeypatch.setattr(faces, "_core_merges", lambda g, conn: iter([lying]))
-    rep = run_sweep(4, checks=("belt_size",))
-    assert rep.violations == ["n=4 [(0, 1), (1, 2), (2, 3)]: merges 011 with crossings 101"]
+    rep = run_sweep(4)
+    assert rep.violations == ["n=4 [(0, 1), (1, 2), (2, 3)]: merges 011 with crossings 101",
+                              "n=4 [(0, 1), (1, 2), (2, 3)]: oracle mismatch"]
 
 
 def test_every_violation_kind_keeps_its_wording(monkeypatch):
@@ -289,7 +304,7 @@ def test_every_violation_kind_keeps_its_wording(monkeypatch):
         if cores is not None:
             monkeypatch.setattr(faces, "_core_merges", lambda g, conn: iter(cores))
         found = []
-        sweep._check_graph(g, sweep.ALL_CHECKS, sweep.SweepRow(d=g.n - 1), found)
+        sweep._check_graph(g, sweep.SweepRow(d=g.n - 1), found)
         monkeypatch.undo()
         return found
 
@@ -306,9 +321,10 @@ def test_every_violation_kind_keeps_its_wording(monkeypatch):
         edges8 + ": dual 6 > belt 4 + 1",
         edges8 + ": dual diameter 6 > 4",
     ]
+    # one text names both bit strings, whatever is wrong with the merges
     assert forced(path4, (2, 3), lying) == [
-        "n=4 [(0, 1), (1, 2), (2, 3)]: size 6 with 2 directions",
-        "n=4 [(0, 1), (1, 2), (2, 3)]: belt size 0/dirs 2",
+        "n=4 [(0, 1), (1, 2), (2, 3)]: merges 111 with crossings 101",
+        "n=4 [(0, 1), (1, 2), (2, 3)]: merges 000 with crossings 101",
         "n=4 [(0, 1), (1, 2), (2, 3)]: merges 011 with crossings 101",
     ]
 
@@ -358,46 +374,15 @@ def test_run_sweep_to_seven_builds_one_table_per_checked_graph(monkeypatch):
 
 
 def test_run_sweep_validates_args():
-    with pytest.raises(ValueError, match="unknown checks"):
-        run_sweep(5, checks=("belt_bound", "nope"))
     with pytest.raises(ValueError, match="max_n >= 4"):
         run_sweep(3)
 
 
-def count_oracle_agrees(monkeypatch) -> list:
-    calls = []
-    real = sweep.oracle_agrees
-
-    def counting(g, *face_pass):
-        calls.append(g)
-        return real(g, *face_pass)
-
-    monkeypatch.setattr(sweep, "oracle_agrees", counting)
-    return calls
-
-
-def test_run_sweep_refuses_a_negative_sample_count(monkeypatch):
-    # a negative count used to skip the n = 7 oracle check silently
-    calls = count_oracle_agrees(monkeypatch)
-    monkeypatch.setattr(sweep, "connected_levels", lambda lo, hi: pytest.fail("graphs grown"))
-    with pytest.raises(ValueError, match="oracle_samples >= 0"):
-        run_sweep(7, oracle_samples=-3)
-    assert calls == []
-
-
-def test_run_sweep_caps_the_sample_count_before_any_check(monkeypatch):
-    calls = count_oracle_agrees(monkeypatch)
-    monkeypatch.setattr(sweep, "connected_levels", lambda lo, hi: pytest.fail("graphs grown"))
-    with pytest.raises(oracle.OracleBudgetError, match="cap %d" % sweep.ORACLE_SAMPLE_CAP):
-        run_sweep(7, oracle_samples=sweep.ORACLE_SAMPLE_CAP + 1)
-    assert calls == []
-
-
 def test_report_json_shape():
-    rep = run_sweep(4, checks=("belt_bound",))
+    rep = run_sweep(4)
     doc = report_json(rep)
     assert doc["max_n"] == 4
-    assert doc["checks"] == ["belt_bound"]
+    assert doc["checks"] == ["belt_bound", "dual_bound", "oracle_equiv", "leaves_iff", "belt_size"]
     assert doc["violations"] == []
     row = doc["rows"][0]
     assert set(row) == {
