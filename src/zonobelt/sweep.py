@@ -12,7 +12,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import faces, oracle, symmetric, venkov
-from .zgraph import ZGraph, dimension, grow_canonical, key_sorted
+from .zgraph import (ZGraph, bits, canonical_forms, canonical_label, dimension, grow_canonical,
+                     key_sorted, relabel)
 
 EXHAUSTIVE_MAX_N = 8
 # connected graphs up to isomorphism on 1..8 vertices: every grown level
@@ -27,50 +28,52 @@ ORACLE_SAMPLES = 200
 def connected_levels(lo: int, hi: int):
     """Yield the connected graphs on n vertices for n = lo..hi, in turn.
 
-    Each level is a list of canonical forms ordered by canonical key.  It is
-    grown once, by one `grow_canonical` step from the level below: every
-    connected graph on n vertices arises from one on n - 1 by attaching a
-    vertex to a nonempty vertex set, because every connected graph has a
-    non-cut vertex.  The step attaches one set per orbit of each parent's
-    automorphism group and keeps each class once, by its canonical
-    deletion.  A level's edge tuples and automorphism generators are kept
-    only while a higher level still needs them; the top level keeps no
-    generators.  A level whose size differs from `CONNECTED_COUNTS` raises
-    RuntimeError.
+    Each level is grown once, by one `grow_canonical` step from the level
+    below: every connected graph on n vertices arises from one on n - 1 by
+    attaching a vertex to a nonempty vertex set, because every connected
+    graph has a non-cut vertex.  The step attaches one set per orbit of
+    each parent's automorphism group and keeps each class once, by its
+    canonical deletion.  A level below hi is a list of canonical forms
+    ordered by canonical key; its edge tuples and automorphism generators
+    are kept only while a higher level still needs them.  Level hi is a
+    stream: one graph at a time, in growth labels, never sorted or held,
+    and labeled only where the growth step needed a label.  A level whose
+    size differs from `CONNECTED_COUNTS` raises RuntimeError: level hi
+    once its stream is used up, or once the caller asks for the next
+    level, which grows whatever the caller left unread.
     """
     if lo < 1:
         raise ValueError("need n >= 1")
     if hi > EXHAUSTIVE_MAX_N:
         raise ValueError("exhaustive sweep needs n <= %d, got %d" % (EXHAUSTIVE_MAX_N, hi))
-    for n in range(1, hi + 1):
-        if n == 1:   # (canonical key, canonical edges, generators)
-            grown = [(0, (), [])]
-        else:
-            grown = grow_canonical([form[1:] for form in level], n - 1, range(1, 1 << (n - 1)))
-        if n == hi:
-            # no level grows from this one: its generators go at once, and
-            # each edge tuple as soon as its graph is built, so the top
-            # level is never held twice (that would raise the sweep's peak RSS)
-            grown = ((key, ZGraph(n, edges)) for key, edges, _ in grown)
-        level = key_sorted(grown)
-        if len(level) != CONNECTED_COUNTS[n - 1]:
-            raise RuntimeError("growth made %d connected graphs on %d vertices, not %d"
-                               % (len(level), n, CONNECTED_COUNTS[n - 1]))
-        if n == hi:
-            graphs = [g for _, g in level]
-            del level   # the caller may let each graph go once it is checked
-            yield graphs
-        elif n >= lo:
+    level = [(0, (), [])]   # (canonical key, canonical edges, generators)
+    grown = [((), None)]
+    for n in range(1, hi):
+        if n >= lo:
             yield [ZGraph(n, form[1]) for form in level]
+        grown = grow_canonical([form[1:] for form in level], n, range(1, 1 << n))
+        if n + 1 < hi:
+            level = key_sorted(canonical_forms(grown, n + 1))
+            _check_count(len(level), n + 1)
+    stream = _stream(grown, hi)
+    yield stream
+    for _ in stream:
+        pass
 
 
-def enumerate_connected_graphs(n: int) -> list[ZGraph]:
-    """Connected graphs on n vertices up to isomorphism, canonical forms.
+def _check_count(count: int, n: int):
+    if count != CONNECTED_COUNTS[n - 1]:
+        raise RuntimeError("growth made %d connected graphs on %d vertices, not %d"
+                           % (count, n, CONNECTED_COUNTS[n - 1]))
 
-    Ordered by canonical key; see `connected_levels`.
-    """
-    graphs, = connected_levels(n, n)
-    return graphs
+
+def _stream(grown, n: int):
+    """The grown graphs on n vertices one at a time, counted at the end."""
+    count = 0
+    for edges, _ in grown:
+        count += 1
+        yield ZGraph(n, edges)
+    _check_count(count, n)
 
 
 def sample_connected_graphs(n: int, count: int, seed: int) -> list[ZGraph]:
@@ -171,7 +174,7 @@ class SweepReport:
     max_n: int
     rows: list
     violations: list
-    oracle_samples: int = ORACLE_SAMPLES
+    oracle_samples: int = 0   # random graphs the oracle checked per sampled level
 
     @property
     def ok(self) -> bool:
@@ -179,16 +182,15 @@ class SweepReport:
 
 
 def _check_graph(g: ZGraph, row: SweepRow, violations: list):
-    """Run the per-graph checks on g; returns its facets and its list of cores."""
+    """Run the per-graph checks on g; returns its facets, its list of cores
+    and its belt and dual diameters."""
     # one core list feeds the diameters and the belt_size check; the pass
     # raises on a disconnected graph, so the dimension is n - 1
     facets, cores = faces.facets_and_cores(g)
     d = g.n - 1
     cores = list(cores)
     belt, dd = venkov.diameters(facets, cores)
-    if belt > row.max_belt_diameter:
-        row.max_belt_diameter = belt
-        row.witness = g.sorted_edges()
+    row.max_belt_diameter = max(row.max_belt_diameter, belt)
     found = []
     if belt > d - 1:
         found.append("belt diameter %d > d-1" % belt)
@@ -218,7 +220,36 @@ def _check_graph(g: ZGraph, row: SweepRow, violations: list):
     if found:
         label = "n=%d %r" % (g.n, g.sorted_edges())
         violations += ["%s: %s" % (label, v) for v in found]
-    return facets, cores
+    return facets, cores, belt, dd
+
+
+def _edges(adj) -> list:
+    """The sorted edges of the graph whose neighbour masks are adj."""
+    return [(i, j) for i, a in enumerate(adj) for j in bits(a >> i + 1 << i + 1)]
+
+
+def _canonical(adj) -> tuple:
+    """(canonical key, canonical edges) of the graph whose neighbour masks are adj."""
+    edges = _edges(adj)
+    key, perm, _ = canonical_label(len(adj), (edges,))
+    return key, list(relabel(edges, perm))
+
+
+def _independence(adj, m: int) -> int:
+    """The size of a largest independent set inside the vertex set m."""
+    if not m:
+        return 0
+    low = m & -m
+    rest = m ^ low
+    near = adj[low.bit_length() - 1]
+    taken = 1 + _independence(adj, rest & ~near)
+    return max(taken, _independence(adj, rest)) if near & rest else taken
+
+
+def _degree_profile(adj) -> tuple:
+    """Each vertex's sorted neighbour degrees, sorted: an isomorphism invariant."""
+    deg = [a.bit_count() for a in adj]
+    return tuple(sorted(tuple(sorted(deg[u] for u in bits(a))) for a in adj))
 
 
 def run_sweep(max_n: int, seed: int = 20260815) -> SweepReport:
@@ -227,6 +258,17 @@ def run_sweep(max_n: int, seed: int = 20260815) -> SweepReport:
     The oracle checks every graph up to n = 6 and ORACLE_SAMPLES random
     graphs, seeded from seed, at n = 7 and 8; the leaf criterion runs on the
     conjugate classes up to n = 7.
+
+    Level max_n streams in growth labels (`connected_levels`), and a graph
+    of it is labeled only when one of three things needs its key:
+    - the witness, the least key of largest belt diameter.  A least key
+      opens with a largest independent set, so only the graphs that also
+      have the largest independence number are labeled;
+    - a violation, whose lines name canonical edges in key order, from a
+      check of the graph in canonical labels;
+    - the duplicate-class check.  Graphs with equal facet and core counts,
+      diameters and degree profiles are labeled, and equal keys raise
+      RuntimeError.
     """
     if max_n < 4:
         raise ValueError("need max_n >= 4 (dimension at least 3)")
@@ -238,22 +280,56 @@ def run_sweep(max_n: int, seed: int = 20260815) -> SweepReport:
         before = len(violations)
         row = SweepRow(d=n - 1)
         graphs = next(levels)
-        # up to n = 6 the oracle checks every graph, from the face pass its
-        # checks ran; above, it checks samples, so each graph and its memos go
-        mismatched = []
+        listed = isinstance(graphs, list)
+
+        def canonical(i, adj):
+            # in a list, a graph's place is its key and its edges are canonical
+            return (i, _edges(adj)) if listed else _canonical(adj)
+
+        best, tied = (0, 0), []   # largest (belt diameter, independence number)
+        buckets = {}   # graphs by a hash of their invariants
+        flagged = []
         for i, g in enumerate(graphs):
             row.instances += 1
-            face_pass = _check_graph(g, row, violations)
-            if n <= 6 and not oracle_agrees(g, *face_pass):
-                mismatched.append(g)
-            if n > 6:
-                graphs[i] = None
+            found = []
+            facets, cores, belt, dual = _check_graph(g, row, found)
+            # up to n = 6 the oracle checks every graph, from the face pass its
+            # checks ran; above, it checks samples
+            agrees = n > 6 or oracle_agrees(g, facets, cores)
+            if found or not agrees:
+                key, edges = canonical(i, g.adj)
+                if found and edges != g.sorted_edges():
+                    found = []
+                    _check_graph(ZGraph(n, edges), SweepRow(d=n - 1), found)
+                flagged.append((key, edges, found, agrees))
+            if belt >= best[0]:
+                rank = (belt, _independence(g.adj, g.full_mask))
+                if rank > best:
+                    best, tied = rank, []
+                if rank == best:
+                    tied.append((i, g.adj))
+            bucket = buckets.setdefault(
+                hash((len(facets), len(cores), belt, dual, _degree_profile(g.adj))), [])
+            bucket.append((i, g.adj))
+            if len(bucket) > 1:
+                keys = [canonical(*member)[0] for member in bucket]
+                if keys[-1] in keys[:-1]:
+                    raise RuntimeError("growth reached the class of key %d twice" % keys[-1])
+            if listed:
+                graphs[i] = None   # each graph and its memos go once checked
+        del graphs, buckets   # before the leaves pass and the next level's growth
+        row.witness = min((canonical(i, adj) for i, adj in tied), default=(0, []))[1]
+        flagged.sort(key=lambda f: f[0])
+        for _, _, found, _ in flagged:
+            violations += found
         if n > 6:
-            mismatched = [g for g in sample_connected_graphs(n, ORACLE_SAMPLES, seed + n)
+            mismatched = [g.sorted_edges()
+                          for g in sample_connected_graphs(n, ORACLE_SAMPLES, seed + n)
                           if not oracle_agrees(g)]
-        for g in mismatched:
-            violations.append("n=%d %r: oracle mismatch" % (n, g.sorted_edges()))
-        del graphs  # before the leaves pass and the next level's growth
+        else:
+            mismatched = [edges for _, edges, _, agrees in flagged if not agrees]
+        for edges in mismatched:
+            violations.append("n=%d %r: oracle mismatch" % (n, edges))
         if n <= 7:
             for cg in symmetric.enumerate_conjugate_classes(n):
                 has_leaf = symmetric.find_common_leaf(cg) is not None
@@ -266,7 +342,8 @@ def run_sweep(max_n: int, seed: int = 20260815) -> SweepReport:
         row.violations = len(violations) - before
         row.runtime = time.monotonic() - start
         rows.append(row)
-    return SweepReport(max_n=max_n, rows=rows, violations=violations)
+    return SweepReport(max_n=max_n, rows=rows, violations=violations,
+                       oracle_samples=ORACLE_SAMPLES if max_n > 6 else 0)
 
 
 CSV_HEADER = "d,instances,max_belt_diameter,max_dual_diameter,violations"

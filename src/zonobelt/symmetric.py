@@ -27,6 +27,7 @@ from .zgraph import (
     PAIR,
     ZGraph,
     bits,
+    canonical_forms,
     canonical_label,
     components,
     contract_map,
@@ -397,7 +398,7 @@ def _tree_forms(k: int) -> tuple:
     if k == 1:
         return ((),), ([],)
     grown = grow_canonical(zip(*_tree_forms(k - 1)), k - 1, [1 << v for v in range(k - 1)])
-    return tuple(zip(*sorted(form[1:] for form in key_sorted(grown))))
+    return tuple(zip(*sorted(form[1:] for form in key_sorted(canonical_forms(grown, k)))))
 
 
 def colored_key(cg: ColoredZGraph):

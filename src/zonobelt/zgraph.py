@@ -10,7 +10,9 @@ graph's canonical key and placement, and generators of its automorphism
 group from the same search.  `grow_canonical` grows the classes one vertex
 at a time by McKay's canonical augmentation: one attachment per orbit of
 the parent's group, and each class kept once, from the parent its
-canonical deletion leaves.
+canonical deletion leaves.  It labels a candidate only when that test
+needs the label; `canonical_forms` labels the rest for the callers that
+need canonical forms, so each class is labeled once either way.
 """
 
 from __future__ import annotations
@@ -372,18 +374,22 @@ def _orbit_reps(gens, masks):
 
 
 def grow_canonical(forms, k: int, masks):
-    """One isomorph-free growth step: canonical forms on k + 1 vertices.
+    """One isomorph-free growth step: the classes on k + 1 vertices.
 
     forms holds (edges, generators) pairs: the canonical edges of a
     connected graph on k vertices, one per class, and generators of its
     automorphism group as `min_label_perm` returns them, in canonical
     labels.  Each form gains vertex k joined to one mask of each orbit of
-    its group on masks (`_orbit_reps`).  A candidate is labeled only when
-    vertex k passes `_least_noncut`, and kept only when k lies in the orbit
-    of the canonical deletion vertex: the first vertex of the canonical
-    placement among the least non-cut vertices.  Yields (key, edges,
-    generators) once per class of grown graph, in no set order; the
-    generators are in the canonical labels of edges.
+    its group on masks (`_orbit_reps`).  A candidate is kept when vertex k
+    passes `_least_noncut` and lies in the orbit of the canonical deletion
+    vertex: the first vertex of the canonical placement among the least
+    non-cut vertices.  When vertex k is the only least non-cut vertex, it
+    is the canonical deletion vertex, and the candidate is kept without a
+    label.  Yields (edges, label) once per class of grown graph, in no set
+    order: edges in growth labels (the form's, then vertex k's), and the
+    `canonical_label` triple when the test needed it, else None.
+    `canonical_forms` labels the rest, so a caller that needs canonical
+    forms labels each class once.
 
     This is McKay's canonical augmentation.  It reaches every class when
     the forms hold every connected class on k vertices and the masks hold
@@ -417,20 +423,30 @@ def grow_canonical(forms, k: int, masks):
             if not least:
                 continue
             new = base + attachments[m]
-            key, perm, autos = canonical_label(k + 1, (new,))
-            if least != 1 << k:
-                first = next(v for v in perm if least >> v & 1)
-                orbit = [first]
-                for v in orbit:
-                    for a in autos:
-                        if a[v] not in orbit:
-                            orbit.append(a[v])
-                if k not in orbit:
-                    continue
-            slot = [0] * (k + 1)
-            for s, v in enumerate(perm):
-                slot[v] = s
-            yield key, relabel(new, perm), [[slot[a[v]] for v in perm] for a in autos]
+            if least == 1 << k:
+                yield new, None
+                continue
+            label = canonical_label(k + 1, (new,))
+            _, perm, autos = label
+            orbit = [next(v for v in perm if least >> v & 1)]
+            for v in orbit:
+                for a in autos:
+                    if a[v] not in orbit:
+                        orbit.append(a[v])
+            if k in orbit:
+                yield new, label
+
+
+def canonical_forms(grown, n: int):
+    """(key, canonical edges, generators) of each graph on n vertices that
+    `grow_canonical` yields, labeling those it left unlabeled; the
+    generators are in the canonical labels of the edges."""
+    for edges, label in grown:
+        key, perm, autos = label or canonical_label(n, (edges,))
+        slot = [0] * n
+        for s, v in enumerate(perm):
+            slot[v] = s
+        yield key, relabel(edges, perm), [[slot[a[v]] for v in perm] for a in autos]
 
 
 def key_sorted(grown) -> list:

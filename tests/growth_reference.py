@@ -15,9 +15,32 @@ changes no canonical form:
 `min_label_perm` is the labeling that rebuilds every unplaced vertex's
 column from the placed vertices at each node; the library's carries the
 columns down the recursion and must return the same (key, placement).
+
+`enumerate_connected_graphs` is the canonical top level the tests read:
+`sweep.connected_levels` streams its top level in growth labels, and
+`canonical_level` labels every streamed graph, asserts that the keys are
+distinct and sorts the canonical forms by key.
 """
 
-from zonobelt.zgraph import _least_noncut, bits, canonical_label, relabel
+from zonobelt import sweep
+from zonobelt.zgraph import ZGraph, _least_noncut, bits, canonical_label, relabel
+
+
+def canonical_level(graphs) -> list:
+    """The graphs of one level as canonical forms ordered by key; each
+    graph is labeled, and two of one class fail an assertion."""
+    forms = {}
+    for g in graphs:
+        key, perm, _ = canonical_label(g.n, (g.edges,))
+        assert key not in forms, "class of key %d streamed twice" % key
+        forms[key] = ZGraph(g.n, relabel(g.edges, perm))
+    return [forms[key] for key in sorted(forms)]
+
+
+def enumerate_connected_graphs(n: int) -> list:
+    """Connected graphs on n vertices up to isomorphism, as canonical forms
+    ordered by key: the streamed top level of `sweep.connected_levels(n, n)`."""
+    return canonical_level(next(sweep.connected_levels(n, n)))
 
 
 def min_label_perm(n: int, code) -> tuple[int, tuple[int, ...]]:

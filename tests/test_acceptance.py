@@ -87,6 +87,9 @@ def test_criterion_06_belt_diameter_table(full_sweep):
     for d in (3, 4, 5, 6):
         assert row(full_sweep, d).max_belt_diameter == 2, d
     assert row(full_sweep, 7).max_belt_diameter <= 3
+    # the first graph in key order of belt diameter 3 on 8 vertices: the 3-cube
+    assert row(full_sweep, 7).witness == [(0, 5), (0, 6), (0, 7), (1, 4), (1, 6), (1, 7), (2, 4),
+                                          (2, 5), (2, 7), (3, 4), (3, 5), (3, 6)]
     print("ACCEPTANCE 6: PASS - sweep n <= 8: max belt diameter 2 for d = 3..6, %d for d = 7, zero violations"
           % row(full_sweep, 7).max_belt_diameter)
 

@@ -25,8 +25,8 @@ import random
 import pytest
 
 import adjacency_reference as ref
+from growth_reference import enumerate_connected_graphs
 from zonobelt import dual, faces, symmetric, venkov
-from zonobelt.sweep import enumerate_connected_graphs
 from zonobelt.zgraph import ZGraph, dimension
 
 

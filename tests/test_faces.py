@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from adjacency_reference import core_merges_scan, enumerate_facets_scan, has_cross, in_same_belt
+from growth_reference import enumerate_connected_graphs
 from zonobelt import faces
 from zonobelt.faces import (
     connected_sets,
@@ -16,7 +17,6 @@ from zonobelt.faces import (
     unordered_pair,
     validate_partition,
 )
-from zonobelt.sweep import enumerate_connected_graphs
 from zonobelt.symmetric import gen_even_extremal, gen_odd_extremal
 from zonobelt.zgraph import ZGraph, bits, dimension, mask_of, reach
 

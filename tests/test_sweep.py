@@ -8,10 +8,10 @@ import pytest
 import growth_reference
 import oracle_reference
 from zonobelt import faces, oracle, sweep, venkov, zgraph
+from growth_reference import enumerate_connected_graphs
 from zonobelt.sweep import (
     CONNECTED_COUNTS,
     CSV_HEADER,
-    enumerate_connected_graphs,
     oracle_agrees,
     report_csv,
     report_json,
@@ -81,38 +81,76 @@ def counting_labelings(monkeypatch) -> list:
     return calls
 
 
+def consume(levels) -> list:
+    """Each level of a `connected_levels` run: the lists as they come, and
+    the streamed top level read through once, graph by graph."""
+    return [graphs if isinstance(graphs, list) else list(graphs) for graphs in levels]
+
+
 def test_enumeration_stays_within_labeling_budget(monkeypatch):
     # only candidates whose new vertex is a least non-cut vertex, one per
-    # orbit of the parent's automorphism group, are labeled: 1,028
-    # labelings up to n = 7, against 1,305 with twin swaps only and 7,815
-    # with every candidate labeled
+    # orbit of the parent's automorphism group, are labeled, and at the
+    # streamed top level only those whose least non-cut vertex is not
+    # unique: 463 labelings up to n = 7, against 1,028 with the top level
+    # labeled and sorted, 1,305 with twin swaps only and 7,815 with every
+    # candidate labeled
     calls = counting_labelings(monkeypatch)
-    assert len(enumerate_connected_graphs(7)) == CONNECTED_COUNTS[6]
-    assert 0 < len(calls) <= 1050
+    levels = consume(sweep.connected_levels(1, 7))
+    assert [len(graphs) for graphs in levels] == CONNECTED_COUNTS[:7]
+    assert 0 < len(calls) <= 480
 
 
 def test_levels_to_eight_match_twin_rule_growth(monkeypatch):
     # canonical augmentation keeps exactly the classes, canonical forms and
     # order of the twin rule with one dictionary per level, up to n = 8, in
-    # 12,858 labelings against the twin rule's 15,687 (116,146 with every
-    # candidate labeled)
+    # 4,414 labelings against 12,858 with the top level labeled and sorted
+    # and the twin rule's 15,687 (116,146 with every candidate labeled);
+    # the streamed top level, labeled here, gives the same forms
     calls = counting_labelings(monkeypatch)
-    levels = list(sweep.connected_levels(1, 8))
-    assert 0 < len(calls) <= 13000
+    levels = consume(sweep.connected_levels(1, 8))
+    assert 0 < len(calls) <= 4450
     monkeypatch.undo()
     assert [len(graphs) for graphs in levels] == CONNECTED_COUNTS
+    levels[-1] = growth_reference.canonical_level(levels[-1])
     for n, graphs in enumerate(levels, 1):
         got = [tuple(g.sorted_edges()) for g in graphs]
         assert got == growth_reference.connected_graphs_by_twins(n), n
 
 
 def test_levels_match_unfiltered_growth():
-    # one generator grows every level once, from the level below
-    levels = list(sweep.connected_levels(1, 7))
+    # one generator grows every level once, from the level below; the
+    # streamed n = 7 level, labeled here, holds the same forms
+    levels = consume(sweep.connected_levels(1, 7))
     assert [len(graphs) for graphs in levels] == CONNECTED_COUNTS[:7]
+    levels[-1] = growth_reference.canonical_level(levels[-1])
     for n, graphs in enumerate(levels, 1):
         assert [tuple(g.sorted_edges()) for g in graphs] == growth_reference.connected_graphs(n)
     assert [g.n for g in next(sweep.connected_levels(3, 5))] == [3, 3]
+
+
+def test_the_top_level_streams_in_growth_labels():
+    # below the top a level is a list of canonical forms in key order; the
+    # top level is an iterator, and some of its graphs are not canonical
+    levels = sweep.connected_levels(6, 7)
+    lower, top = next(levels), next(levels)
+    assert isinstance(lower, list) and not isinstance(top, list)
+    assert [g.sorted_edges() for g in lower] == [
+        g.sorted_edges() for g in enumerate_connected_graphs(6)]
+    streamed = list(top)
+    assert len(streamed) == CONNECTED_COUNTS[6]
+    forms = {tuple(g.sorted_edges()) for g in growth_reference.canonical_level(streamed)}
+    assert any(tuple(g.sorted_edges()) not in forms for g in streamed)
+
+
+def test_independence_number_never_rises_in_key_order():
+    # with one edge class a least key opens with a largest independent
+    # set, so a graph with a larger independence number has a smaller key:
+    # the rule the sweep's witness rests on
+    for n in range(2, 8):
+        graphs = enumerate_connected_graphs(n)
+        alphas = [sweep._independence(g.adj, g.full_mask) for g in graphs]
+        assert alphas == sorted(alphas, reverse=True), n
+        assert alphas[0] == n - 1 and alphas[-1] == 1
 
 
 def test_enumeration_is_canonical_and_sorted():
@@ -261,6 +299,56 @@ def test_each_row_counts_its_own_violations(monkeypatch):
         assert row.violations == sum(v.startswith("n=%d " % (row.d + 1)) for v in rep.violations)
 
 
+def test_streamed_violations_name_canonical_edges_in_key_order(monkeypatch):
+    # the n = 5 level streams in growth labels; its violating graphs are
+    # labeled, and their lines name canonical edges in key order, as the
+    # lines of a level checked in key order did
+    real = venkov.diameters
+    monkeypatch.setattr(venkov, "diameters", lambda facets, cores: (3, real(facets, cores)[1]))
+    rep = run_sweep(5)
+    assert rep.violations[12:] == ["n=5 %r: belt diameter 3 > 2" % g.sorted_edges()
+                                   for g in enumerate_connected_graphs(5)]
+
+
+def test_each_witness_is_the_first_graph_of_largest_belt_diameter():
+    # the witness rule of a level in key order, with the top level streamed
+    rep = run_sweep(6)
+    for row in rep.rows:
+        graphs = enumerate_connected_graphs(row.d + 1)
+        belts = [venkov.diameters(*faces.facets_and_cores(g))[0] for g in graphs]
+        assert row.witness == graphs[belts.index(max(belts))].sorted_edges(), row.d
+
+
+def test_run_sweep_to_seven_stays_within_labeling_budget(monkeypatch):
+    # 463 labelings grow the levels, the witnesses take a few more and the
+    # leaves check 101; 1,129 with the top level labeled and sorted
+    calls = counting_labelings(monkeypatch)
+    rep = run_sweep(7)
+    assert rep.ok and 0 < len(calls) <= 600
+    assert rep.oracle_samples == 200
+
+
+def test_a_class_streamed_twice_raises(monkeypatch):
+    # one grown graph comes again in reversed labels, inside the streamed
+    # top level: its invariants meet the first copy's, both are labeled, and
+    # the equal keys raise before the level's count is checked
+    real = sweep.grow_canonical
+    dup = []
+
+    def twice(forms, k, masks):
+        grown = list(real(forms, k, masks))
+        if k == 4:
+            edges = grown[3][0]
+            dup.append(canonical_label(5, (edges,))[0])
+            grown.insert(10, ([(4 - i, 4 - j) for i, j in edges], None))
+        return iter(grown)
+
+    monkeypatch.setattr(sweep, "grow_canonical", twice)
+    with pytest.raises(RuntimeError) as err:
+        run_sweep(5)
+    assert str(err.value) == "growth reached the class of key %d twice" % dup[0]
+
+
 def test_belt_size_check_reads_crossings_from_edges(monkeypatch):
     # on the path 0-1-2-3 the core {0},{1},{2,3} has two crossing directions,
     # so merge bits claiming six members must be reported, by the belt_size
@@ -380,6 +468,8 @@ def test_run_sweep_validates_args():
 
 def test_report_json_shape():
     rep = run_sweep(4)
+    # up to n = 6 the oracle checks every graph and draws no sample
+    assert rep.oracle_samples == 0
     doc = report_json(rep)
     assert doc["max_n"] == 4
     assert doc["checks"] == ["belt_bound", "dual_bound", "oracle_equiv", "leaves_iff", "belt_size"]

@@ -7,6 +7,7 @@ from itertools import combinations, islice
 import pytest
 
 import growth_reference
+from growth_reference import enumerate_connected_graphs
 from adjacency_reference import in_same_belt
 import conjugate_reference
 from conjugate_reference import (
@@ -45,7 +46,6 @@ from zonobelt.symmetric import (
     search_d8_nonsymmetric,
     search_extremal,
 )
-from zonobelt.sweep import enumerate_connected_graphs
 from zonobelt.venkov import belt_distance
 from zonobelt.zgraph import ZGraph, bits, dimension, mask_of
 from zonobelt.zgraph import reach as zgraph_reach

@@ -22,8 +22,8 @@ import adjacency_reference as ref
 from adjacency_reference import eccentricity, farthest, in_same_belt
 from zonobelt import faces, venkov
 from zonobelt.faces import enumerate_facets, unordered_pair
-from zonobelt.sweep import enumerate_connected_graphs
 from conjugate_reference import color_facets
+from growth_reference import enumerate_connected_graphs
 from zonobelt.symmetric import gen_even_extremal, gen_odd_extremal
 from zonobelt.venkov import (
     belt_diameter,
