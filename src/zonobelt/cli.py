@@ -320,20 +320,17 @@ def cmd_search(args):
             raise FileFormatError("search extremal needs --d")
         res = symmetric.search_extremal(args.d, budget_seconds=args.budget,
                                         max_nodes=args.max_nodes)
-        print("status: %s" % res.status)
-        print("nodes: %d" % res.nodes)
-        print("elapsed: %.1fs" % res.elapsed)
-        if res.status == "found":
-            cg = res.witness
-            print("distance: %d" % res.distance)
-            print(json.dumps(emit_graph_file(cg)))
-        return EXIT_OK if res.status in ("found", "none") else EXIT_INCONCLUSIVE
-    # what == "d8"
-    res = symmetric.search_d8_nonsymmetric(budget_seconds=args.budget,
-                                           max_nodes=args.max_nodes, seed=args.seed)
+    else:   # what == "d8"
+        res = symmetric.search_d8_nonsymmetric(budget_seconds=args.budget,
+                                               max_nodes=args.max_nodes, seed=args.seed)
     print("status: %s" % res.status)
     print("nodes: %d" % res.nodes)
     print("elapsed: %.1fs" % res.elapsed)
+    if args.what == "extremal":
+        if res.status == "found":
+            print("distance: %d" % res.distance)
+            print(json.dumps(emit_graph_file(res.witness)))
+        return EXIT_OK if res.status in ("found", "none") else EXIT_INCONCLUSIVE
     if res.status in ("found", "violation"):
         g, f1, f2 = res.witness
         print("distance: %d" % res.distance)
@@ -462,7 +459,7 @@ def cli_dispatch(argv) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except (FileFormatError, ValueError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

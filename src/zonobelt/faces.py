@@ -9,8 +9,11 @@ Both are read off one table of the connected vertex sets of a graph
 (`connected_table`): a facet is a part a holding vertex 0 with a and V∖a
 connected, and the core pass (`_core_merges`) reads every connectivity
 answer from the same table, so `facets_and_cores` builds it once for
-both.  Every belt query passes one guard, `_belt_faces`: at least 3
-vertices, then `facets_and_cores`, which refuses a disconnected graph.
+both.  Every belt query applies one rule: at least 3 vertices, then a
+connected graph.  `_belt_faces` checks the size and then calls
+`facets_and_cores`, which refuses a disconnected graph;
+`venkov.belt_distance`, which builds no connectivity table, checks both
+in the same order, with the same messages.
 `connected_splits` lists the splits of one side into two connected
 parts, for the belt neighbours of one facet pair, with no connectivity
 test per part.  Both read their sets off one walk, `connected_sets`,

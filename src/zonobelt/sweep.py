@@ -26,21 +26,22 @@ ORACLE_SAMPLES = 200
 
 
 def connected_levels(lo: int, hi: int):
-    """Yield the connected graphs on n vertices for n = lo..hi, in turn.
+    """Yield the connected graphs on n vertices for n = lo..hi, in turn,
+    each level an iterator of ZGraphs.
 
     Each level is grown once, by one `grow_canonical` step from the level
     below: every connected graph on n vertices arises from one on n - 1 by
     attaching a vertex to a nonempty vertex set, because every connected
     graph has a non-cut vertex.  The step attaches one set per orbit of
     each parent's automorphism group and keeps each class once, by its
-    canonical deletion.  A level below hi is a list of canonical forms
-    ordered by canonical key; its edge tuples and automorphism generators
-    are kept only while a higher level still needs them.  Level hi is a
-    stream: one graph at a time, in growth labels, never sorted or held,
-    and labeled only where the growth step needed a label.  A level whose
-    size differs from `CONNECTED_COUNTS` raises RuntimeError: level hi
-    once its stream is used up, or once the caller asks for the next
-    level, which grows whatever the caller left unread.
+    canonical deletion.  A level below hi is built from its canonical
+    forms in key order; their edge tuples and automorphism generators are
+    kept only while a higher level still needs them.  Level hi comes in
+    growth labels, never sorted or held, and labeled only where the growth
+    step needed a label.  A level whose size differs from
+    `CONNECTED_COUNTS` raises RuntimeError: level hi once its iterator is
+    used up, or once the caller asks for the next level, which grows
+    whatever the caller left unread.
     """
     if lo < 1:
         raise ValueError("need n >= 1")
@@ -50,7 +51,7 @@ def connected_levels(lo: int, hi: int):
     grown = [((), None)]
     for n in range(1, hi):
         if n >= lo:
-            yield [ZGraph(n, form[1]) for form in level]
+            yield (ZGraph(n, form[1]) for form in level)
         grown = grow_canonical([form[1:] for form in level], n, range(1, 1 << n))
         if n + 1 < hi:
             level = key_sorted(canonical_forms(grown, n + 1))
@@ -181,16 +182,15 @@ class SweepReport:
         return not self.violations
 
 
-def _check_graph(g: ZGraph, row: SweepRow, violations: list):
-    """Run the per-graph checks on g; returns its facets, its list of cores
-    and its belt and dual diameters."""
+def _check_graph(g: ZGraph):
+    """Run the per-graph checks on g; returns its facets, its list of cores,
+    its belt and dual diameters and the violation lines, which name g's edges."""
     # one core list feeds the diameters and the belt_size check; the pass
     # raises on a disconnected graph, so the dimension is n - 1
     facets, cores = faces.facets_and_cores(g)
     d = g.n - 1
     cores = list(cores)
     belt, dd = venkov.diameters(facets, cores)
-    row.max_belt_diameter = max(row.max_belt_diameter, belt)
     found = []
     if belt > d - 1:
         found.append("belt diameter %d > d-1" % belt)
@@ -198,7 +198,6 @@ def _check_graph(g: ZGraph, row: SweepRow, violations: list):
         found.append("belt diameter %d > 2" % belt)
     if d >= 7 and belt > 3:
         found.append("belt diameter %d > 3" % belt)
-    row.max_dual_diameter = max(row.max_dual_diameter, dd)
     if dd > belt + 1:
         found.append("dual %d > belt %d + 1" % (dd, belt))
     if d <= 6 and dd > 3:
@@ -217,20 +216,13 @@ def _check_graph(g: ZGraph, row: SweepRow, violations: list):
     for p, q, r, pq, pr, qr in off:
         found.append("merges %d%d%d with crossings %d%d%d"
                      % (pq, pr, qr, near[p] & q > 0, near[p] & r > 0, near[q] & r > 0))
-    if found:
-        label = "n=%d %r" % (g.n, g.sorted_edges())
-        violations += ["%s: %s" % (label, v) for v in found]
-    return facets, cores, belt, dd
-
-
-def _edges(adj) -> list:
-    """The sorted edges of the graph whose neighbour masks are adj."""
-    return [(i, j) for i, a in enumerate(adj) for j in bits(a >> i + 1 << i + 1)]
+    label = "n=%d %r: " % (g.n, g.sorted_edges()) if found else ""
+    return facets, cores, belt, dd, [label + v for v in found]
 
 
 def _canonical(adj) -> tuple:
     """(canonical key, canonical edges) of the graph whose neighbour masks are adj."""
-    edges = _edges(adj)
+    edges = [(i, j) for i, a in enumerate(adj) for j in bits(a >> i + 1 << i + 1)]
     key, perm, _ = canonical_label(len(adj), (edges,))
     return key, list(relabel(edges, perm))
 
@@ -259,8 +251,9 @@ def run_sweep(max_n: int, seed: int = 20260815) -> SweepReport:
     graphs, seeded from seed, at n = 7 and 8; the leaf criterion runs on the
     conjugate classes up to n = 7.
 
-    Level max_n streams in growth labels (`connected_levels`), and a graph
-    of it is labeled only when one of three things needs its key:
+    Every level is read alike, whatever its labels and order (the top
+    level of `connected_levels` comes in growth labels), and a graph is
+    labeled only when one of three things needs its key:
     - the witness, the least key of largest belt diameter.  A least key
       opens with a largest independent set, so only the graphs that also
       have the largest independence number are labeled;
@@ -279,46 +272,37 @@ def run_sweep(max_n: int, seed: int = 20260815) -> SweepReport:
         start = time.monotonic()
         before = len(violations)
         row = SweepRow(d=n - 1)
-        graphs = next(levels)
-        listed = isinstance(graphs, list)
-
-        def canonical(i, adj):
-            # in a list, a graph's place is its key and its edges are canonical
-            return (i, _edges(adj)) if listed else _canonical(adj)
-
         best, tied = (0, 0), []   # largest (belt diameter, independence number)
         buckets = {}   # graphs by a hash of their invariants
         flagged = []
-        for i, g in enumerate(graphs):
+        for g in next(levels):
             row.instances += 1
-            found = []
-            facets, cores, belt, dual = _check_graph(g, row, found)
+            facets, cores, belt, dual, found = _check_graph(g)
+            row.max_belt_diameter = max(row.max_belt_diameter, belt)
+            row.max_dual_diameter = max(row.max_dual_diameter, dual)
             # up to n = 6 the oracle checks every graph, from the face pass its
             # checks ran; above, it checks samples
             agrees = n > 6 or oracle_agrees(g, facets, cores)
             if found or not agrees:
-                key, edges = canonical(i, g.adj)
+                key, edges = _canonical(g.adj)
                 if found and edges != g.sorted_edges():
-                    found = []
-                    _check_graph(ZGraph(n, edges), SweepRow(d=n - 1), found)
+                    found = _check_graph(ZGraph(n, edges))[4]
                 flagged.append((key, edges, found, agrees))
             if belt >= best[0]:
                 rank = (belt, _independence(g.adj, g.full_mask))
                 if rank > best:
                     best, tied = rank, []
                 if rank == best:
-                    tied.append((i, g.adj))
+                    tied.append(g.adj)
             bucket = buckets.setdefault(
                 hash((len(facets), len(cores), belt, dual, _degree_profile(g.adj))), [])
-            bucket.append((i, g.adj))
+            bucket.append(g.adj)
             if len(bucket) > 1:
-                keys = [canonical(*member)[0] for member in bucket]
+                keys = [_canonical(adj)[0] for adj in bucket]
                 if keys[-1] in keys[:-1]:
                     raise RuntimeError("growth reached the class of key %d twice" % keys[-1])
-            if listed:
-                graphs[i] = None   # each graph and its memos go once checked
-        del graphs, buckets   # before the leaves pass and the next level's growth
-        row.witness = min((canonical(i, adj) for i, adj in tied), default=(0, []))[1]
+        del buckets   # before the leaves pass and the next level's growth
+        row.witness = min(map(_canonical, tied), default=(0, []))[1]
         flagged.sort(key=lambda f: f[0])
         for _, _, found, _ in flagged:
             violations += found

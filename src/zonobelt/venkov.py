@@ -203,12 +203,13 @@ def belt_distance(g: ZGraph, f1: FacetId, f2: FacetId):
     Farther pairs run the BFS, which generates neighbours instead of
     scanning every facet and stops at the first node it finds next to the
     goal, so the last level is never expanded.  Nodes are expanded in
-    discovery order over sorted neighbour lists.
+    discovery order over sorted neighbour lists.  The graph must have at
+    least 3 vertices and be connected, as for every belt query.
     """
+    if g.n < 3:
+        raise ValueError("need at least 3 vertices")
     if not g.connected_in(g.full_mask):
         raise ValueError("graph must be connected")
-    if g.n < 2:
-        raise ValueError("need at least 2 vertices")
     start, goal = _pair_key(g, f1), _pair_key(g, f2)
     src, dst = start[0], goal[0]
     if src == dst:

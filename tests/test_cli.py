@@ -162,6 +162,18 @@ def test_belt_distance_rejects_non_facet(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_belt_distance_refuses_one_edge_as_every_belt_query_does(capsys):
+    # the d = 1 graph has facets, but no belt: the size rule comes before
+    # connectivity, as in faces._belt_faces
+    data = Path(__file__).parent / "data"
+    for name, message in (("edge2", "need at least 3 vertices"),
+                          ("disconnected4", "graph must be connected")):
+        code = main(["belt-distance", str(data / ("%s.json" % name)),
+                     "--from", "1|2", "--to", "2|1"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
 def test_facets_output(tmp_path, capsys):
     f = write_graph(tmp_path, "p.json", PATH4)
     assert main(["facets", f]) == EXIT_OK

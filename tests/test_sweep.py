@@ -82,9 +82,8 @@ def counting_labelings(monkeypatch) -> list:
 
 
 def consume(levels) -> list:
-    """Each level of a `connected_levels` run: the lists as they come, and
-    the streamed top level read through once, graph by graph."""
-    return [graphs if isinstance(graphs, list) else list(graphs) for graphs in levels]
+    """Each level of a `connected_levels` run, read through once, as a list."""
+    return [list(graphs) for graphs in levels]
 
 
 def test_enumeration_stays_within_labeling_budget(monkeypatch):
@@ -129,11 +128,11 @@ def test_levels_match_unfiltered_growth():
 
 
 def test_the_top_level_streams_in_growth_labels():
-    # below the top a level is a list of canonical forms in key order; the
-    # top level is an iterator, and some of its graphs are not canonical
+    # every level is an iterator; below the top it gives canonical forms in
+    # key order, and some graphs of the top level are not canonical
     levels = sweep.connected_levels(6, 7)
     lower, top = next(levels), next(levels)
-    assert isinstance(lower, list) and not isinstance(top, list)
+    assert not isinstance(lower, list) and not isinstance(top, list)
     assert [g.sorted_edges() for g in lower] == [
         g.sorted_edges() for g in enumerate_connected_graphs(6)]
     streamed = list(top)
@@ -251,8 +250,9 @@ def test_oracle_agrees_catches_a_lying_oracle(monkeypatch):
 
 def test_sweep_reports_a_dropped_core(monkeypatch):
     # a core pass that loses one core, while belt_adjacency keeps answering
-    # from every core: only the check of the flats against the cores can tell
-    g = ZGraph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    # from every core: only the check of the flats against the cores can
+    # tell; the graph is a canonical form, as the sweep's levels give
+    g = ZGraph(4, [(0, 3), (1, 2), (1, 3), (2, 3)])
     assert oracle_agrees(g)
     facets, cores = faces.facets_and_cores(g)
     cores = list(cores)
@@ -265,7 +265,7 @@ def test_sweep_reports_a_dropped_core(monkeypatch):
     assert not oracle_agrees(g)
     monkeypatch.setattr(sweep, "connected_levels", lambda lo, hi: iter([[g]]))
     rep = run_sweep(4)
-    assert rep.violations == ["n=4 [(0, 1), (0, 2), (1, 2), (2, 3)]: oracle mismatch"]
+    assert rep.violations == ["n=4 [(0, 3), (1, 2), (1, 3), (2, 3)]: oracle mismatch"]
 
 
 def test_run_sweep_small():
@@ -282,9 +282,8 @@ def test_run_sweep_small():
     )
 
 
-def test_each_row_counts_its_own_violations(monkeypatch):
-    # belt diameter 3 below 40 facets: two violations per graph at d = 3,
-    # one at d = 4
+def inflated_belts(monkeypatch):
+    """Belt diameter 3 for every graph with fewer than 40 facets."""
     real = venkov.diameters
 
     def inflated(facets, cores):
@@ -292,6 +291,12 @@ def test_each_row_counts_its_own_violations(monkeypatch):
         return (3 if len(facets) < 40 else belt), dual
 
     monkeypatch.setattr(venkov, "diameters", inflated)
+
+
+def test_each_row_counts_its_own_violations(monkeypatch):
+    # belt diameter 3 below 40 facets: two violations per graph at d = 3,
+    # one at d = 4
+    inflated_belts(monkeypatch)
     rep = run_sweep(5)
     assert [row.violations for row in rep.rows] == [12, 21]
     for row, line in zip(rep.rows, report_csv(rep).splitlines()[1:]):
@@ -320,12 +325,45 @@ def test_each_witness_is_the_first_graph_of_largest_belt_diameter():
 
 
 def test_run_sweep_to_seven_stays_within_labeling_budget(monkeypatch):
-    # 463 labelings grow the levels, the witnesses take a few more and the
-    # leaves check 101; 1,129 with the top level labeled and sorted
+    # 463 labelings grow the levels, the witnesses take 26 and the leaves
+    # check 101: 590, against 1,129 with the top level labeled and sorted
     calls = counting_labelings(monkeypatch)
     rep = run_sweep(7)
     assert rep.ok and 0 < len(calls) <= 600
     assert rep.oracle_samples == 200
+
+
+@pytest.mark.parametrize("shape", [list, iter])
+@pytest.mark.parametrize("lie", [False, True], ids=["clean", "inflated_belts"])
+def test_the_sweep_ignores_labels_and_order(monkeypatch, lie, shape):
+    # each graph of levels 4-6 relabeled at random and each level shuffled,
+    # given as lists or as iterators: the rows and the violation lines
+    # (canonical edges, in key order) are those of the levels as grown
+    if lie:
+        inflated_belts(monkeypatch)
+    want = run_sweep(6)
+    assert bool(want.violations) == lie
+    rng = random.Random(20261020)
+    real = sweep.connected_levels
+
+    def relabeled(lo, hi):
+        for graphs in real(lo, hi):
+            level = []
+            for g in graphs:
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                level.append(ZGraph(g.n, relabel(g.edges, perm)))
+            rng.shuffle(level)
+            yield shape(level)
+
+    def rows(rep):
+        return [(r.instances, r.max_belt_diameter, r.max_dual_diameter, r.witness)
+                for r in rep.rows]
+
+    monkeypatch.setattr(sweep, "connected_levels", relabeled)
+    got = run_sweep(6)
+    assert rows(got) == rows(want)
+    assert got.violations == want.violations
 
 
 def test_a_class_streamed_twice_raises(monkeypatch):
@@ -350,33 +388,35 @@ def test_a_class_streamed_twice_raises(monkeypatch):
 
 
 def test_belt_size_check_reads_crossings_from_edges(monkeypatch):
-    # on the path 0-1-2-3 the core {0},{1},{2,3} has two crossing directions,
-    # so merge bits claiming six members must be reported, by the belt_size
-    # check and by the oracle, whose flats no longer match the cores
-    path = ZGraph(4, [(0, 1), (1, 2), (2, 3)])
+    # on the path 0-3-2-1, in canonical labels, the core {0},{1},{2,3} has
+    # two crossing directions, so merge bits claiming six members must be
+    # reported, by the belt_size check and by the oracle, whose flats no
+    # longer match the cores
+    path = ZGraph(4, [(0, 3), (1, 2), (2, 3)])
     true = venkov.diameters(*faces.facets_and_cores(path))   # from the true merges
     lying = (0b0001, 0b0010, 0b1100, True, True, True)
     monkeypatch.setattr(sweep, "connected_levels", lambda lo, hi: iter([[path]]))
     monkeypatch.setattr(venkov, "diameters", lambda facets, cores: true)
     monkeypatch.setattr(faces, "_core_merges", lambda g, conn: iter([lying]))
     rep = run_sweep(4)
-    assert rep.violations == ["n=4 [(0, 1), (1, 2), (2, 3)]: merges 111 with crossings 101",
-                              "n=4 [(0, 1), (1, 2), (2, 3)]: oracle mismatch"]
+    assert rep.violations == ["n=4 [(0, 3), (1, 2), (2, 3)]: merges 111 with crossings 011",
+                              "n=4 [(0, 3), (1, 2), (2, 3)]: oracle mismatch"]
 
 
 def test_belt_size_check_compares_which_merges_are_set(monkeypatch):
-    # on the path 0-1-2-3 the core {0},{1},{2,3} has crossings
-    # (pq, pr, qr) = (1, 0, 1): merge bits (0, 1, 1) have the right size
-    # and direction count, but name the wrong pairs; both referees see it
-    path = ZGraph(4, [(0, 1), (1, 2), (2, 3)])
+    # on the path 0-3-2-1, in canonical labels, the core {0},{1},{2,3} has
+    # crossings (pq, pr, qr) = (0, 1, 1): merge bits (1, 0, 1) have the
+    # right size and direction count, but name the wrong pairs; both
+    # referees see it
+    path = ZGraph(4, [(0, 3), (1, 2), (2, 3)])
     true = venkov.diameters(*faces.facets_and_cores(path))
-    lying = (0b0001, 0b0010, 0b1100, 0, 1, 1)
+    lying = (0b0001, 0b0010, 0b1100, 1, 0, 1)
     monkeypatch.setattr(sweep, "connected_levels", lambda lo, hi: iter([[path]]))
     monkeypatch.setattr(venkov, "diameters", lambda facets, cores: true)
     monkeypatch.setattr(faces, "_core_merges", lambda g, conn: iter([lying]))
     rep = run_sweep(4)
-    assert rep.violations == ["n=4 [(0, 1), (1, 2), (2, 3)]: merges 011 with crossings 101",
-                              "n=4 [(0, 1), (1, 2), (2, 3)]: oracle mismatch"]
+    assert rep.violations == ["n=4 [(0, 3), (1, 2), (2, 3)]: merges 101 with crossings 011",
+                              "n=4 [(0, 3), (1, 2), (2, 3)]: oracle mismatch"]
 
 
 def test_every_violation_kind_keeps_its_wording(monkeypatch):
@@ -391,8 +431,7 @@ def test_every_violation_kind_keeps_its_wording(monkeypatch):
         monkeypatch.setattr(venkov, "diameters", lambda facets, cores: diameters)
         if cores is not None:
             monkeypatch.setattr(faces, "_core_merges", lambda g, conn: iter(cores))
-        found = []
-        sweep._check_graph(g, sweep.SweepRow(d=g.n - 1), found)
+        found = sweep._check_graph(g)[4]
         monkeypatch.undo()
         return found
 

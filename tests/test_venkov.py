@@ -97,8 +97,10 @@ def test_belt_distance_rejects_non_facet():
 def test_belt_distance_rejects_bad_graphs():
     with pytest.raises(ValueError, match="graph must be connected"):
         belt_distance(ZGraph(4, [(0, 1), (2, 3)]), (0b0011, 0b1100), (0b0001, 0b1110))
-    with pytest.raises(ValueError, match="need at least 2 vertices"):
-        belt_distance(ZGraph(1, []), (1, 0), (1, 0))
+    # the rule of every belt query: at least 3 vertices, then connectivity
+    for g, f in ((ZGraph(1, []), (1, 0)), (ZGraph(2, [(0, 1)]), (1, 2)), (ZGraph(2, []), (1, 2))):
+        with pytest.raises(ValueError, match="^need at least 3 vertices$"):
+            belt_distance(g, f, f[::-1])
 
 
 def test_belt_distance_unreachable_raises(monkeypatch):
@@ -189,7 +191,7 @@ def seeded_graphs(ns, per, seed):
     return out
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(3, 7))
 def test_belt_distance_matches_reference_on_every_query(n):
     for g in enumerate_connected_graphs(n):
         nodes = facet_pairs(g)
