@@ -285,14 +285,13 @@ def symmetry_report_json(rep: symmetric.SymmetryReport) -> dict:
 
 def cmd_generate(args):
     kind = args.kind
-    if kind == "k2dm1":
+    if kind in ("k2dm1", "permutahedron"):
         if args.d is None:
-            raise FileFormatError("k2dm1 needs --d")
-        out = symmetric.gen_k2dm1(args.d)
-    elif kind == "permutahedron":
-        if args.d is None:
-            raise FileFormatError("permutahedron needs --d")
-        out = symmetric.permutahedron_graph(args.d)
+            raise FileFormatError("%s needs --d" % kind)
+        if args.n is not None:
+            raise FileFormatError("%s takes no --n" % kind)
+        fn = symmetric.gen_k2dm1 if kind == "k2dm1" else symmetric.permutahedron_graph
+        out = fn(args.d)
     else:
         n = _resolve_family_param(kind, args.d, args.n)
         fn = symmetric.gen_odd_extremal if kind == "odd-extremal" \
@@ -318,11 +317,16 @@ def cmd_search(args):
     if args.what == "extremal":
         if args.d is None:
             raise FileFormatError("search extremal needs --d")
+        if args.seed is not None:
+            raise FileFormatError("search extremal takes no --seed")
         res = symmetric.search_extremal(args.d, budget_seconds=args.budget,
                                         max_nodes=args.max_nodes)
     else:   # what == "d8"
+        if args.d is not None:
+            raise FileFormatError("search d8 takes no --d")
         res = symmetric.search_d8_nonsymmetric(budget_seconds=args.budget,
-                                               max_nodes=args.max_nodes, seed=args.seed)
+                                               max_nodes=args.max_nodes,
+                                               seed=1 if args.seed is None else args.seed)
     print("status: %s" % res.status)
     print("nodes: %d" % res.nodes)
     print("elapsed: %.1fs" % res.elapsed)
@@ -432,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, help="dimension (search extremal)")
     p.add_argument("--budget", type=float, default=None, metavar="SECONDS")
     p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--seed", type=int, default=1, help="d8 restart seed")
+    p.add_argument("--seed", type=int, help="restart seed (search d8, default 1)")
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("sweep", help="verify diameter bounds over all small graphs")

@@ -20,18 +20,18 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from . import venkov
 from .faces import validate_partition
 from .zgraph import (
+    MAX_N,
     PAIR,
     ZGraph,
     bits,
     canonical_forms,
     canonical_label,
     components,
-    contract_map,
-    delete_edge,
     dimension,
     grow_canonical,
     key_sorted,
@@ -171,37 +171,16 @@ def build_report(cg: ColoredZGraph) -> SymmetryReport:
 # reduction of an arbitrary facet pair to a conjugate coloring
 
 
-def _internal(mask_pair, i, j) -> bool:
-    e = (1 << i) | (1 << j)
-    return e & ~mask_pair[0] == 0 or e & ~mask_pair[1] == 0
+def _part(e: int, x: int, y: int) -> int:
+    """The part of the facet pair (x, y) holding both ends of edge mask e, or 0."""
+    return x if not e & ~x else y if not e & ~y else 0
 
 
-def _remap_mask(mask: int, relabel: list[int]) -> int:
-    out = 0
-    for v in bits(mask):
-        out |= 1 << relabel[v]
-    return out
-
-
-def _deletions(g: ZGraph, f1, f2):
-    """g less each edge the reduction may drop, in its order of preference.
-
-    Keeping the edge's part connected keeps every component whole.
-    """
-    for x, y in (f1, f2):
-        for i, j in g.sorted_edges():
-            e = (1 << i) | (1 << j)
-            part = x if e & ~x == 0 else y if e & ~y == 0 else 0
-            if part:
-                g2 = delete_edge(g, i, j)
-                if g2.connected_in(part):
-                    yield g2
-    dim = dimension(g)
-    for i, j in g.sorted_edges():
-        if not (_internal(f1, i, j) or _internal(f2, i, j)):
-            g2 = delete_edge(g, i, j)
-            if dimension(g2) == dim:
-                yield g2
+def _edges(adj, live: int):
+    """(i, j, edge mask) of each edge i < j on the live vertices, sorted."""
+    for i in bits(live):
+        for j in bits(adj[i] >> i + 1 << i + 1):
+            yield i, j, 1 << i | 1 << j
 
 
 def reduce_to_symmetric(g: ZGraph, f1, f2):
@@ -211,30 +190,52 @@ def reduce_to_symmetric(g: ZGraph, f1, f2):
     keep their part connected, then drops edges internal to neither while
     the dimension allows.  Returns (coloring, f1 image, f2 image); the belt
     distance between the image facets is at least the original one.
+
+    Works on a copy of g's neighbour masks, in g's labels: a contraction
+    folds the edge's higher end into its lower one, and the live vertices
+    are renumbered in order at the end, which never reorders the edges.
     """
     validate_partition(g, f1)
     validate_partition(g, f2)
     if {f1[0], f1[1]} == {f2[0], f2[1]}:
         raise ValueError("facet pairs must be distinct")
-    a, b = f1
-    c, d = f2
+    adj, live, (a, b), (c, d) = list(g.adj), g.full_mask, f1, f2
     while True:
-        shared = next((e for e in g.sorted_edges()
-                       if _internal((a, b), *e) and _internal((c, d), *e)), None)
+        shared = next(((i, j) for i, j, e in _edges(adj, live)
+                       if _part(e, a, b) and _part(e, c, d)), None)
         if shared:
-            g, m = contract_map(g, *shared)
-            a, b, c, d = (_remap_mask(x, m) for x in (a, b, c, d))
+            i, j = shared
+            for v in bits(adj[j]):
+                adj[v] = adj[v] ^ 1 << j | 1 << i
+            adj[i] = (adj[i] | adj[j]) & ~(1 << i)
+            live ^= 1 << j
+            a, b, c, d = (x & ~(1 << j) for x in (a, b, c, d))
             continue
-        g2 = next(_deletions(g, (a, b), (c, d)), None)
-        if g2 is None:
-            break
-        g = g2
-    red = [e for e in g.sorted_edges() if _internal((a, b), *e)]
-    blue = [e for e in g.sorted_edges() if _internal((c, d), *e)]
-    cg = ColoredZGraph(g, red, blue)
+        # an edge goes when its ends stay joined inside its part, or, for an edge
+        # inside no part, at all; f1's parts are tried first, then f2's, then no part
+        deletions = chain(
+            ((i, j, p) for x, y in ((a, b), (c, d)) for i, j, e in _edges(adj, live)
+             if (p := _part(e, x, y))),
+            ((i, j, live) for i, j, e in _edges(adj, live)
+             if not (_part(e, a, b) or _part(e, c, d))))
+        for i, j, within in deletions:
+            adj[i] ^= 1 << j
+            adj[j] ^= 1 << i
+            if reach(adj, 1 << i, within) >> j & 1:
+                break
+            adj[i] ^= 1 << j
+            adj[j] ^= 1 << i
+        else:
+            break   # no edge can go
+    slot = {v: k for k, v in enumerate(bits(live))}
+    kept = [(PAIR[slot[i]][slot[j]], e) for i, j, e in _edges(adj, live)]
+    red = [p for p, e in kept if _part(e, a, b)]
+    blue = [p for p, e in kept if _part(e, c, d)]
+    cg = ColoredZGraph(ZGraph(len(slot), [p for p, _ in kept]), red, blue)
     ok, reasons = check_conjugate(cg)
     if not ok:
         raise RuntimeError("reduction did not reach a conjugate pair: %s" % reasons)
+    a, b, c, d = (mask_of(slot[v] for v in bits(x)) for x in (a, b, c, d))
     return cg, (a, b), (c, d)
 
 
@@ -552,13 +553,16 @@ def search_extremal(d: int, budget_seconds=None, max_nodes=None) -> SearchResult
     K_{2,d-1} coloring, which has common leaves.  So it suffices to complete
     the 2-forests of free trees on at least 2 vertices each with at most
     (d+1) // 2 leaves, fewest leaves first: exhaustive up to isomorphism and
-    color swap for every d.  Two such trees already have 4 leaves, so for
-    d <= 6, where (d+1) // 2 < 4, the answer is "none" before any tree is
-    grown or any budget checked.  Otherwise the budget is checked before
-    each tree-size step and counts one node per forest completed.
+    color swap for every d.  A graph has at most MAX_N vertices, so d <= 15.
+    Two such trees already have 4 leaves, so for d <= 6, where
+    (d+1) // 2 < 4, the answer is "none" before any tree is grown or any
+    budget checked.  Otherwise the budget is checked before each tree-size
+    step and counts one node per forest completed.
     """
     if d < 3:
         raise ValueError("need d >= 3")
+    if d >= MAX_N:
+        raise ValueError("need d <= %d" % (MAX_N - 1))
     n = d + 1
     budget = _Budget(budget_seconds, max_nodes)
     if n // 2 < 4:
@@ -622,7 +626,8 @@ _D8_FIXED = 0b1111      # the bits of the four fixed parts
 
 
 def _d8_rank(answers: int) -> int:
-    """The score from the answers: bit k set when _D8_MASKS[k] is connected."""
+    """The score from the answers (bit k set when _D8_MASKS[k] is connected): 100
+    per fixed part not connected, else the facet pairs sharing a belt with both."""
     missing = _D8_FIXED & ~answers
     if missing:
         return 100 * missing.bit_count()
@@ -632,12 +637,6 @@ def _d8_rank(answers: int) -> int:
 def _d8_answers(g: ZGraph) -> int:
     """Bit k set when g is connected on _D8_MASKS[k]."""
     return sum(1 << k for k, m in enumerate(_D8_MASKS) if g.connected_in(m))
-
-
-def _d8_score(g: ZGraph) -> int:
-    """100 per fixed part that is not connected; otherwise the number of
-    facet pairs sharing a belt with both fixed pairs."""
-    return _d8_rank(_d8_answers(g))
 
 
 def _d8_flip(adj: list[int], answers: int, i: int, j: int) -> tuple[int, int]:
@@ -683,7 +682,7 @@ def search_d8_nonsymmetric(budget_seconds=3600.0, max_nodes=None, seed=1) -> Sea
     Seeded hill climbing over single-edge flips, with random restarts.
     The climb keeps the connectivity answers of the 60 masks of `_d8_masks`
     and scores each flip from the answers it can change (`_d8_flip`); a
-    restart is scored in full by `_d8_score`.
+    restart asks all 60 once (`_d8_answers`).
 
     A graph that scores 0 but is not at belt distance 3 with belt diameter
     3 contradicts either the scorer or the diameter bound; it is returned
@@ -706,8 +705,8 @@ def search_d8_nonsymmetric(budget_seconds=3600.0, max_nodes=None, seed=1) -> Sea
 
     while budget.tick(0):
         g = ZGraph(9, (e for e in pairs if rng.random() < 0.5))
-        score = _d8_score(g)
-        adj, answers = list(g.adj), _d8_answers(g)   # read off g's memo
+        adj, answers = list(g.adj), _d8_answers(g)
+        score = _d8_rank(answers)
         stale = 0
         while stale < 60:
             if not budget.tick():

@@ -3,7 +3,9 @@
 A graph on n vertices (labels 0..n-1) encodes which vectors e_i - e_j are
 present; a connected graph on n vertices encodes an (n-1)-dimensional
 zonotope.  Vertex sets are int bitmasks throughout, so n <= 16 everywhere
-(bitmasks would carry to 64, but nothing here needs more than 16).
+(bitmasks would carry to 64, but nothing here needs more than 16).  A
+`ZGraph` is a plain value, its edges and neighbour masks, nothing cached;
+code that changes a graph step by step works on a copy of its masks.
 
 Isomorphism classes are handled here too.  `min_label_perm` finds a
 graph's canonical key and placement, and generators of its automorphism
@@ -59,7 +61,7 @@ def bits(mask: int) -> list[int]:
 class ZGraph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "adj", "_conn")
+    __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if not 1 <= n <= MAX_N:
@@ -77,7 +79,6 @@ class ZGraph:
         self.n = n
         self.edges = frozenset(es)
         self.adj = tuple(adj)
-        self._conn: dict[int, bool] = {}
 
     @property
     def full_mask(self) -> int:
@@ -87,15 +88,8 @@ class ZGraph:
         return sorted(self.edges)
 
     def connected_in(self, mask: int) -> bool:
-        """Is the subgraph induced on the (nonempty) mask connected?
-
-        Memoized per graph: a belt distance validates its two facet pairs
-        and then asks about the same sides as it expands them.
-        """
-        hit = self._conn.get(mask)
-        if hit is None:
-            hit = self._conn[mask] = reach(self.adj, mask & -mask, mask) == mask
-        return hit
+        """Is the subgraph induced on the (nonempty) mask connected?"""
+        return reach(self.adj, mask & -mask, mask) == mask
 
     def __eq__(self, other):
         return (
@@ -147,36 +141,6 @@ def components(g: ZGraph) -> list[int]:
 
 def dimension(g: ZGraph) -> int:
     return g.n - len(components(g))
-
-
-def _compact(v: int, hi: int, lo: int) -> int:
-    if v == hi:
-        return lo
-    return v - 1 if v > hi else v
-
-
-def contract_map(g: ZGraph, i: int, j: int) -> tuple[ZGraph, list[int]]:
-    """Glue vertices i and j (an i-j edge need not exist); (graph, label map).
-
-    The merged vertex lands in min(i,j)'s slot, remaining labels compact
-    down preserving relative order; parallel edges collapse, loops drop.
-    The map sends each old label to its new one.
-    """
-    if i == j:
-        raise ValueError("cannot contract a vertex with itself")
-    if not (0 <= i < g.n and 0 <= j < g.n):
-        raise ValueError("vertex out of range")
-    lo, hi = (i, j) if i < j else (j, i)
-    new = [_compact(v, hi, lo) for v in range(g.n)]
-    edges = [(new[a], new[b]) for a, b in g.edges if new[a] != new[b]]
-    return ZGraph(g.n - 1, edges), new
-
-
-def delete_edge(g: ZGraph, i: int, j: int) -> ZGraph:
-    e = (i, j) if i < j else (j, i)
-    if e not in g.edges:
-        raise ValueError("edge (%d,%d) not present" % (i, j))
-    return ZGraph(g.n, g.edges - {e})
 
 
 def min_label_perm(n: int, code) -> tuple:

@@ -10,7 +10,10 @@ search kept here reaches the same answers by other routes.
 The library checks a coloring in one conjugacy pass, 2-colors by bitmask
 BFS layers and reads common leaves off each color's leaf list; the
 dictionary searches, the degree scan and the reduction with its dimension
-test per deletion kept here are the versions it replaced.  The tests read
+test per deletion kept here are the versions it replaced.  The library's
+reduction works on one copy of the neighbour masks; this one builds a
+graph per contraction and per deletion it tries (`contract_map`,
+`delete_edge`), relabeling the vertices each time.  The tests read
 the red and blue facets of a coloring with `color_facets`, which no
 library code needs.
 
@@ -45,8 +48,6 @@ from zonobelt.zgraph import (
     bits,
     canonical_label,
     components,
-    contract_map,
-    delete_edge,
     dimension,
     mask_of,
     relabel,
@@ -108,6 +109,30 @@ def find_common_leaf(cg: ColoredZGraph):
                 and sum(1 for e in cg.blue if v in e) == 1):
             return v
     return None
+
+
+def contract_map(g: ZGraph, i: int, j: int) -> tuple[ZGraph, list[int]]:
+    """Glue vertices i and j (an i-j edge need not exist); (graph, label map).
+
+    The merged vertex lands in min(i,j)'s slot, remaining labels compact
+    down preserving relative order; parallel edges collapse, loops drop.
+    The map sends each old label to its new one.
+    """
+    if i == j:
+        raise ValueError("cannot contract a vertex with itself")
+    if not (0 <= i < g.n and 0 <= j < g.n):
+        raise ValueError("vertex out of range")
+    lo, hi = (i, j) if i < j else (j, i)
+    new = [lo if v == hi else v - 1 if v > hi else v for v in range(g.n)]
+    edges = [(new[a], new[b]) for a, b in g.edges if new[a] != new[b]]
+    return ZGraph(g.n - 1, edges), new
+
+
+def delete_edge(g: ZGraph, i: int, j: int) -> ZGraph:
+    e = (i, j) if i < j else (j, i)
+    if e not in g.edges:
+        raise ValueError("edge (%d,%d) not present" % (i, j))
+    return ZGraph(g.n, g.edges - {e})
 
 
 def _internal(mask_pair, i, j) -> bool:

@@ -291,6 +291,29 @@ def test_search_extremal_cli(capsys):
     assert main(["search", "extremal"]) == EXIT_USAGE
 
 
+def test_search_extremal_refuses_d_beyond_sixteen_vertices(capsys, monkeypatch):
+    # refused at once, not searched until a budget runs out
+    monkeypatch.setattr(symmetric, "free_trees", None)
+    for d in ("16", "40"):
+        assert main(["search", "extremal", "--d", d, "--budget", "0.5"]) == EXIT_USAGE
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err == "error: need d <= 15\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["generate", "k2dm1", "--d", "5", "--n", "3"], "--n"),
+    (["generate", "permutahedron", "--d", "3", "--n", "9"], "--n"),
+    (["search", "d8", "--d", "8"], "--d"),
+    (["search", "extremal", "--d", "5", "--seed", "7"], "--seed"),
+], ids=["k2dm1-n", "permutahedron-n", "d8-d", "extremal-seed"])
+def test_flags_a_kind_does_not_use_are_usage_errors(capsys, argv, flag):
+    assert main(argv) == EXIT_USAGE
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    lines = cap.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and flag in lines[0]
+
+
 def test_search_d8_budget_cli(capsys):
     assert main(["search", "d8", "--max-nodes", "1"]) == EXIT_INCONCLUSIVE
     assert "status: inconclusive" in capsys.readouterr().out
@@ -467,7 +490,7 @@ def test_search_d8_violation_exits_one(monkeypatch, capsys):
     # a graph the scorer calls perfect but that sits at belt distance 2
     from zonobelt import symmetric, venkov
 
-    monkeypatch.setattr(symmetric, "_d8_score", lambda g: 0)
+    monkeypatch.setattr(symmetric, "_d8_rank", lambda answers: 0)
     monkeypatch.setattr(venkov, "belt_distance", lambda g, f1, f2: (2, [f1, f2]))
     res = symmetric.search_d8_nonsymmetric(max_nodes=5, seed=1)
     assert res.status == "violation"

@@ -447,10 +447,10 @@ def _reduction_or_error(reduce, g, f1, f2):
     return cg.base.n, sorted(cg.red), sorted(cg.blue), i1, i2
 
 
-def test_reduction_matches_reference_on_seeded_pairs():
+def seeded_reduction_pairs():
+    """(g, f1, f2): five facet pairs on each of 60 seeded graphs per n = 4..10."""
     rng = random.Random(63)
-    cases = 0
-    for n in range(4, 9):
+    for n in range(4, 11):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         graphs = 0
         while graphs < 60:
@@ -460,12 +460,38 @@ def test_reduction_matches_reference_on_seeded_pairs():
                 continue
             graphs += 1
             for _ in range(5):
-                f1, f2 = rng.sample(fs, 2)
-                assert (_reduction_or_error(reduce_to_symmetric, g, f1, f2)
-                        == _reduction_or_error(conjugate_reference.reduce_to_symmetric,
-                                               g, f1, f2)), (g, f1, f2)
-                cases += 1
-    assert cases == 1500
+                yield (g, *rng.sample(fs, 2))
+
+
+def test_reduction_matches_reference_on_seeded_pairs():
+    cases = 0
+    for g, f1, f2 in seeded_reduction_pairs():
+        assert (_reduction_or_error(reduce_to_symmetric, g, f1, f2)
+                == _reduction_or_error(conjugate_reference.reduce_to_symmetric,
+                                       g, f1, f2)), (g, f1, f2)
+        cases += 1
+    assert cases == 2100
+
+
+def test_reduction_builds_at_most_three_graphs(monkeypatch):
+    # the reduction runs on one copy of the neighbour masks: the image and
+    # the two color graphs of its conjugacy check are its only graphs
+    cases = [*seeded_reduction_pairs(), (ZGraph(9, D8_WITNESS_SEED12), D8_F1, D8_F2),
+             (ZGraph(9, D8_WITNESS_SEED1), D8_F1, D8_F2)]
+    built = []
+    real = ZGraph.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        real(self, *args)
+
+    monkeypatch.setattr(ZGraph, "__init__", counting)
+    most = 0
+    for g, f1, f2 in cases:
+        built.clear()
+        _reduction_or_error(reduce_to_symmetric, g, f1, f2)
+        most = max(most, len(built))
+    assert most == 3
 
 
 def test_search_extremal_low_dimensions():
@@ -500,9 +526,14 @@ def test_small_conjugate_classes_all_have_common_leaves():
         assert search_extremal(n - 1).nodes == 0
 
 
-def test_search_extremal_validates_d():
-    with pytest.raises(ValueError):
+def test_search_extremal_validates_d(monkeypatch):
+    # no graph has more than 16 vertices: d > 15 is refused before any tree grows
+    monkeypatch.setattr(symmetric, "free_trees", None)
+    with pytest.raises(ValueError, match="need d >= 3"):
         search_extremal(2)
+    for d in (16, 40):
+        with pytest.raises(ValueError, match="need d <= 15"):
+            search_extremal(d, budget_seconds=0.5)
 
 
 def test_search_extremal_budget_exhaustion():
@@ -534,7 +565,11 @@ def test_d8_common_neighbors_in_k9():
     brute = [f for f in enumerate_facets(k9)
              if f[0] & 1 and {f[0], f[1]} not in ({D8_X1, D8_Y1}, {D8_X2, D8_Y2})
              and in_same_belt(k9, f, D8_F1) and in_same_belt(k9, f, D8_F2)]
-    assert symmetric._d8_score(k9) == d8_common_neighbors_lists(k9) == len(brute) == 16
+    assert d8_score(k9) == d8_common_neighbors_lists(k9) == len(brute) == 16
+
+
+def d8_score(g):
+    return symmetric._d8_rank(symmetric._d8_answers(g))
 
 
 def fixed_parts_penalty(g):
@@ -552,7 +587,7 @@ def test_d8_score_matches_full_scan_on_random_graphs():
                 continue
             want = d8_common_neighbors_reference(g)
             assert d8_common_neighbors_lists(g) == want
-            score = symmetric._d8_score(g)
+            score = d8_score(g)
             if score < 100:
                 assert score == want
                 unpenalised += 1
@@ -572,13 +607,13 @@ def flipped(adj, i, j):
 def test_d8_score_matches_full_scan_along_a_climb(monkeypatch):
     # every graph the seed-12 climb scores: its restarts in full, its flips
     # from the answers the flip can change
-    real_score, real_flip = symmetric._d8_score, symmetric._d8_flip
+    real_answers, real_flip = symmetric._d8_answers, symmetric._d8_flip
     scored = []
 
-    def recording_score(g):
-        score = real_score(g)
-        scored.append((g, score, symmetric._d8_answers(g)))
-        return score
+    def recording_answers(g):
+        answers = real_answers(g)
+        scored.append((g, symmetric._d8_rank(answers), answers))
+        return answers
 
     def recording_flip(adj, answers, i, j):
         before = list(adj)
@@ -587,14 +622,15 @@ def test_d8_score_matches_full_scan_along_a_climb(monkeypatch):
         scored.append((flipped(adj, i, j), score, flip_answers))
         return score, flip_answers
 
-    monkeypatch.setattr(symmetric, "_d8_score", recording_score)
+    monkeypatch.setattr(symmetric, "_d8_answers", recording_answers)
     monkeypatch.setattr(symmetric, "_d8_flip", recording_flip)
     res = search_d8_nonsymmetric(max_nodes=400, seed=12)
     assert (res.status, res.nodes) == ("found", 97)
     assert res.witness[0].sorted_edges() == D8_WITNESS_SEED12
     checked = 0
     for g, score, answers in scored:
-        assert answers == symmetric._d8_answers(g)
+        # the real function: the recording one would grow the list walked here
+        assert answers == real_answers(g)
         if score < 100:
             assert score == d8_common_neighbors_reference(g)
             checked += 1
@@ -653,7 +689,7 @@ def test_d8_score_asks_each_mask_once(monkeypatch):
     # K9: every part is connected and all 16 common neighbours count
     for g, score in ((permutahedron_graph(8), 16), (ZGraph(9, D8_WITNESS_SEED12), 0)):
         asked.clear()
-        assert symmetric._d8_score(g) == score
+        assert d8_score(g) == score
         assert calls == {}
         assert sorted(asked) == sorted(symmetric._D8_MASKS) and len(asked) == 60
 

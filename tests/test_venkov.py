@@ -333,15 +333,23 @@ def test_belt_neighbors_match_submask_walk_on_family_witnesses():
         assert belt_neighbors(g, a) == ref.belt_neighbors_submasks(g, a)
 
 
-def test_belt_distance_tests_few_masks():
+def test_belt_distance_tests_few_masks(monkeypatch):
     # connected_in is asked about the whole vertex set and the two parts of
     # each asked or expanded pair, never about a split's parts: the submask
-    # walk left 14,738 memo entries on this query, and a connectivity test
-    # per split part 5,222
+    # walk asked about 14,738 masks on this query, and a connectivity test
+    # per split part about 5,222
     cg = gen_even_extremal(5)
-    g = ZGraph(cg.base.n, cg.base.edges)
-    assert belt_distance(g, *color_facets(cg))[0] == 3
-    assert len(g._conn) <= 16
+    fr, fb = color_facets(cg)
+    masks = set()
+    real = ZGraph.connected_in
+
+    def recording(self, mask):
+        masks.add(mask)
+        return real(self, mask)
+
+    monkeypatch.setattr(ZGraph, "connected_in", recording)
+    assert belt_distance(cg.base, fr, fb)[0] == 3
+    assert len(masks) <= 16
 
 
 def test_connected_splits_call_no_connected_in(monkeypatch):
@@ -356,10 +364,8 @@ def test_connected_splits_call_no_connected_in(monkeypatch):
 
     monkeypatch.setattr(ZGraph, "connected_in", counting)
     for g in graphs:
-        g = ZGraph(g.n, g.edges)
         for side in (g.full_mask, 0b1011, g.full_mask ^ 0b1011):
             faces.connected_splits(g, side)
-        assert g._conn == {}
     assert calls == {}
 
 

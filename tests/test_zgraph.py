@@ -1,4 +1,4 @@
-"""Core graph type: masks, connectivity, contraction, canonical labeling."""
+"""Core graph type: masks, connectivity, canonical labeling."""
 
 import random
 from itertools import permutations
@@ -16,8 +16,6 @@ from zonobelt.zgraph import (
     canonical_forms,
     canonical_label,
     components,
-    contract_map,
-    delete_edge,
     dimension,
     grow_canonical,
     key_sorted,
@@ -324,39 +322,6 @@ def test_pair_shares_only_valid_edges():
     assert pair(2, 2) == (2, 2)
     assert pair(-1, 3) == (-1, 3)
     assert pair(16, 3) == (3, 16)
-
-
-def test_contract_path():
-    g = contract_map(path(4), 1, 2)[0]
-    assert g.n == 3
-    assert g.sorted_edges() == [(0, 1), (1, 2)]
-
-
-def test_contract_complete_collapses_parallel():
-    g = contract_map(complete(4), 0, 1)[0]
-    assert g.n == 3
-    assert g.sorted_edges() == [(0, 1), (0, 2), (1, 2)]
-
-
-def test_contract_errors():
-    with pytest.raises(ValueError):
-        contract_map(path(4), 2, 2)
-    with pytest.raises(ValueError):
-        contract_map(path(4), 0, 4)
-
-
-def test_contract_map_labels():
-    g, m = contract_map(path(4), 1, 2)
-    # merged vertex keeps the lower slot, later labels shift down
-    assert m == [0, 1, 1, 2]
-    assert g.n == 3
-
-
-def test_delete_edge():
-    g = delete_edge(path(4), 1, 2)
-    assert g.sorted_edges() == [(0, 1), (2, 3)]
-    with pytest.raises(ValueError):
-        delete_edge(g, 1, 2)
 
 
 def brute_min_key(n, code):
