@@ -6,8 +6,8 @@ which loads as a colored graph.  Vertices print 1-based everywhere; facet
 arguments use "|" between parts and "," within, e.g. "1|2,3,4".
 
 Exit codes: 0 success, 1 violation found, 2 usage, parse or output error
-(stdout closed early), 3 inconclusive (search budget exhausted or oracle
-refused; `sweep` runs every check in full and never exits 3).
+(unwritable path, stdout closed), 3 inconclusive (search budget exhausted
+or oracle refused; `sweep` runs every check in full and never exits 3).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import ExitStack
 
 from . import dual, faces, oracle, symmetric, sweep, venkov
 from .symmetric import ColoredZGraph
@@ -100,6 +101,13 @@ def load_graph(path):
     except json.JSONDecodeError as exc:
         raise FileFormatError("invalid JSON in %s: %s" % (path, exc))
     return parse_graph_file(data)
+
+
+def open_output(path):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise FileFormatError("cannot write %s: %s" % (path, exc))
 
 
 def base_of(g) -> ZGraph:
@@ -304,7 +312,7 @@ def cmd_generate(args):
     else:
         report = {"kind": kind, "dimension": out.n - 1, "vertices": out.n}
     if args.out:
-        with open(args.out, "w") as fh:
+        with open_output(args.out) as fh:
             fh.write(doc + "\n")
         print(json.dumps(report, indent=2))
     else:
@@ -346,17 +354,14 @@ def cmd_search(args):
 
 
 def cmd_sweep(args):
-    rep = sweep.run_sweep(args.max_n, seed=args.seed)
-    csv_text = sweep.report_csv(rep)
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(csv_text + "\n")
-    else:
-        print(csv_text)
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(sweep.report_json(rep), fh, indent=2)
-            fh.write("\n")
+    # both outputs are opened before the sweep, so an unwritable path fails fast
+    with ExitStack() as stack:
+        csv_fh, json_fh = [stack.enter_context(open_output(path)) if path else None
+                           for path in (args.csv, args.json)]
+        rep = sweep.run_sweep(args.max_n, seed=args.seed)
+        print(sweep.report_csv(rep), file=csv_fh)   # stdout when csv_fh is None
+        if json_fh:
+            print(json.dumps(sweep.report_json(rep), indent=2), file=json_fh)
     for v in rep.violations:
         print("violation: %s" % v, file=sys.stderr)
     return EXIT_OK if rep.ok else EXIT_VIOLATION
@@ -443,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--json", metavar="PATH")
-    p.add_argument("--seed", type=int, default=20260815)
+    p.add_argument("--seed", type=int, default=20260815,
+                   help="picks which graphs the oracle checks in a level of more than 200")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("oracle", help="independent facet/belt verification")

@@ -12,8 +12,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import faces, oracle, symmetric, venkov
-from .zgraph import (ZGraph, bits, canonical_forms, canonical_label, dimension, grow_canonical,
-                     key_sorted, relabel)
+from .zgraph import (ZGraph, bits, canonical_forms, canonical_label, grow_canonical, key_sorted,
+                     relabel)
 
 EXHAUSTIVE_MAX_N = 8
 # connected graphs up to isomorphism on 1..8 vertices: every grown level
@@ -21,7 +21,7 @@ EXHAUSTIVE_MAX_N = 8
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
 
 ALL_CHECKS = ("belt_bound", "dual_bound", "oracle_equiv", "leaves_iff", "belt_size")
-# random graphs the oracle checks at n = 7 and 8, where it checks no level whole
+# the oracle checks a seeded sample of this many graphs of a larger level
 ORACLE_SAMPLES = 200
 
 
@@ -75,22 +75,6 @@ def _stream(grown, n: int):
         count += 1
         yield ZGraph(n, edges)
     _check_count(count, n)
-
-
-def sample_connected_graphs(n: int, count: int, seed: int) -> list[ZGraph]:
-    """Distinct random connected labeled graphs, edge probability 1/2."""
-    rng = random.Random(seed)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    seen = set()
-    out = []
-    while len(out) < count:
-        edges = frozenset(e for e in pairs if rng.random() < 0.5)
-        g = ZGraph(n, edges)
-        if edges in seen or dimension(g) != n - 1:
-            continue
-        seen.add(edges)
-        out.append(g)
-    return out
 
 
 def _inner_edges(g: ZGraph) -> list[int]:
@@ -175,16 +159,17 @@ class SweepReport:
     max_n: int
     rows: list
     violations: list
-    oracle_samples: int = 0   # random graphs the oracle checked per sampled level
+    oracle_samples: int = 0   # graphs the oracle checked per sampled level, 0 if none was
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def _check_graph(g: ZGraph):
-    """Run the per-graph checks on g; returns its facets, its list of cores,
-    its belt and dual diameters and the violation lines, which name g's edges."""
+def _check_graph(g: ZGraph, with_oracle: bool):
+    """Run the per-graph checks on g, and `oracle_agrees` from the same face
+    pass when with_oracle; returns its facets, its list of cores, its belt and
+    dual diameters and the violation lines, which name g's edges."""
     # one core list feeds the diameters and the belt_size check; the pass
     # raises on a disconnected graph, so the dimension is n - 1
     facets, cores = faces.facets_and_cores(g)
@@ -216,6 +201,8 @@ def _check_graph(g: ZGraph):
     for p, q, r, pq, pr, qr in off:
         found.append("merges %d%d%d with crossings %d%d%d"
                      % (pq, pr, qr, near[p] & q > 0, near[p] & r > 0, near[q] & r > 0))
+    if with_oracle and not oracle_agrees(g, facets, cores):
+        found.append("oracle mismatch")
     label = "n=%d %r: " % (g.n, g.sorted_edges()) if found else ""
     return facets, cores, belt, dd, [label + v for v in found]
 
@@ -247,9 +234,12 @@ def _degree_profile(adj) -> tuple:
 def run_sweep(max_n: int, seed: int = 20260815) -> SweepReport:
     """Every check in ALL_CHECKS on every connected graph on 4..max_n vertices.
 
-    The oracle checks every graph up to n = 6 and ORACLE_SAMPLES random
-    graphs, seeded from seed, at n = 7 and 8; the leaf criterion runs on the
-    conjugate classes up to n = 7.
+    The oracle checks every graph of a level of at most ORACLE_SAMPLES
+    graphs, and otherwise ORACLE_SAMPLES of them, picked by their place in
+    the level with random.Random(seed + n): in growth order at the top level
+    and key order below it, so `run_sweep(7)` and `run_sweep(8)` check
+    different graphs at n = 7.  The leaf criterion runs on the conjugate
+    classes of every level.
 
     Every level is read alike, whatever its labels and order (the top
     level of `connected_levels` comes in growth labels), and a graph is
@@ -258,10 +248,12 @@ def run_sweep(max_n: int, seed: int = 20260815) -> SweepReport:
       opens with a largest independent set, so only the graphs that also
       have the largest independence number are labeled;
     - a violation, whose lines name canonical edges in key order, from a
-      check of the graph in canonical labels;
+      check in canonical labels, or growth labels if that check is clean;
     - the duplicate-class check.  Graphs with equal facet and core counts,
       diameters and degree profiles are labeled, and equal keys raise
       RuntimeError.
+    A level lists its violating graphs by key, each graph's lines together,
+    an oracle mismatch last.
     """
     if max_n < 4:
         raise ValueError("need max_n >= 4 (dimension at least 3)")
@@ -275,19 +267,18 @@ def run_sweep(max_n: int, seed: int = 20260815) -> SweepReport:
         best, tied = (0, 0), []   # largest (belt diameter, independence number)
         buckets = {}   # graphs by a hash of their invariants
         flagged = []
-        for g in next(levels):
+        count = CONNECTED_COUNTS[n - 1]
+        sampled = set(random.Random(seed + n).sample(range(count), min(count, ORACLE_SAMPLES)))
+        for i, g in enumerate(next(levels)):
             row.instances += 1
-            facets, cores, belt, dual, found = _check_graph(g)
+            facets, cores, belt, dual, found = _check_graph(g, i in sampled)
             row.max_belt_diameter = max(row.max_belt_diameter, belt)
             row.max_dual_diameter = max(row.max_dual_diameter, dual)
-            # up to n = 6 the oracle checks every graph, from the face pass its
-            # checks ran; above, it checks samples
-            agrees = n > 6 or oracle_agrees(g, facets, cores)
-            if found or not agrees:
+            if found:
                 key, edges = _canonical(g.adj)
-                if found and edges != g.sorted_edges():
-                    found = _check_graph(ZGraph(n, edges))[4]
-                flagged.append((key, edges, found, agrees))
+                if edges != g.sorted_edges():
+                    found = _check_graph(ZGraph(n, edges), i in sampled)[4] or found
+                flagged.append((key, found))
             if belt >= best[0]:
                 rank = (belt, _independence(g.adj, g.full_mask))
                 if rank > best:
@@ -303,31 +294,22 @@ def run_sweep(max_n: int, seed: int = 20260815) -> SweepReport:
                     raise RuntimeError("growth reached the class of key %d twice" % keys[-1])
         del buckets   # before the leaves pass and the next level's growth
         row.witness = min(map(_canonical, tied), default=(0, []))[1]
-        flagged.sort(key=lambda f: f[0])
-        for _, _, found, _ in flagged:
+        for _, found in sorted(flagged):
             violations += found
-        if n > 6:
-            mismatched = [g.sorted_edges()
-                          for g in sample_connected_graphs(n, ORACLE_SAMPLES, seed + n)
-                          if not oracle_agrees(g)]
-        else:
-            mismatched = [edges for _, edges, _, agrees in flagged if not agrees]
-        for edges in mismatched:
-            violations.append("n=%d %r: oracle mismatch" % (n, edges))
-        if n <= 7:
-            for cg in symmetric.enumerate_conjugate_classes(n):
-                has_leaf = symmetric.find_common_leaf(cg) is not None
-                dist = symmetric.red_blue_distance(cg)
-                if (dist == 2) != has_leaf:
-                    violations.append(
-                        "n=%d conjugate %r/%r: distance %d, common leaf %s"
-                        % (n, sorted(cg.red), sorted(cg.blue), dist, has_leaf)
-                    )
+        for cg in symmetric.enumerate_conjugate_classes(n):
+            has_leaf = symmetric.find_common_leaf(cg) is not None
+            dist = symmetric.red_blue_distance(cg)
+            if (dist == 2) != has_leaf:
+                violations.append(
+                    "n=%d conjugate %r/%r: distance %d, common leaf %s"
+                    % (n, sorted(cg.red), sorted(cg.blue), dist, has_leaf)
+                )
         row.violations = len(violations) - before
         row.runtime = time.monotonic() - start
         rows.append(row)
     return SweepReport(max_n=max_n, rows=rows, violations=violations,
-                       oracle_samples=ORACLE_SAMPLES if max_n > 6 else 0)
+                       oracle_samples=ORACLE_SAMPLES
+                       if CONNECTED_COUNTS[max_n - 1] > ORACLE_SAMPLES else 0)
 
 
 CSV_HEADER = "d,instances,max_belt_diameter,max_dual_diameter,violations"

@@ -19,11 +19,15 @@ columns down the recursion and must return the same (key, placement).
 `enumerate_connected_graphs` is the canonical top level the tests read:
 `sweep.connected_levels` streams its top level in growth labels, and
 `canonical_level` labels every streamed graph, asserts that the keys are
-distinct and sorts the canonical forms by key.
+distinct and sorts the canonical forms by key.  `sample_connected_graphs`
+draws seeded random labeled graphs for the cross-checks that do not run
+on whole levels.
 """
 
+import random
+
 from zonobelt import sweep
-from zonobelt.zgraph import ZGraph, _least_noncut, bits, canonical_label, relabel
+from zonobelt.zgraph import ZGraph, _least_noncut, bits, canonical_label, dimension, relabel
 
 
 def canonical_level(graphs) -> list:
@@ -41,6 +45,22 @@ def enumerate_connected_graphs(n: int) -> list:
     """Connected graphs on n vertices up to isomorphism, as canonical forms
     ordered by key: the streamed top level of `sweep.connected_levels(n, n)`."""
     return canonical_level(next(sweep.connected_levels(n, n)))
+
+
+def sample_connected_graphs(n: int, count: int, seed: int) -> list[ZGraph]:
+    """Distinct random connected labeled graphs, edge probability 1/2."""
+    rng = random.Random(seed)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    seen = set()
+    out = []
+    while len(out) < count:
+        edges = frozenset(e for e in pairs if rng.random() < 0.5)
+        g = ZGraph(n, edges)
+        if edges in seen or dimension(g) != n - 1:
+            continue
+        seen.add(edges)
+        out.append(g)
+    return out
 
 
 def min_label_perm(n: int, code) -> tuple[int, tuple[int, ...]]:

@@ -36,13 +36,13 @@ def test_criterion_01_extremal_table():
 
 def test_criterion_02_leaves_iff():
     checked = 0
-    for n in range(4, 8):
+    for n in range(4, 9):
         for cg in symmetric.enumerate_conjugate_classes(n):
             has_leaf = symmetric.find_common_leaf(cg) is not None
             dist = symmetric.red_blue_distance(cg)
             assert (dist == 2) == has_leaf, (n, sorted(cg.red), sorted(cg.blue))
             checked += 1
-    print("ACCEPTANCE 2: PASS - distance 2 iff common leaf on all %d conjugate classes, n <= 7" % checked)
+    print("ACCEPTANCE 2: PASS - distance 2 iff common leaf on all %d conjugate classes, n <= 8" % checked)
 
 
 def test_criterion_03_k2dm1_distance_two():
@@ -104,7 +104,8 @@ def test_criterion_07_dual_bound(full_sweep):
 def test_criterion_08_oracle_equivalence(full_sweep):
     assert full_sweep.oracle_samples == 200
     assert not [v for v in full_sweep.violations if "oracle" in v]
-    print("ACCEPTANCE 8: PASS - oracle agrees exactly: all graphs n <= 6 plus 200 samples each at n = 7, 8")
+    print("ACCEPTANCE 8: PASS - oracle agrees exactly: all graphs n <= 6 plus 200 of each level's own "
+          "graphs at n = 7, 8")
 
 
 def test_criterion_09_structural_invariants(full_sweep):

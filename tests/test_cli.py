@@ -262,6 +262,15 @@ def test_generate_to_file(tmp_path, capsys):
     assert g.base.n == 6
 
 
+def test_generate_to_an_unwritable_path_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "g.json"
+    assert main(["generate", "k2dm1", "--d", "5", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write %s: " % out)
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_generate_stdout_routing(tmp_path, capsys):
     assert main(["generate", "permutahedron", "--d", "3"]) == EXIT_OK
     cap = capsys.readouterr()
@@ -350,6 +359,22 @@ def test_sweep_cli(tmp_path, capsys):
     assert "3,6,2,3,0" in text
     assert main(["sweep", "--max-n", "5"]) == EXIT_OK
     assert "3,6,2,3,0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--json"])
+def test_sweep_to_an_unwritable_path_fails_fast(tmp_path, capsys, monkeypatch, flag):
+    # the outputs are opened before any level grows: a path under a missing
+    # directory is one error line and exit 2, not a traceback after the sweep
+    def grow(*args):
+        raise AssertionError("a level grew")
+
+    monkeypatch.setattr(sweep, "grow_canonical", grow)
+    out = tmp_path / "missing-dir" / "rep"
+    assert main(["sweep", "--max-n", "7", flag, str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write %s: " % out)
+    assert len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("flag", [["--checks", "belt_bound"], ["--samples", "0"]])

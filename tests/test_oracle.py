@@ -6,10 +6,9 @@ import pytest
 
 import adjacency_reference
 import oracle_reference as reference
-from growth_reference import enumerate_connected_graphs
+from growth_reference import enumerate_connected_graphs, sample_connected_graphs
 from zonobelt import oracle
 from zonobelt.oracle import OracleBudgetError, oracle_facets, oracle_same_belt, packed_rank
-from zonobelt.sweep import sample_connected_graphs
 from zonobelt.zgraph import ZGraph, dimension
 
 

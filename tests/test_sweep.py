@@ -1,5 +1,6 @@
 """Graph enumeration, sampling, and the campaign runner."""
 
+import ast
 import itertools
 import random
 
@@ -7,8 +8,8 @@ import pytest
 
 import growth_reference
 import oracle_reference
-from zonobelt import faces, oracle, sweep, venkov, zgraph
-from growth_reference import enumerate_connected_graphs
+from zonobelt import faces, oracle, sweep, symmetric, venkov, zgraph
+from growth_reference import enumerate_connected_graphs, sample_connected_graphs
 from zonobelt.sweep import (
     CONNECTED_COUNTS,
     CSV_HEADER,
@@ -16,7 +17,6 @@ from zonobelt.sweep import (
     report_csv,
     report_json,
     run_sweep,
-    sample_connected_graphs,
 )
 from zonobelt.zgraph import ZGraph, canonical_label, dimension, min_label_perm, relabel
 
@@ -315,6 +315,28 @@ def test_streamed_violations_name_canonical_edges_in_key_order(monkeypatch):
                                    for g in enumerate_connected_graphs(5)]
 
 
+def test_a_violation_only_growth_labels_show_is_still_reported(monkeypatch):
+    # belt diameter 3 whenever {0, 1} is a facet's part, which needs the
+    # edge (0, 1): no canonical form on 5 vertices but K5 has it, so the
+    # re-check in canonical labels comes back clean for the others, and
+    # their growth-label lines stand
+    real = venkov.diameters
+
+    def inflated(facets, cores):
+        belt, dual = real(facets, cores)
+        return (3 if any(a == 0b11 for a, _ in facets) else belt), dual
+
+    monkeypatch.setattr(venkov, "diameters", inflated)
+    rep = run_sweep(5)
+    streamed = list(next(sweep.connected_levels(5, 5)))
+    shown = [g for g in streamed if any(a == 0b11 for a, _ in faces.facets_and_cores(g)[0])]
+    assert len(shown) > 1 and rep.rows[1].violations == len(shown)
+    complete = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    want = {"n=5 %r: belt diameter 3 > 2" % (complete if len(g.edges) == 10 else g.sorted_edges())
+            for g in shown}
+    assert set(rep.violations[-len(shown):]) == want
+
+
 def test_each_witness_is_the_first_graph_of_largest_belt_diameter():
     # the witness rule of a level in key order, with the top level streamed
     rep = run_sweep(6)
@@ -431,7 +453,7 @@ def test_every_violation_kind_keeps_its_wording(monkeypatch):
         monkeypatch.setattr(venkov, "diameters", lambda facets, cores: diameters)
         if cores is not None:
             monkeypatch.setattr(faces, "_core_merges", lambda g, conn: iter(cores))
-        found = sweep._check_graph(g)[4]
+        found = sweep._check_graph(g, False)[4]
         monkeypatch.undo()
         return found
 
@@ -492,12 +514,101 @@ def test_run_sweep_builds_one_table_and_one_core_pass_per_graph(monkeypatch):
 
 
 def test_run_sweep_to_seven_builds_one_table_per_checked_graph(monkeypatch):
-    # 992 graphs on 4..7 vertices and 200 oracle samples at n = 7; the
-    # oracle checks the 139 graphs up to n = 6 from the sweep's own pass
+    # 992 graphs on 4..7 vertices, one face pass apiece: the oracle checks
+    # the 139 graphs up to n = 6 and 200 of the 853 at n = 7 from the
+    # sweep's own pass
     calls = count_face_passes(monkeypatch)
     rep = run_sweep(7)
     assert rep.ok and sum(r.instances for r in rep.rows) == 992
-    assert calls == {"_core_merges": 1192, "connected_table": 1192}
+    assert calls == {"_core_merges": 992, "connected_table": 992}
+
+
+def oracle_checked(monkeypatch, seed) -> tuple:
+    """The graphs `run_sweep(7, seed)` hands the oracle, and the level it
+    streams at n = 7; each oracle call must carry the sweep's face pass."""
+    checked, top = [], []
+    real_agrees, real_levels = sweep.oracle_agrees, sweep.connected_levels
+
+    def agrees(g, facets=None, cores=None):
+        assert facets is not None and isinstance(cores, list)
+        checked.append(g)
+        return real_agrees(g, facets, cores)
+
+    def levels(lo, hi):
+        for graphs in real_levels(lo, hi):
+            level = list(graphs)
+            if level[0].n == hi:
+                top.extend(level)
+            yield level
+
+    monkeypatch.setattr(sweep, "oracle_agrees", agrees)
+    monkeypatch.setattr(sweep, "connected_levels", levels)
+    assert run_sweep(7, seed=seed).ok
+    monkeypatch.undo()
+    return checked, top
+
+
+def test_the_oracle_checks_a_seeded_sample_of_the_level_itself(monkeypatch):
+    # every graph up to n = 6, and 200 distinct graphs of the n = 7 level
+    # the sweep checked, picked by seed
+    checked, top = oracle_checked(monkeypatch, 20260815)
+    assert len(checked) == 339
+    assert [sum(g.n == n for g in checked) for n in range(4, 8)] == [6, 21, 112, 200]
+    sevens = [g for g in checked if g.n == 7]
+    assert len(top) == 853 and {id(g) for g in sevens} <= {id(g) for g in top}
+    assert len({canonical_label(7, (g.edges,))[0] for g in sevens}) == 200
+    others = [g for g in oracle_checked(monkeypatch, 1)[0] if g.n == 7]
+    assert {g.edges for g in others} != {g.edges for g in sevens}
+
+
+def test_every_oracle_mismatch_names_a_canonical_form(monkeypatch):
+    # an oracle that never agrees: all 139 graphs up to n = 6 and the 200
+    # picked at n = 7 are reported, each in canonical edges, in key order
+    monkeypatch.setattr(sweep, "oracle_agrees", lambda g, facets=None, cores=None: False)
+    rep = run_sweep(7)
+    assert len(rep.violations) == 339
+    assert all(v.endswith(": oracle mismatch") for v in rep.violations)
+    named = [ast.literal_eval(v.split(" ", 1)[1].rsplit(":", 1)[0])
+             for v in rep.violations if v.startswith("n=7 ")]
+    forms = [g.sorted_edges() for g in enumerate_connected_graphs(7)]
+    assert len(named) == 200
+    assert named == [edges for edges in forms if edges in named]
+
+
+def test_each_graph_lines_come_together(monkeypatch):
+    # belt diameter 3 below 40 facets, and an oracle that disagrees on an
+    # odd edge count: a level lists its graphs by key, each with its check
+    # lines and then its mismatch line
+    inflated_belts(monkeypatch)
+    monkeypatch.setattr(sweep, "oracle_agrees",
+                        lambda g, facets=None, cores=None: len(g.edges) % 2 == 0)
+    rep = run_sweep(5)
+    want = []
+    for g in enumerate_connected_graphs(5):
+        label = "n=5 %r: " % g.sorted_edges()
+        if len(faces.enumerate_facets(g)) < 40:
+            want.append(label + "belt diameter 3 > 2")
+        if len(g.edges) % 2:
+            want.append(label + "oracle mismatch")
+    assert rep.violations[-len(want):] == want
+    assert rep.rows[1].violations == len(want)
+
+
+def test_the_leaves_check_runs_at_every_level(monkeypatch):
+    # one path graph per level keeps the sweep to n = 8 small: the leaf
+    # criterion is asked for the conjugate classes of every n
+    asked = []
+
+    def classes(n):
+        asked.append(n)
+        return []
+
+    monkeypatch.setattr(symmetric, "enumerate_conjugate_classes", classes)
+    monkeypatch.setattr(sweep, "connected_levels", lambda lo, hi: iter(
+        [[ZGraph(n, [(i, i + 1) for i in range(n - 1)])] for n in range(lo, hi + 1)]))
+    rep = run_sweep(8)
+    assert rep.ok and [r.instances for r in rep.rows] == [1] * 5
+    assert asked == [4, 5, 6, 7, 8]
 
 
 def test_run_sweep_validates_args():

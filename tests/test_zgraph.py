@@ -186,7 +186,7 @@ def test_automorphisms_generate_the_group():
                   for e in growth_reference.connected_graphs(n)]
     sevens = growth_reference.connected_graphs(7)
     codes += [(7, edge_code(7, shuffled(rng, 7, e))) for e in rng.sample(sevens, 60)]
-    for i, g in enumerate(sweep.sample_connected_graphs(8, 40, seed=8)):
+    for i, g in enumerate(growth_reference.sample_connected_graphs(8, 40, seed=8)):
         edges = list(g.edges)
         if i % 2:   # make vertex 7 a twin of vertex 0
             edges = [e for e in edges if 7 not in e and e != (0, 7)]
