@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import faces, oracle, symmetric, venkov
-from .zgraph import (ZGraph, bits, canonical_forms, canonical_label, grow_canonical, key_sorted,
+from .zgraph import (ZGraph, bits, canonical_forms, grow_canonical, key_sorted, min_label_perm,
                      relabel)
 
 EXHAUSTIVE_MAX_N = 8
@@ -209,8 +209,8 @@ def _check_graph(g: ZGraph, with_oracle: bool):
 
 def _canonical(adj) -> tuple:
     """(canonical key, canonical edges) of the graph whose neighbour masks are adj."""
+    key, perm, _ = min_label_perm(adj)
     edges = [(i, j) for i, a in enumerate(adj) for j in bits(a >> i + 1 << i + 1)]
-    key, perm, _ = canonical_label(len(adj), (edges,))
     return key, list(relabel(edges, perm))
 
 
@@ -238,8 +238,9 @@ def run_sweep(max_n: int, seed: int = 20260815) -> SweepReport:
     graphs, and otherwise ORACLE_SAMPLES of them, picked by their place in
     the level with random.Random(seed + n): in growth order at the top level
     and key order below it, so `run_sweep(7)` and `run_sweep(8)` check
-    different graphs at n = 7.  The leaf criterion runs on the conjugate
-    classes of every level.
+    different graphs at n = 7.  The leaf criterion runs on every coloring
+    `symmetric.conjugate_colorings` lists at each level, so a failing class
+    gets one line per coloring of it, in the order listed.
 
     Every level is read alike, whatever its labels and order (the top
     level of `connected_levels` comes in growth labels), and a graph is
@@ -296,7 +297,7 @@ def run_sweep(max_n: int, seed: int = 20260815) -> SweepReport:
         row.witness = min(map(_canonical, tied), default=(0, []))[1]
         for _, found in sorted(flagged):
             violations += found
-        for cg in symmetric.enumerate_conjugate_classes(n):
+        for cg in symmetric.conjugate_colorings(n):
             has_leaf = symmetric.find_common_leaf(cg) is not None
             dist = symmetric.red_blue_distance(cg)
             if (dist == 2) != has_leaf:

@@ -30,7 +30,6 @@ from .zgraph import (
     ZGraph,
     bits,
     canonical_forms,
-    canonical_label,
     components,
     dimension,
     grow_canonical,
@@ -402,14 +401,6 @@ def _tree_forms(k: int) -> tuple:
     return tuple(zip(*sorted(form[1:] for form in key_sorted(canonical_forms(grown, k)))))
 
 
-def colored_key(cg: ColoredZGraph):
-    """Canonical key over relabelings and the red/blue swap."""
-    n = cg.base.n
-    best = min(canonical_label(n, order)[0]
-               for order in ((cg.red, cg.blue), (cg.blue, cg.red)))
-    return (n, best)
-
-
 def _forests(n: int, a: int):
     """2-component spanning forests up to isomorphism, trees on a and n - a vertices."""
     for t1 in free_trees(a):
@@ -417,17 +408,16 @@ def _forests(n: int, a: int):
             yield t1 + tuple((i + a, j + a) for i, j in t2)
 
 
-def enumerate_conjugate_classes(n: int) -> list[ColoredZGraph]:
-    """Conjugate colorings up to isomorphism and color swap."""
-    seen = {}
+def conjugate_colorings(n: int):
+    """Every completion of every red 2-forest of free trees, as a coloring:
+    each conjugate coloring on n vertices up to isomorphism, most of them
+    more than once.  A coloring's red forest relabels onto the `_forests`
+    entry of its type (its smaller tree has at most n // 2 vertices), and
+    its blue edges then form a cross completion."""
     for a in range(1, n // 2 + 1):
         for red in _forests(n, a):
             for blue in cross_completions(n, red):
-                cg = ColoredZGraph(ZGraph(n, red + blue), red, blue)
-                key = colored_key(cg)
-                if key not in seen:
-                    seen[key] = cg
-    return [seen[k] for k in sorted(seen)]
+                yield ColoredZGraph(ZGraph(n, red + blue), red, blue)
 
 
 def _check_leaf_free(cg: ColoredZGraph) -> ColoredZGraph:

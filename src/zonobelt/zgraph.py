@@ -8,13 +8,14 @@ zonotope.  Vertex sets are int bitmasks throughout, so n <= 16 everywhere
 code that changes a graph step by step works on a copy of its masks.
 
 Isomorphism classes are handled here too.  `min_label_perm` finds a
-graph's canonical key and placement, and generators of its automorphism
-group from the same search.  `grow_canonical` grows the classes one vertex
-at a time by McKay's canonical augmentation: one attachment per orbit of
-the parent's group, and each class kept once, from the parent its
-canonical deletion leaves.  It labels a candidate only when that test
-needs the label; `canonical_forms` labels the rest for the callers that
-need canonical forms, so each class is labeled once either way.
+graph's canonical key and placement from its neighbour masks, and
+generators of its automorphism group from the same search.
+`grow_canonical` grows the classes one vertex at a time by McKay's
+canonical augmentation: one attachment per orbit of the parent's group,
+and each class kept once, from the parent its canonical deletion leaves.
+It labels a candidate only when that test needs the label;
+`canonical_forms` labels the rest for the callers that need canonical
+forms, so each class is labeled once either way.
 """
 
 from __future__ import annotations
@@ -143,37 +144,37 @@ def dimension(g: ZGraph) -> int:
     return g.n - len(components(g))
 
 
-def min_label_perm(n: int, code) -> tuple:
-    """Lexicographically minimal relabeling of a symmetric code matrix.
+def min_label_perm(adj) -> tuple:
+    """Lexicographically minimal relabeling of a graph, given by its
+    neighbour masks (adj[v] the mask of v's neighbours).
 
-    code[i][j] is a small int (0..3, 0 on the diagonal).  The key packs the
-    cells (p0,p1), (p0,p2), (p1,p2), (p0,p3), ... two bits each, so placing
-    one more vertex appends bits; branch-and-bound compares prefixes against
-    the best key found so far.  Each node holds its unplaced vertices v as
-    sorted codes col << 4 | v, col being v's cells against the placed
-    vertices, and placing a vertex appends one cell to every col.  Returns
-    (key, placement, automorphisms) with placement[k] the original vertex
-    in slot k.
+    The key packs the cells (p0,p1), (p0,p2), (p1,p2), (p0,p3), ... one bit
+    each, set for an edge, so placing one more vertex appends bits;
+    branch-and-bound compares prefixes against the best key found so far.
+    Each node holds its unplaced vertices v as sorted codes col << 4 | v,
+    col being v's cells against the placed vertices, and placing a vertex
+    appends one cell to every col.  Returns (key, placement, automorphisms)
+    with placement[k] the original vertex in slot k.
 
-    Each automorphism a (a[v] the image of v) keeps the code: code[a[i]][a[j]]
-    == code[i][j].  They are the ones the search meets: the swap of each
-    vertex with its nearest earlier twin, and, for each leaf after the
-    first with the best key, the map carrying the first such leaf's
-    placement onto its own.  Together they generate the whole group.  A
-    leaf with the best key is never cut, as its prefixes never exceed the
-    best key's, so it is visited unless a twin skip drops its subtree; the
-    subtree a skip drops is the twin swap of one the search tried, so each
-    best-key leaf is a visited one moved by twin swaps.
+    Each automorphism a (a[v] the image of v) keeps the edges: a[i] and a[j]
+    are adjacent exactly when i and j are.  They are the ones the search
+    meets: the swap of each vertex with its nearest earlier twin, and, for
+    each leaf after the first with the best key, the map carrying the first
+    such leaf's placement onto its own.  Together they generate the whole
+    group.  A leaf with the best key is never cut, as its prefixes never
+    exceed the best key's, so it is visited unless a twin skip drops its
+    subtree; the subtree a skip drops is the twin swap of one the search
+    tried, so each best-key leaf is a visited one moved by twin swaps.
     """
+    n = len(adj)
     if n == 1:
         return 0, (0,), []
-    total_bits = n * (n - 1)
-    # interchangeable vertices: identical code rows away from each other
-    rows = [sum(c << 2 * x for x, c in enumerate(code[v])) for v in range(n)]
+    total_bits = n * (n - 1) // 2
+    # interchangeable vertices: identical neighbour masks away from each other
     twins = [0] * n
     for u in range(n):
         for w in range(u + 1, n):
-            if not (rows[u] ^ rows[w]) & ~(3 << 2 * u | 3 << 2 * w):
+            if not (adj[u] ^ adj[w]) & ~(1 << u | 1 << w):
                 twins[u] |= 1 << w
                 twins[w] |= 1 << u
     autos = []
@@ -185,7 +186,7 @@ def min_label_perm(n: int, code) -> tuple:
             autos.append(swap)
 
     # cell[v][u]: u's cell against v, shifted above u's 4-bit label
-    cell = [[c << 4 | u for u, c in enumerate(code[v])] for v in range(n)]
+    cell = [[(a >> u & 1) << 4 | u for u in range(n)] for a in adj]
 
     best_key = None
     best_perm = None
@@ -212,14 +213,14 @@ def min_label_perm(n: int, code) -> tuple:
                 tried |= 1 << v
                 continue
             tried |= 1 << v
-            new_key = (key << (2 * k)) | e >> 4
+            new_key = (key << k) | e >> 4
             if best_key is not None:
-                shift = total_bits - (k + 1) * k
+                shift = total_bits - (k + 1) * k // 2
                 if new_key > (best_key >> shift):
                     break  # cands sorted: the rest are no better
             row = cell[v]
             placed.append(v)
-            dfs(new_key, sorted([f >> 4 << 6 | row[f & 15] for f in cands if f != e]))
+            dfs(new_key, sorted([f >> 4 << 5 | row[f & 15] for f in cands if f != e]))
             placed.pop()
 
     dfs(0, list(range(n)))
@@ -227,20 +228,6 @@ def min_label_perm(n: int, code) -> tuple:
     # state now rather than at a later cyclic garbage collection
     del dfs
     return best_key, best_perm, autos
-
-
-def canonical_label(n: int, edge_classes) -> tuple:
-    """(key, placement, automorphisms) of a graph whose edges come in
-    classes, from `min_label_perm`.
-
-    Class i (an iterable of vertex pairs) gets code i + 1.  Every labeling
-    in the package builds its code matrix here.
-    """
-    code = [[0] * n for _ in range(n)]
-    for c, edges in enumerate(edge_classes, 1):
-        for i, j in edges:
-            code[i][j] = code[j][i] = c
-    return min_label_perm(n, code)
 
 
 def relabel(edges, perm) -> tuple[tuple[int, int], ...]:
@@ -351,7 +338,8 @@ def grow_canonical(forms, k: int, masks):
     is the canonical deletion vertex, and the candidate is kept without a
     label.  Yields (edges, label) once per class of grown graph, in no set
     order: edges in growth labels (the form's, then vertex k's), and the
-    `canonical_label` triple when the test needed it, else None.
+    `min_label_perm` triple when the test needed it, else None; the test
+    labels the parent's neighbour masks with vertex k's mask added.
     `canonical_forms` labels the rest, so a caller that needs canonical
     forms labels each class once.
 
@@ -377,10 +365,7 @@ def grow_canonical(forms, k: int, masks):
     attachments = {m: [(v, k) for v in bits(m)] for m in masks}
     for edges, gens in forms:
         base = list(edges)
-        parent = [0] * k
-        for i, j in base:
-            parent[i] |= 1 << j
-            parent[j] |= 1 << i
+        parent = ZGraph(k, base).adj
         passes = _least_noncut(parent)
         for m in _orbit_reps(gens, attachments):
             least = passes(m)
@@ -390,7 +375,7 @@ def grow_canonical(forms, k: int, masks):
             if least == 1 << k:
                 yield new, None
                 continue
-            label = canonical_label(k + 1, (new,))
+            label = min_label_perm([a | (m >> v & 1) << k for v, a in enumerate(parent)] + [m])
             _, perm, autos = label
             orbit = [next(v for v in perm if least >> v & 1)]
             for v in orbit:
@@ -403,10 +388,10 @@ def grow_canonical(forms, k: int, masks):
 
 def canonical_forms(grown, n: int):
     """(key, canonical edges, generators) of each graph on n vertices that
-    `grow_canonical` yields, labeling those it left unlabeled; the
-    generators are in the canonical labels of the edges."""
+    `grow_canonical` yields, labeling the neighbour masks of those it left
+    unlabeled; the generators are in the canonical labels of the edges."""
     for edges, label in grown:
-        key, perm, autos = label or canonical_label(n, (edges,))
+        key, perm, autos = label or min_label_perm(ZGraph(n, edges).adj)
         slot = [0] * n
         for s, v in enumerate(perm):
             slot[v] = s

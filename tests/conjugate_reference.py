@@ -1,9 +1,14 @@
 """References for the conjugate-coloring enumeration and the extremal search.
 
-The library grows free trees one leaf at a time and enumerates conjugate
-colorings up to isomorphism; these enumerate every labeled tree (Pruefer
+The library grows free trees one leaf at a time and lists a conjugate
+coloring for every completion of every red forest of free trees
+(`conjugate_colorings`); these enumerate every labeled tree (Pruefer
 decoding) and every labeled conjugate coloring instead, so the tests can
-check the isomorph-free paths against them.  The library's extremal search
+check the isomorph-free paths against them.  `enumerate_conjugate_classes`
+keeps one coloring per class up to isomorphism and color swap, by
+`colored_key`, which labels the coloring's two red/blue code matrices with
+`growth_reference.min_label_perm`; the sweep's leaf check ran on these
+classes before it read every completion.  The library's extremal search
 completes only the forests its leaf-count bound admits; the three-regime
 search kept here reaches the same answers by other routes.
 
@@ -26,7 +31,9 @@ intersecting the two fixed pairs' neighbour lists (`d8_score_reference`).
 import random
 from itertools import product
 
+import growth_reference
 from adjacency_reference import in_same_belt
+from growth_reference import edge_label
 from zonobelt.faces import enumerate_facets, validate_partition
 from zonobelt.symmetric import (
     D8_X1,
@@ -35,10 +42,10 @@ from zonobelt.symmetric import (
     D8_Y2,
     ColoredZGraph,
     SearchResult,
+    _forests,
     _reduces_leaf_free,
     check_conjugate,
     cross_completions,
-    enumerate_conjugate_classes,
     free_trees,
     red_blue_distance,
 )
@@ -46,7 +53,6 @@ from zonobelt.venkov import belt_diameter, belt_distance, belt_neighbors
 from zonobelt.zgraph import (
     ZGraph,
     bits,
-    canonical_label,
     components,
     dimension,
     mask_of,
@@ -223,10 +229,37 @@ def free_trees_by_pruefer(k: int) -> tuple:
     """Free trees on k vertices: every labeled tree, deduplicated by key."""
     seen = {}
     for edges in labeled_trees(tuple(range(k))):
-        key, perm, _ = canonical_label(k, (edges,))
+        key, perm, _ = edge_label(k, edges)
         if key not in seen:
             seen[key] = relabel(edges, perm)
     return tuple(sorted(seen.values()))
+
+
+def colored_key(cg: ColoredZGraph):
+    """Canonical key over relabelings and the red/blue swap: the least
+    reference key of the code matrix with red 1 and blue 2, or swapped."""
+    n = cg.base.n
+    keys = []
+    for first, second in ((cg.red, cg.blue), (cg.blue, cg.red)):
+        code = [[0] * n for _ in range(n)]
+        for c, edges in ((1, first), (2, second)):
+            for i, j in edges:
+                code[i][j] = code[j][i] = c
+        keys.append(growth_reference.min_label_perm(n, code)[0])
+    return (n, min(keys))
+
+
+def enumerate_conjugate_classes(n: int) -> list[ColoredZGraph]:
+    """Conjugate colorings up to isomorphism and color swap, by key."""
+    seen = {}
+    for a in range(1, n // 2 + 1):
+        for red in _forests(n, a):
+            for blue in cross_completions(n, red):
+                cg = ColoredZGraph(ZGraph(n, red + blue), red, blue)
+                key = colored_key(cg)
+                if key not in seen:
+                    seen[key] = cg
+    return [seen[k] for k in sorted(seen)]
 
 
 def enumerate_conjugate(n: int):

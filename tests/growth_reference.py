@@ -13,8 +13,13 @@ changes no canonical form:
   and keeps the first form per key in a dictionary.
 
 `min_label_perm` is the labeling that rebuilds every unplaced vertex's
-column from the placed vertices at each node; the library's carries the
-columns down the recursion and must return the same (key, placement).
+column from the placed vertices at each node, on a code matrix of cells
+0..3 packed two bits each; the library's carries the columns down the
+recursion on neighbour masks, one bit a cell, and must return the same
+placement, and the same key once each 2-bit cell is read as one bit
+(`one_bit_key`).  `conjugate_reference.colored_key` labels red/blue codes
+with it, which the library no longer labels; `edge_label` is the
+library's labeling of a graph given by its edges.
 
 `enumerate_connected_graphs` is the canonical top level the tests read:
 `sweep.connected_levels` streams its top level in growth labels, and
@@ -25,9 +30,38 @@ on whole levels.
 """
 
 import random
+import sys
 
-from zonobelt import sweep
-from zonobelt.zgraph import ZGraph, _least_noncut, bits, canonical_label, dimension, relabel
+from zonobelt import sweep, zgraph
+from zonobelt.zgraph import ZGraph, _least_noncut, bits, dimension, relabel
+
+
+def edge_label(n: int, edges) -> tuple:
+    """The library's (key, placement, automorphisms) of the graph on n
+    vertices with these edges."""
+    return zgraph.min_label_perm(ZGraph(n, edges).adj)
+
+
+def on_every_labeling(monkeypatch, before) -> None:
+    """Have every binding of the library's `zgraph.min_label_perm` call
+    before(adj) first, for the rest of the test."""
+    real = zgraph.min_label_perm
+
+    def labeling(adj):
+        before(adj)
+        return real(adj)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("zonobelt.") and getattr(module, "min_label_perm", None) is real:
+            monkeypatch.setattr(module, "min_label_perm", labeling)
+
+
+def one_bit_key(key: int) -> int:
+    """A key of 2-bit cells, each 0 or 1, with each cell read as one bit."""
+    out = 0
+    for k in range(key.bit_length() // 2 + 1):
+        out |= (key >> 2 * k & 1) << k
+    return out
 
 
 def canonical_level(graphs) -> list:
@@ -35,7 +69,7 @@ def canonical_level(graphs) -> list:
     graph is labeled, and two of one class fail an assertion."""
     forms = {}
     for g in graphs:
-        key, perm, _ = canonical_label(g.n, (g.edges,))
+        key, perm, _ = edge_label(g.n, g.edges)
         assert key not in forms, "class of key %d streamed twice" % key
         forms[key] = ZGraph(g.n, relabel(g.edges, perm))
     return [forms[key] for key in sorted(forms)]
@@ -125,7 +159,7 @@ def grow_canonical(forms, k: int, masks) -> dict:
         base = list(edges)
         for attach in attachments:
             new = base + attach
-            key, perm, _ = canonical_label(k + 1, (new,))
+            key, perm, _ = edge_label(k + 1, new)
             if key not in grown:
                 grown[key] = relabel(new, perm)
     return grown
@@ -165,7 +199,7 @@ def grow_by_twins(forms, k: int, masks) -> dict:
             if any(m & v and not m & u for u, v in pairs) or not passes(m):
                 continue
             new = base + attach
-            key, perm, _ = canonical_label(k + 1, (new,))
+            key, perm, _ = edge_label(k + 1, new)
             if key not in grown:
                 grown[key] = relabel(new, perm)
     return grown

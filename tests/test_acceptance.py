@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from conjugate_reference import enumerate_conjugate_classes
 from oracle_reference import pack, zone_matrix
 from zonobelt import faces, oracle, sweep, symmetric, venkov
 from zonobelt.zgraph import ZGraph, dimension
@@ -35,14 +36,18 @@ def test_criterion_01_extremal_table():
 
 
 def test_criterion_02_leaves_iff():
+    # every completion of every red forest of free trees: each conjugate
+    # class on 4..10 vertices at least once, 14,968 colorings in all
     checked = 0
-    for n in range(4, 9):
-        for cg in symmetric.enumerate_conjugate_classes(n):
+    for n in range(4, 11):
+        for cg in symmetric.conjugate_colorings(n):
             has_leaf = symmetric.find_common_leaf(cg) is not None
             dist = symmetric.red_blue_distance(cg)
             assert (dist == 2) == has_leaf, (n, sorted(cg.red), sorted(cg.blue))
             checked += 1
-    print("ACCEPTANCE 2: PASS - distance 2 iff common leaf on all %d conjugate classes, n <= 8" % checked)
+    assert checked == 14968
+    print("ACCEPTANCE 2: PASS - distance 2 iff common leaf on all %d conjugate completions, n <= 10"
+          % checked)
 
 
 def test_criterion_03_k2dm1_distance_two():
@@ -118,7 +123,7 @@ def test_criterion_09_structural_invariants(full_sweep):
         assert oracle.packed_rank(*pack(zone_matrix(g))) == dimension(g)
     checked = 0
     for n in range(4, 8):
-        for cg in symmetric.enumerate_conjugate_classes(n):
+        for cg in enumerate_conjugate_classes(n):
             assert symmetric.is_bipartite(cg.base)
             blue = ZGraph(cg.base.n, cg.blue)
             red = ZGraph(cg.base.n, cg.red)

@@ -8,8 +8,8 @@ import pytest
 
 import growth_reference
 import oracle_reference
-from zonobelt import faces, oracle, sweep, symmetric, venkov, zgraph
-from growth_reference import enumerate_connected_graphs, sample_connected_graphs
+from zonobelt import faces, oracle, sweep, symmetric, venkov
+from growth_reference import edge_label, enumerate_connected_graphs, sample_connected_graphs
 from zonobelt.sweep import (
     CONNECTED_COUNTS,
     CSV_HEADER,
@@ -18,7 +18,7 @@ from zonobelt.sweep import (
     report_json,
     run_sweep,
 )
-from zonobelt.zgraph import ZGraph, canonical_label, dimension, min_label_perm, relabel
+from zonobelt.zgraph import ZGraph, dimension, relabel
 
 
 def test_connected_counts_to_seven():
@@ -48,13 +48,7 @@ def test_a_level_of_the_wrong_size_raises(monkeypatch):
 
 
 def test_enumeration_labels_each_candidate_once(monkeypatch):
-    calls = []
-
-    def counting(n, code):
-        calls.append(n)
-        return min_label_perm(n, code)
-
-    monkeypatch.setattr(zgraph, "min_label_perm", counting)
+    calls = counting_labelings(monkeypatch)
     graphs = enumerate_connected_graphs(6)
     # level k grows every connected graph on k vertices by 2^k - 1 attachments
     candidates = sum(CONNECTED_COUNTS[k - 1] * ((1 << k) - 1) for k in range(1, 6))
@@ -72,12 +66,7 @@ def test_enumeration_matches_unfiltered_growth(n):
 def counting_labelings(monkeypatch) -> list:
     """The vertex counts of the labelings made from now on."""
     calls = []
-
-    def counting(n, code):
-        calls.append(n)
-        return min_label_perm(n, code)
-
-    monkeypatch.setattr(zgraph, "min_label_perm", counting)
+    growth_reference.on_every_labeling(monkeypatch, lambda adj: calls.append(len(adj)))
     return calls
 
 
@@ -154,7 +143,7 @@ def test_independence_number_never_rises_in_key_order():
 
 def test_enumeration_is_canonical_and_sorted():
     graphs = enumerate_connected_graphs(5)
-    labels = [canonical_label(5, (g.edges,)) for g in graphs]
+    labels = [edge_label(5, g.edges) for g in graphs]
     keys = [key for key, _, _ in labels]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
@@ -168,7 +157,7 @@ def test_canonical_key_relabel_invariant():
         relab = list(range(5))
         rng.shuffle(relab)
         h = ZGraph(5, [(relab[i], relab[j]) for i, j in g.edges])
-        assert canonical_label(5, (h.edges,))[0] == canonical_label(5, (g.edges,))[0]
+        assert edge_label(5, h.edges)[0] == edge_label(5, g.edges)[0]
 
 
 def test_sampling_deterministic_and_connected():
@@ -347,11 +336,14 @@ def test_each_witness_is_the_first_graph_of_largest_belt_diameter():
 
 
 def test_run_sweep_to_seven_stays_within_labeling_budget(monkeypatch):
-    # 463 labelings grow the levels, the witnesses take 26 and the leaves
-    # check 101: 590, against 1,129 with the top level labeled and sorted
+    # 463 labelings grow the levels, the witnesses take 26 and the free
+    # trees of the leaf check 13: 502 from a fresh tree cache.  The leaf
+    # check labels no coloring (88 more when it deduplicated them), and
+    # the top level labeled and sorted took 1,129
     calls = counting_labelings(monkeypatch)
+    symmetric._tree_forms.cache_clear()
     rep = run_sweep(7)
-    assert rep.ok and 0 < len(calls) <= 600
+    assert rep.ok and len(calls) == 502
     assert rep.oracle_samples == 200
 
 
@@ -399,7 +391,7 @@ def test_a_class_streamed_twice_raises(monkeypatch):
         grown = list(real(forms, k, masks))
         if k == 4:
             edges = grown[3][0]
-            dup.append(canonical_label(5, (edges,))[0])
+            dup.append(edge_label(5, edges)[0])
             grown.insert(10, ([(4 - i, 4 - j) for i, j in edges], None))
         return iter(grown)
 
@@ -556,7 +548,7 @@ def test_the_oracle_checks_a_seeded_sample_of_the_level_itself(monkeypatch):
     assert [sum(g.n == n for g in checked) for n in range(4, 8)] == [6, 21, 112, 200]
     sevens = [g for g in checked if g.n == 7]
     assert len(top) == 853 and {id(g) for g in sevens} <= {id(g) for g in top}
-    assert len({canonical_label(7, (g.edges,))[0] for g in sevens}) == 200
+    assert len({edge_label(7, g.edges)[0] for g in sevens}) == 200
     others = [g for g in oracle_checked(monkeypatch, 1)[0] if g.n == 7]
     assert {g.edges for g in others} != {g.edges for g in sevens}
 
@@ -596,14 +588,14 @@ def test_each_graph_lines_come_together(monkeypatch):
 
 def test_the_leaves_check_runs_at_every_level(monkeypatch):
     # one path graph per level keeps the sweep to n = 8 small: the leaf
-    # criterion is asked for the conjugate classes of every n
+    # criterion is asked for the conjugate colorings of every n
     asked = []
 
-    def classes(n):
+    def colorings(n):
         asked.append(n)
         return []
 
-    monkeypatch.setattr(symmetric, "enumerate_conjugate_classes", classes)
+    monkeypatch.setattr(symmetric, "conjugate_colorings", colorings)
     monkeypatch.setattr(sweep, "connected_levels", lambda lo, hi: iter(
         [[ZGraph(n, [(i, i + 1) for i in range(n - 1)])] for n in range(lo, hi + 1)]))
     rep = run_sweep(8)

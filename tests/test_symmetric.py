@@ -13,9 +13,11 @@ import conjugate_reference
 from conjugate_reference import (
     bipartite_trees_reference,
     color_facets,
+    colored_key,
     d8_common_neighbors_lists,
     d8_common_neighbors_reference,
     enumerate_conjugate,
+    enumerate_conjugate_classes,
     free_trees_by_pruefer,
     red_forest_reps,
     search_extremal_reference,
@@ -31,9 +33,8 @@ from zonobelt.symmetric import (
     ColoredZGraph,
     bipartite_trees,
     check_conjugate,
-    colored_key,
+    conjugate_colorings,
     cross_completions,
-    enumerate_conjugate_classes,
     find_common_leaf,
     free_trees,
     gen_even_extremal,
@@ -160,6 +161,19 @@ def test_classes_cover_labeled_enumeration():
         assert keys == reps
 
 
+def test_conjugate_colorings_cover_every_class():
+    # every completion of every red forest of free trees is a conjugate
+    # coloring, and together they meet every class: 3, 3, 10, 28 and 240
+    # completions for the 2, 2, 4, 7 and 24 classes on 4..8 vertices
+    for n, count, classes in ((4, 3, 2), (5, 3, 2), (6, 10, 4), (7, 28, 7), (8, 240, 24)):
+        colorings = list(conjugate_colorings(n))
+        assert len(colorings) == count
+        assert all(check_conjugate(cg)[0] for cg in colorings)
+        keys = {colored_key(cg) for cg in enumerate_conjugate_classes(n)}
+        assert len(keys) == classes
+        assert {colored_key(cg) for cg in colorings} == keys
+
+
 def test_colored_key_invariance():
     rng = random.Random(51)
     for cg in enumerate_conjugate_classes(6):
@@ -202,15 +216,13 @@ def test_tree_growth_stays_within_labeling_budget(monkeypatch):
     # k = 9, 136 with twin swaps only, 326 with every attachment labeled);
     # labeling every Pruefer tree takes 1,302 calls for k = 6 alone
     calls = []
-    real = zgraph.min_label_perm
 
-    def counting(n, code):
-        calls.append(n)
+    def counting(adj):
+        calls.append(len(adj))
         if len(calls) > 1000:
             raise AssertionError("more than 1000 labelings")
-        return real(n, code)
 
-    monkeypatch.setattr(zgraph, "min_label_perm", counting)
+    growth_reference.on_every_labeling(monkeypatch, counting)
     symmetric._tree_forms.cache_clear()   # grow every level under the counter
     assert len(free_trees(9)) == 47
     symmetric._tree_forms.cache_clear()

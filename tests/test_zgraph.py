@@ -6,7 +6,8 @@ from itertools import permutations
 import pytest
 
 import growth_reference
-from zonobelt import sweep, symmetric, zgraph
+from growth_reference import edge_label, one_bit_key
+from zonobelt import sweep, symmetric
 from zonobelt.zgraph import (
     PAIR,
     ZGraph,
@@ -14,7 +15,6 @@ from zonobelt.zgraph import (
     _orbit_reps,
     bits,
     canonical_forms,
-    canonical_label,
     components,
     dimension,
     grow_canonical,
@@ -22,7 +22,6 @@ from zonobelt.zgraph import (
     mask_of,
     min_label_perm,
     pair,
-    relabel,
 )
 
 
@@ -111,7 +110,7 @@ def test_twin_rule_skips_only_swapped_copies():
                 return any(m & v and not m & u for u, v in twins)
 
             def child_key(m):
-                return canonical_label(k + 1, (list(edges) + [(v, k) for v in bits(m)],))[0]
+                return edge_label(k + 1, list(edges) + [(v, k) for v in bits(m)])[0]
 
             for m in range(1, 1 << k):
                 if not skipped(m):
@@ -167,6 +166,11 @@ def edge_code(n, edges):
     return code
 
 
+def code_masks(code) -> list[int]:
+    """The neighbour masks of the graph whose 0/1 code matrix is code."""
+    return [sum(c << x for x, c in enumerate(row)) for row in code]
+
+
 def shuffled(rng, n, edges):
     relab = list(range(n))
     rng.shuffle(relab)
@@ -176,7 +180,7 @@ def shuffled(rng, n, edges):
 def test_automorphisms_generate_the_group():
     # every connected graph on 1..6 vertices, 60 seeded classes on 7 and 40
     # seeded graphs on 8 (half of them with a twin pair), each under a
-    # seeded relabeling, and 200 seeded two-class codes on 3..7 vertices:
+    # seeded relabeling, and 200 seeded dense graphs on 3..7 vertices:
     # each returned map keeps the code, and together they generate the
     # whole automorphism group
     rng = random.Random(20261019)
@@ -198,11 +202,11 @@ def test_automorphisms_generate_the_group():
         code = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                code[i][j] = code[j][i] = rng.choice((0, 1, 1, 2))
+                code[i][j] = code[j][i] = rng.choice((0, 1, 1))
         codes.append((n, code))
     nontrivial = 0
     for n, code in codes:
-        _, _, autos = min_label_perm(n, code)
+        _, _, autos = min_label_perm(code_masks(code))
         group = brute_automorphisms(n, code)
         assert {tuple(a) for a in autos} <= group, code
         assert generated(n, autos) == group, code
@@ -261,7 +265,7 @@ def test_each_class_grows_from_its_canonical_deletion():
         least = min(invariant(v) for v in noncut)
         d = min(v for v in noncut if invariant(v) == least)
         rest = [(i - (i > d), j - (j > d)) for i, j in edges if d not in (i, j)]
-        return canonical_label(n - 1, (rest,))[0]
+        return edge_label(n - 1, rest)[0]
 
     level = [(0, (), [])]
     for k in range(1, 7):
@@ -269,14 +273,14 @@ def test_each_class_grows_from_its_canonical_deletion():
         for key, edges, gens in level:
             for child in grow_canonical([(edges, gens)], k, range(1, 1 << k)):
                 # a label comes only from the acceptance test, and is the full one
-                assert child[1] in (None, canonical_label(k + 1, (child[0],)))
+                assert child[1] in (None, edge_label(k + 1, child[0]))
                 form = next(canonical_forms([child], k + 1))
                 assert deletion_parent(k + 1, form[1]) == key, (edges, form[1])
                 grown.append(form)
         level = key_sorted(grown)
     for k in range(1, 9):
         for edges, gens in zip(*symmetric._tree_forms(k)):
-            key = canonical_label(k, (edges,))[0]
+            key = edge_label(k, edges)[0]
             grown = grow_canonical([(edges, gens)], k, [1 << v for v in range(k)])
             for child in canonical_forms(grown, k + 1):
                 assert deletion_parent(k + 1, child[1]) == key, (edges, child[1])
@@ -325,23 +329,16 @@ def test_pair_shares_only_valid_edges():
 
 
 def brute_min_key(n, code):
-    # reference canonical key: try every permutation, column-major 2-bit pack
+    # reference canonical key: try every permutation, column-major 1-bit pack
     best = None
     for perm in permutations(range(n)):
         key = 0
         for col in range(1, n):
             for row in range(col):
-                key = (key << 2) | code[perm[row]][perm[col]]
+                key = (key << 1) | code[perm[row]][perm[col]]
         if best is None or key < best:
             best = key
     return best
-
-
-def graph_code(g):
-    code = [[0] * g.n for _ in range(g.n)]
-    for i, j in g.edges:
-        code[i][j] = code[j][i] = 1
-    return code
 
 
 def test_min_label_perm_matches_brute_force():
@@ -350,9 +347,8 @@ def test_min_label_perm_matches_brute_force():
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for _ in range(40):
             g = ZGraph(n, [p for p in pairs if rng.random() < 0.5])
-            code = graph_code(g)
-            key, perm, _ = min_label_perm(n, code)
-            assert key == brute_min_key(n, code)
+            key, perm, _ = min_label_perm(g.adj)
+            assert key == brute_min_key(n, edge_code(n, g.edges))
             assert sorted(perm) == list(range(n))
 
 
@@ -361,30 +357,24 @@ def test_min_label_perm_relabel_invariant():
     pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
     for _ in range(25):
         g = ZGraph(7, [p for p in pairs if rng.random() < 0.4])
-        key = min_label_perm(7, graph_code(g))[0]
+        key = min_label_perm(g.adj)[0]
         relab = list(range(7))
         rng.shuffle(relab)
         h = ZGraph(7, [(relab[i], relab[j]) for i, j in g.edges])
-        key2 = min_label_perm(7, graph_code(h))[0]
+        key2 = min_label_perm(h.adj)[0]
         assert key == key2
 
 
 def test_min_label_perm_single_vertex():
-    assert min_label_perm(1, [[0]]) == (0, (0,), [])
+    assert min_label_perm([0]) == (0, (0,), [])
 
 
 def labelings_of(monkeypatch, run) -> list:
-    """(n, code) of every labeling that run() asks for."""
+    """The neighbour masks of every labeling that run() asks for."""
     seen = []
-    real = zgraph.min_label_perm
-
-    def recording(n, code):
-        seen.append((n, [list(row) for row in code]))
-        return real(n, code)
-
-    monkeypatch.setattr(zgraph, "min_label_perm", recording)
+    growth_reference.on_every_labeling(monkeypatch, lambda adj: seen.append(list(adj)))
     run()
-    monkeypatch.setattr(zgraph, "min_label_perm", real)
+    monkeypatch.undo()
     return seen
 
 
@@ -393,49 +383,33 @@ def grow_free_trees():
     symmetric.free_trees(10)
 
 
+def assert_matches_reference(adj):
+    # the library's placement is the reference's on the 0/1 code matrix,
+    # and its key is the reference key with each 2-bit cell read as one bit
+    n = len(adj)
+    code = [[a >> u & 1 for u in range(n)] for a in adj]
+    key, perm = growth_reference.min_label_perm(n, code)
+    assert min_label_perm(adj)[:2] == (one_bit_key(key), perm), adj
+
+
 @pytest.mark.parametrize("run, count", [
     (lambda: list(sweep.connected_levels(1, 7)), 463),
-    (lambda: [symmetric.enumerate_conjugate_classes(n) for n in range(2, 9)], None),
     (grow_free_trees, None),
-], ids=["connected_levels", "conjugate_classes", "free_trees"])
+], ids=["connected_levels", "free_trees"])
 def test_min_label_perm_matches_reference_on_library_inputs(monkeypatch, run, count):
     # the columns carried down the recursion give the same (key, placement)
     # as columns rebuilt from the placed vertices at every node
     seen = labelings_of(monkeypatch, run)
     assert seen and count in (None, len(seen))
-    for n, code in seen:
-        assert min_label_perm(n, code)[:2] == growth_reference.min_label_perm(n, code), code
+    for adj in seen:
+        assert_matches_reference(adj)
 
 
 def test_min_label_perm_matches_reference_on_random_codes():
+    # 1,000 seeded graphs on 1..9 vertices, sparse, even and dense
     rng = random.Random(20261019)
     for _ in range(1000):
         n = rng.randrange(1, 10)
-        code = [[0] * n for _ in range(n)]
-        weights = rng.choice(((1, 1, 1, 1), (6, 1, 1, 1), (1, 3, 0, 0)))
-        for i in range(n):
-            for j in range(i + 1, n):
-                code[i][j] = code[j][i] = rng.choices(range(4), weights)[0]
-        assert min_label_perm(n, code)[:2] == growth_reference.min_label_perm(n, code), code
-
-
-def test_canonical_label_codes_edge_classes():
-    rng = random.Random(13)
-    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-    for _ in range(20):
-        red = [p for p in pairs if rng.random() < 0.3]
-        blue = [p for p in pairs if p not in red and rng.random() < 0.3]
-        code = [[0] * 6 for _ in range(6)]
-        for c, edges in ((1, red), (2, blue)):
-            for i, j in edges:
-                code[i][j] = code[j][i] = c
-        key, perm, autos = canonical_label(6, (red, blue))
-        assert (key, perm, autos) == min_label_perm(6, code)
-        # the placement carries each class onto the same canonical edges
-        # from any starting labeling
-        relab = list(range(6))
-        rng.shuffle(relab)
-        moved = [[(relab[i], relab[j]) for i, j in edges] for edges in (red, blue)]
-        key2, perm2, _ = canonical_label(6, moved)
-        assert key2 == key
-        assert [relabel(e, perm2) for e in moved] == [relabel(e, perm) for e in (red, blue)]
+        p = rng.choice((0.15, 0.5, 0.85))
+        g = ZGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        assert_matches_reference(g.adj)
