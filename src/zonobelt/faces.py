@@ -19,8 +19,10 @@ parts, for the belt neighbours of one facet pair, with no connectivity
 test per part.  Both read their sets off one walk, `connected_sets`,
 which lists the connected subsets of a side, each once.  `in_same_belt`
 tests one pair of facet pairs for a shared belt, by bit tests and at most
-one connectivity walk, so a belt distance of at most 2 needs no neighbour
-list of the source.
+one connectivity walk.  `first_common_neighbour` finds the least facet
+pair sharing a belt with both of two pairs from one `connected_sets` walk
+of each intersection of their sides, so a belt distance of at most 2
+needs no neighbour list.
 
 `dual_neighbours` lists, by first part, the dual neighbours of each
 facet whose first part holds vertex 0, written per belt shape from the
@@ -106,6 +108,59 @@ def in_same_belt(g: ZGraph, a: int, c: int) -> bool:
     else:
         return False
     return reach(g.adj, mid & -mid, mid) == mid
+
+
+def first_common_neighbour(g: ZGraph, a: int, b: int) -> int | None:
+    """The part holding vertex 0 of the least facet pair, by size and then
+    mask, sharing a belt with both of the distinct facet pairs {a, V∖a}
+    and {b, V∖b}; None when there is none.
+
+    Such a pair {X, V∖X} has a side X strictly inside a side P of the
+    first pair; write P' = V∖P, and Q, Q' for the sides of the second.
+    (i)  X ⊊ Q: X is a connected subset of the cell P∩Q other than P and
+         Q, P∖X and Q∖X are connected, and V∖X = P' ∪ P∖X is then
+         connected exactly when P∖X touches P' (and Q∖X touches Q').
+    (ii) V∖X ⊊ Q: the pairs nest, Q' ⊊ P, and X = Q' ∪ S with S and
+         (P∩Q)∖S nonempty and connected, S touching Q' and (P∩Q)∖S
+         touching P'.
+    So one `connected_sets` walk per nonempty cell lists every candidate
+    once.  Bit tests come first; only P∖X and Q∖X in case (i) take a
+    `reach`, and candidates are tried in sorted order.
+    """
+    full = g.full_mask
+    adj = g.adj
+    touch = dict.fromkeys((a, full ^ a, b, full ^ b), 0)    # side -> its neighbours
+    for v, near in enumerate(adj):
+        touch[a if a >> v & 1 else full ^ a] |= near
+        touch[b if b >> v & 1 else full ^ b] |= near
+    found = {}      # vertex 0's part -> the masks left to test by reach
+    for p in (a, full ^ a):
+        out_p = touch[full ^ p]
+        for q in (b, full ^ b):
+            cell = p & q
+            if not cell:
+                continue
+            out_q = touch[full ^ q]
+            sets = connected_sets(g, cell)
+            for x in sets:
+                if x != p and x != q and (p ^ x) & out_p and (q ^ x) & out_q:
+                    found[x if x & 1 else full ^ x] = (p ^ x, q ^ x)
+            if p | q == full:       # the pairs nest: V∖q ⊊ p
+                conn = set(sets)
+                for s in sets:
+                    rest = cell ^ s
+                    if s & out_q and rest & out_p and rest in conn:
+                        x = (full ^ q) | s
+                        found[x if x & 1 else full ^ x] = ()
+    keys = sorted(found)
+    keys.sort(key=int.bit_count)
+    for x in keys:
+        for m in found[x]:
+            if reach(adj, m & -m, m) != m:
+                break
+        else:
+            return x
+    return None
 
 
 def connected_splits(g: ZGraph, side: int) -> list[int]:

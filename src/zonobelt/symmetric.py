@@ -585,10 +585,12 @@ def _d8_masks():
 
     A common neighbour {S, V∖S} of the two fixed pairs has S inside a side P
     of the first and a side Q of the second: the other part holds P's other
-    side, which meets both sides of the second pair.  So S is a nonempty
-    subset of one of the four cells P ∩ Q, and it is a common neighbour
-    exactly when S, V∖S, P∖S and Q∖S are connected, and so are P's and Q's
-    other sides.  needs[t] has the bits of those six masks for the t-th S;
+    side, which meets both sides of the second pair: the fixed pairs never
+    nest.  So S is a nonempty subset of one of the four cells P ∩ Q, and it
+    is a common neighbour exactly when S, V∖S, P∖S and Q∖S are connected,
+    and so are P's and Q's other sides: case (i) of the rule by which
+    `faces.first_common_neighbour` answers belt distance 2.  needs[t] has
+    the bits of those six masks for the t-th S;
     holds[i][j] has the bits of the masks holding both i and j.
     """
     full = (1 << 9) - 1

@@ -28,18 +28,20 @@ neighbour table, which lists neighbours for those facets only, and reads
 both diameters off them; `diameter_witness` stays for dual.check_diameter_bound, which
 reports a witness pair for each graph.
 
-A belt distance needs neither.  Up to distance 2 it tests pairs
-(faces.in_same_belt): the two ends, then the source against the goal's
-neighbours.  belt_neighbors reads a node's neighbours off the connected
-subsets of each of its two parts (faces.connected_splits), so
-belt_distance never lists the facets nor builds a table of the connected
-sets of the whole vertex set.
+A belt distance needs neither.  Distance 1 is one pair test of the ends
+(faces.in_same_belt), and distance 2 their least common neighbour, read
+off the four intersections of their sides
+(faces.first_common_neighbour).  Only farther pairs list neighbours:
+belt_neighbors reads a node's neighbours off the connected subsets of
+each of its two parts (faces.connected_splits), so belt_distance never
+lists the facets nor builds a table of the connected sets of the whole
+vertex set.
 """
 
 from __future__ import annotations
 
 from .faces import FacetId, _belt_faces, belt_adjacency, connected_splits, dual_neighbours
-from .faces import in_same_belt, unordered_pair, validate_partition
+from .faces import first_common_neighbour, in_same_belt, unordered_pair, validate_partition
 from .zgraph import ZGraph, bits
 
 
@@ -196,15 +198,16 @@ def belt_distance(g: ZGraph, f1: FacetId, f2: FacetId):
 
     The path is the one a BFS over the sorted facet list returns, and its
     ends are f1 and f2 with vertex 0's part first.  Distance 1 is one
-    `in_same_belt` test of the ends.  Distance 2 goes through the first
-    node of the goal's sorted neighbour list (belt_neighbors) that shares
-    a belt with the source: neighbour lists sort alike, so that node is
-    the first of the source's neighbours a BFS meets in the goal's list.
-    Farther pairs run the BFS, which generates neighbours instead of
-    scanning every facet and stops at the first node it finds next to the
-    goal, so the last level is never expanded.  Nodes are expanded in
-    discovery order over sorted neighbour lists.  The graph must have at
-    least 3 vertices and be connected, as for every belt query.
+    `in_same_belt` test of the ends.  Distance 2 goes through their least
+    common neighbour (`first_common_neighbour`), with no neighbour list:
+    neighbour lists sort alike, so the BFS meets the least of the source's
+    neighbours that is next to the goal first.  Only farther pairs list
+    neighbours (belt_neighbors) and run the BFS, which generates neighbours
+    instead of scanning every facet and stops at the first node it finds
+    next to the goal, so the last level is never expanded.  Nodes are
+    expanded in discovery order over sorted neighbour lists.  The graph
+    must have at least 3 vertices and be connected, as for every belt
+    query.
     """
     if g.n < 3:
         raise ValueError("need at least 3 vertices")
@@ -217,11 +220,10 @@ def belt_distance(g: ZGraph, f1: FacetId, f2: FacetId):
     full = g.full_mask
     if in_same_belt(g, src, dst):
         return 1, [start, goal]
-    near = belt_neighbors(g, dst)
-    for w in near:
-        if in_same_belt(g, src, w):
-            return 2, [start, (w, full ^ w), goal]
-    near = set(near)
+    w = first_common_neighbour(g, src, dst)
+    if w is not None:
+        return 2, [start, (w, full ^ w), goal]
+    near = set(belt_neighbors(g, dst))
     parent = {}
     for v, u in _discovered(g, src):
         parent[v] = u

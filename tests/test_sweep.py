@@ -486,23 +486,24 @@ def count_face_passes(monkeypatch) -> dict:
 def test_run_sweep_builds_one_table_and_one_core_pass_per_graph(monkeypatch):
     # 139 graphs on 4..6 vertices, each checked by the sweep and then by
     # the oracle from the same face pass: one connectivity table and one
-    # core pass apiece, and the facets never come from the split walk over
-    # the whole vertex set
+    # core pass apiece, and the facets never come from a walk over the
+    # whole vertex set other than the table's own
     calls = count_face_passes(monkeypatch)
     sides = []
-    real_splits = faces.connected_splits
+    real_sets = faces.connected_sets
 
-    def splits(g, side):
+    def sets(g, side):
         sides.append(side == g.full_mask)
-        return real_splits(g, side)
+        return real_sets(g, side)
 
-    # venkov binds its own name: belt distances in the leaves check use it
-    monkeypatch.setattr(faces, "connected_splits", splits)
-    monkeypatch.setattr(venkov, "connected_splits", splits)
+    # every walk goes through this name: each connectivity table walks the
+    # whole vertex set once, and the belt distances of the leaves check
+    # walk the cells of the common-neighbour step or a side's splits
+    monkeypatch.setattr(faces, "connected_sets", sets)
     rep = run_sweep(6)
     assert rep.ok and sum(r.instances for r in rep.rows) == 139
     assert calls == {"_core_merges": 139, "connected_table": 139}
-    assert sides and not any(sides)
+    assert sides.count(True) == 139 < len(sides)
 
 
 def test_run_sweep_to_seven_builds_one_table_per_checked_graph(monkeypatch):

@@ -4,9 +4,12 @@ belt_distance and belt_neighbors generate neighbours; they are checked
 against the facet-scanning references in adjacency_reference on every
 facet-pair query of every connected graph with n <= 6, on seeded graphs
 with 7..12 vertices and on the odd and even family witnesses up to d = 14.
-faces.in_same_belt, the pair test behind distances 1 and 2, is checked
-against the reference on every ordered pair of distinct facet pairs of
-every connected graph with 3..6 vertices and on seeded graphs with 7..12.
+faces.in_same_belt, the pair test behind distance 1, is checked against
+the reference on every ordered pair of distinct facet pairs of every
+connected graph with 3..6 vertices and on seeded graphs with 7..12, and
+faces.first_common_neighbour, the step behind distance 2, against the
+reference neighbour lists and distances on the same pairs, from 12
+seeded sources on graphs with 7..12 vertices and on family witnesses.
 belt_neighbors' connected splits are also checked against the submask walk
 they replaced, on every facet of every connected graph with n <= 7, on
 every 2-partition of every connected graph with n <= 6 and on seeded
@@ -104,9 +107,12 @@ def test_belt_distance_rejects_bad_graphs():
 
 
 def test_belt_distance_unreachable_raises(monkeypatch):
+    # the d = 7 witness's red and blue facets sit at distance 3, the first
+    # distance that reaches the BFS
+    cg = gen_odd_extremal(2)
     monkeypatch.setattr(venkov, "belt_neighbors", lambda g, a: [])
     with pytest.raises(RuntimeError, match="not connected"):
-        belt_distance(complete(4), (0b0011, 0b1100), (0b0101, 0b1010))
+        belt_distance(cg.base, *color_facets(cg))
 
 
 def test_belt_distance_list_facets_give_tuples():
@@ -246,9 +252,54 @@ def test_in_same_belt_matches_reference_on_seeded_graphs():
                     assert faces.in_same_belt(g, f2[0], f1[0]) == in_same_belt(g, f2, f1)
 
 
+def common_neighbour_checks(g, sources, cases):
+    """Check faces.first_common_neighbour from each source to every other
+    facet pair against the reference: its answer is the first node of the
+    source's reference neighbour list that shares a belt with the goal, and
+    for a goal not next to the source it is None only at reference distance
+    >= 3.  cases counts whether the side of
+    the answer inside a side of the source lies inside a side of the goal
+    too, case (i), or holds one, case (ii)."""
+    full = g.full_mask
+    for a, _ in sources:
+        near = ref.belt_neighbors_reference(g, a)
+        for b, _ in facet_pairs(g):
+            if b == a:
+                continue
+            fb = (b, full ^ b)
+            want = next((w for w in near if w != b and in_same_belt(g, (w, full ^ w), fb)), None)
+            got = faces.first_common_neighbour(g, a, b)
+            assert got == want, (g, a, b)
+            if got is None:
+                if b not in near:
+                    assert ref.belt_distance_reference(g, (a, full ^ a), fb)[0] >= 3, (g, a, b)
+                    cases["none"] += 1
+                continue
+            x = next(x for x in (got, full ^ got) if not x & ~a or not x & a)
+            cases["i" if not x & ~b or not x & b else "ii"] += 1
+
+
+def test_first_common_neighbour_matches_reference_on_every_pair():
+    # every ordered pair of distinct facet pairs of every connected graph
+    # with 3..6 vertices, 12 seeded sources on graphs with 7..12, and the
+    # red and blue facets of the d = 7 and 9 odd and d = 10 even witnesses,
+    # which sit at distance 3
+    cases = Counter()
+    for n in range(3, 7):
+        for g in enumerate_connected_graphs(n):
+            common_neighbour_checks(g, facet_pairs(g), cases)
+    rng = random.Random(78)
+    for g in seeded_graphs(range(7, 13), 1, 79):
+        nodes = facet_pairs(g)
+        common_neighbour_checks(g, rng.sample(nodes, min(12, len(nodes))), cases)
+    for cg in (gen_odd_extremal(2), gen_odd_extremal(3), gen_even_extremal(3)):
+        common_neighbour_checks(cg.base, color_facets(cg), cases)
+    assert cases["i"] and cases["ii"] and cases["none"], cases
+
+
 def test_belt_distance_lists_neighbours_beyond_distance_one_only(monkeypatch):
-    # distance 1 is one pair test, and distance 2 lists the goal's
-    # neighbours alone
+    # distances 1 and 2 list no neighbours: one pair test, then one
+    # common-neighbour step
     calls = []
 
     def counting(g, a):
@@ -264,7 +315,7 @@ def test_belt_distance_lists_neighbours_beyond_distance_one_only(monkeypatch):
                 for f2 in nodes:
                     calls.clear()
                     dist, _ = belt_distance(g, f1, f2)
-                    assert len(calls) == (1 if dist == 2 else 0), (g, f1, f2)
+                    assert not calls, (g, f1, f2)
                     dists[dist] += 1
     assert sorted(dists) == [0, 1, 2]
 
@@ -337,19 +388,28 @@ def test_belt_distance_tests_few_masks(monkeypatch):
     # connected_in is asked about the whole vertex set and the two parts of
     # each asked or expanded pair, never about a split's parts: the submask
     # walk asked about 14,738 masks on this query, and a connectivity test
-    # per split part about 5,222
+    # per split part about 5,222.  reach is asked by the pair test and by
+    # the common-neighbour step, at most twice per candidate (7 connected_in
+    # masks and 19 reach masks today)
     cg = gen_even_extremal(5)
     fr, fb = color_facets(cg)
     masks = set()
-    real = ZGraph.connected_in
+    reached = set()
+    real, real_reach = ZGraph.connected_in, faces.reach
 
     def recording(self, mask):
         masks.add(mask)
         return real(self, mask)
 
+    def reaching(adj, start, mask):
+        reached.add(mask)
+        return real_reach(adj, start, mask)
+
     monkeypatch.setattr(ZGraph, "connected_in", recording)
+    monkeypatch.setattr(faces, "reach", reaching)
     assert belt_distance(cg.base, fr, fb)[0] == 3
     assert len(masks) <= 16
+    assert len(masks | reached) <= 32
 
 
 def test_connected_splits_call_no_connected_in(monkeypatch):
