@@ -20,9 +20,10 @@ test per part.  Both read their sets off one walk, `connected_sets`,
 which lists the connected subsets of a side, each once.  `in_same_belt`
 tests one pair of facet pairs for a shared belt, by bit tests and at most
 one connectivity walk.  `first_common_neighbour` finds the least facet
-pair sharing a belt with both of two pairs from one `connected_sets` walk
-of each intersection of their sides, so a belt distance of at most 2
-needs no neighbour list.
+pair sharing a belt with both of two pairs: the least of all, {0}, by
+three `reach` calls, and otherwise from one `connected_sets` walk of each
+intersection of their sides, so a belt distance of at most 2 needs no
+neighbour list.
 
 `dual_neighbours` lists, by first part, the dual neighbours of each
 facet whose first part holds vertex 0, written per belt shape from the
@@ -126,9 +127,17 @@ def first_common_neighbour(g: ZGraph, a: int, b: int) -> int | None:
     So one `connected_sets` walk per nonempty cell lists every candidate
     once.  Bit tests come first; only P∖X and Q∖X in case (i) take a
     `reach`, and candidates are tried in sorted order.
+
+    The least key, 1, is tried before any walk: every other part holding
+    vertex 0 has more vertices.  {{0}, V∖{0}} is a common neighbour exactly
+    when a ≠ 1, b ≠ 1, a∖{0} and b∖{0} are connected (the `in_same_belt`
+    tests of {0} ⊂ a and {0} ⊂ b) and V∖{0} is, so that it is a facet
+    pair: three `reach` calls and no walk.
     """
     full = g.full_mask
     adj = g.adj
+    if a != 1 != b and all(reach(adj, m & -m, m) == m for m in (a ^ 1, b ^ 1, full ^ 1)):
+        return 1
     touch = dict.fromkeys((a, full ^ a, b, full ^ b), 0)    # side -> its neighbours
     for v, near in enumerate(adj):
         touch[a if a >> v & 1 else full ^ a] |= near

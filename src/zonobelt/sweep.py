@@ -239,8 +239,9 @@ def run_sweep(max_n: int, seed: int = 20260815) -> SweepReport:
     the level with random.Random(seed + n): in growth order at the top level
     and key order below it, so `run_sweep(7)` and `run_sweep(8)` check
     different graphs at n = 7.  The leaf criterion runs on every coloring
-    `symmetric.conjugate_colorings` lists at each level, so a failing class
-    gets one line per coloring of it, in the order listed.
+    `symmetric.conjugate_colorings` lists at each level, from one conjugacy
+    pass per coloring, so a failing class gets one line per coloring of it,
+    in the order listed.
 
     Every level is read alike, whatever its labels and order (the top
     level of `connected_levels` comes in growth labels), and a graph is
@@ -298,8 +299,9 @@ def run_sweep(max_n: int, seed: int = 20260815) -> SweepReport:
         for _, found in sorted(flagged):
             violations += found
         for cg in symmetric.conjugate_colorings(n):
-            has_leaf = symmetric.find_common_leaf(cg) is not None
-            dist = symmetric.red_blue_distance(cg)
+            fr, fb = symmetric._conjugate_facets(cg)
+            has_leaf = symmetric._common_leaf(cg) is not None
+            dist = venkov.belt_distance(cg.base, fr, fb)[0]
             if (dist == 2) != has_leaf:
                 violations.append(
                     "n=%d conjugate %r/%r: distance %d, common leaf %s"

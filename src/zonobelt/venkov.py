@@ -29,9 +29,10 @@ both diameters off them; `diameter_witness` stays for dual.check_diameter_bound,
 reports a witness pair for each graph.
 
 A belt distance needs neither.  Distance 1 is one pair test of the ends
-(faces.in_same_belt), and distance 2 their least common neighbour, read
-off the four intersections of their sides
-(faces.first_common_neighbour).  Only farther pairs list neighbours:
+(faces.in_same_belt), and distance 2 their least common neighbour
+(faces.first_common_neighbour): {{0}, V∖{0}}, the least pair of all,
+when three connectivity tests pass, and otherwise read off the four
+intersections of their sides.  Only farther pairs list neighbours:
 belt_neighbors reads a node's neighbours off the connected subsets of
 each of its two parts (faces.connected_splits), so belt_distance never
 lists the facets nor builds a table of the connected sets of the whole

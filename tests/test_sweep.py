@@ -622,3 +622,27 @@ def test_report_json_shape():
         "d", "instances", "max_belt_diameter", "max_dual_diameter",
         "witness_edges", "runtime_sec",
     }
+
+
+def test_the_leaf_check_makes_one_conjugacy_pass_per_coloring(monkeypatch):
+    # run_sweep(7) checks 44 colorings, and one conjugacy pass per coloring
+    # gives both its common leaf and its red-blue distance
+    calls = []
+    real = symmetric._conjugacy
+
+    def counting(cg):
+        calls.append(cg)
+        return real(cg)
+
+    monkeypatch.setattr(symmetric, "_conjugacy", counting)
+    rep = run_sweep(7)
+    assert rep.ok and len(calls) == 44
+    assert len({repr(cg) for cg in calls}) == 44
+
+
+def test_the_leaf_check_refuses_a_non_conjugate_coloring(monkeypatch):
+    bad = symmetric.ColoredZGraph(ZGraph(4, [(0, 1), (1, 2), (2, 3)]),
+                                  [(0, 1), (1, 2)], [(2, 3)])
+    monkeypatch.setattr(symmetric, "conjugate_colorings", lambda n: iter([bad]))
+    with pytest.raises(ValueError, match="^not conjugate: "):
+        run_sweep(4)

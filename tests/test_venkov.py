@@ -9,11 +9,12 @@ the reference on every ordered pair of distinct facet pairs of every
 connected graph with 3..6 vertices and on seeded graphs with 7..12, and
 faces.first_common_neighbour, the step behind distance 2, against the
 reference neighbour lists and distances on the same pairs, from 12
-seeded sources on graphs with 7..12 vertices and on family witnesses.
-belt_neighbors' connected splits are also checked against the submask walk
-they replaced, on every facet of every connected graph with n <= 7, on
-every 2-partition of every connected graph with n <= 6 and on seeded
-graphs with 8..12 vertices.
+seeded sources on graphs with 7..12 vertices and on family witnesses;
+on the same pairs it answers {0} with no cell walk wherever the
+reference puts {{0}, V∖{0}} next to both ends.  belt_neighbors' connected
+splits are also checked against the submask walk they replaced, on every
+facet of every connected graph with n <= 7, on every 2-partition of every
+connected graph with n <= 6 and on seeded graphs with 8..12 vertices.
 """
 
 import random
@@ -297,6 +298,45 @@ def test_first_common_neighbour_matches_reference_on_every_pair():
     assert cases["i"] and cases["ii"] and cases["none"], cases
 
 
+def test_first_common_neighbour_answers_zero_without_a_walk(monkeypatch):
+    # every ordered pair of distinct facet pairs of every connected graph
+    # with 3..6 vertices and 12 seeded sources on graphs with 7..12: where
+    # {{0}, V∖{0}} is a facet pair sharing a belt with both ends by the
+    # reference, the step answers 1 before walking any cell, and elsewhere
+    # never answers 1
+    walks = []
+    real = faces.connected_sets
+
+    def walking(g, side):
+        walks.append(side)
+        return real(g, side)
+
+    monkeypatch.setattr(faces, "connected_sets", walking)
+    graphs = [(g, facet_pairs(g)) for n in range(3, 7) for g in enumerate_connected_graphs(n)]
+    rng = random.Random(78)
+    for g in seeded_graphs(range(7, 13), 1, 79):
+        nodes = facet_pairs(g)
+        graphs.append((g, rng.sample(nodes, min(12, len(nodes)))))
+    answered = Counter()
+    for g, sources in graphs:
+        nodes = facet_pairs(g)
+        zero = (1, g.full_mask ^ 1)
+        for f1 in sources:
+            for f2 in nodes:
+                if f2 == f1:
+                    continue
+                walks.clear()
+                got = faces.first_common_neighbour(g, f1[0], f2[0])
+                if (zero in nodes and zero not in (f1, f2)
+                        and in_same_belt(g, zero, f1) and in_same_belt(g, zero, f2)):
+                    assert got == 1 and walks == [], (g, f1, f2)
+                    answered["zero"] += 1
+                else:
+                    assert got != 1, (g, f1, f2)
+                    answered["walked"] += bool(walks)
+    assert answered["zero"] and answered["walked"], answered
+
+
 def test_belt_distance_lists_neighbours_beyond_distance_one_only(monkeypatch):
     # distances 1 and 2 list no neighbours: one pair test, then one
     # common-neighbour step
@@ -389,8 +429,9 @@ def test_belt_distance_tests_few_masks(monkeypatch):
     # each asked or expanded pair, never about a split's parts: the submask
     # walk asked about 14,738 masks on this query, and a connectivity test
     # per split part about 5,222.  reach is asked by the pair test and by
-    # the common-neighbour step, at most twice per candidate (7 connected_in
-    # masks and 19 reach masks today)
+    # the common-neighbour step, up to three times for its {0} test and at
+    # most twice per candidate (7 connected_in masks and 19 reach masks
+    # today, in 21 reach calls)
     cg = gen_even_extremal(5)
     fr, fb = color_facets(cg)
     masks = set()
